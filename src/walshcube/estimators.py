@@ -1,12 +1,18 @@
 """Random-restart ascent for extremal inequality witnesses.
 
 Every registered ratio functional maps a flat parameter vector to a
-(lhs, rhs) pair; the search maximizes log(lhs/rhs) with central
-finite-difference gradients and a halving line search.  The objective is
+(lhs, rhs) pair; the search maximizes log(lhs/rhs) by gradient ascent with
+a halving line search.  Each functional registers, beside its evaluator,
+an analytic (adjoint) gradient on raw arrays: the functionals compose
+self-adjoint linear maps on the cube (d_i, E_i, centring, Delta^-1, Rad,
+martingale differences) with pointwise ell_q norms, L_p means and sign
+averages or a maximum, so one backward pass costs about one evaluation,
+where central differences cost 2 * dim of them.  At the kinks (q = 1,
+q = inf, the umd maximum) it takes one subgradient.  The objective is
 homogeneous of degree zero, so iterates are renormalized to unit scale
 and any returned value is automatically a witnessed, re-checkable lower
 bound: the certificate stores the witness and enough configuration to
-reproduce both sides exactly.
+reproduce both sides exactly, through the evaluators alone.
 """
 
 from __future__ import annotations
@@ -34,19 +40,36 @@ from .inequalities import (
     theorem1_lhs,
     theorem1_rhs,
 )
-from .martingales import make_dyadic_martingale, martingale_lp_norm, umd_ratio
+from .martingales import (
+    make_dyadic_martingale,
+    martingale_lp_norm,
+    umd_maximum_gradient,
+    umd_ratio,
+)
 from .norms import (
     DEGENERATE_EPS,
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
     lp_norm,
+    lp_norm_gradient,
     signed_combination_average,
+    signed_combination_average_gradient,
 )
-from .operators import rademacher_projection
+from .operators import (
+    _condition_each,
+    _degree_one_multiplier,
+    _derivative_each,
+    _difference_each,
+    _laplacian_multiplier,
+    _repeat,
+    _walsh_multiply,
+    rademacher_projection,
+)
 
 __all__ = [
     "SearchConfig",
+    "SearchObjective",
     "RatioCertificate",
     "CertificateMismatchError",
     "SearchFailedError",
@@ -71,7 +94,12 @@ class SearchFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Shape, exponents and budgets for one extremal search."""
+    """Shape, exponents and budgets for one extremal search.
+
+    `step` was the central-difference step of an earlier ascent.  The
+    ascent now uses analytic gradients and no longer reads it; it stays in
+    the config and its JSON so existing certificates keep their digests.
+    """
 
     functional: str
     n: int
@@ -134,10 +162,11 @@ def _vectors_witness(flat: np.ndarray, config: SearchConfig) -> np.ndarray:
     return flat.reshape(config.n, config.m)
 
 
+# kind -> (raw array shape, validated witness for the evaluators)
 _WITNESS_KINDS = {
-    "function": (lambda c: (1 << c.n) * c.m, _function_witness),
-    "family": (lambda c: c.n * (1 << c.n) * c.m, _family_witness),
-    "vectors": (lambda c: c.n * c.m, _vectors_witness),
+    "function": (lambda c: (1 << c.n, c.m), _function_witness),
+    "family": (lambda c: (c.n, 1 << c.n, c.m), _family_witness),
+    "vectors": (lambda c: (c.n, c.m), _vectors_witness),
 }
 
 
@@ -221,18 +250,132 @@ def _eval_martingale_type(f, config, plan):
     return martingale_lp_norm(M.increment(), s, space, probs), denominator
 
 
+# Analytic gradients.  Each takes the raw witness array and returns
+# ((lhs, d lhs), (rhs, d rhs)), computing both sides again on raw arrays;
+# the linear maps are self-adjoint, so each backward step applies the
+# forward map (or, from a stack to one table, its member-wise sum).
+
+
+def _centred_norm_gradient(f, config):
+    """|| f - mean f ||_{L_p} and its gradient (centring is a symmetric projection)."""
+    value, g = lp_norm_gradient(f - f.mean(axis=0), config.p, config.space())
+    return value, g - g.mean(axis=0)
+
+
+def _grad_pisier(f, config, plan):
+    n, p, space = config.n, config.p, config.space()
+    rhs, g = signed_combination_average_gradient(_derivative_each(_repeat(f, n), n), p, space, plan)
+    return _centred_norm_gradient(f, config), (rhs, _derivative_each(g, n).sum(axis=0))
+
+
+def _grad_derivative_average(family, config, plan):
+    """The shared right side of theorem1 and corollary2: sign average of d_i f_i."""
+    n = config.n
+    rhs, g = signed_combination_average_gradient(
+        _derivative_each(family, n), config.p, config.space(), plan
+    )
+    return rhs, _derivative_each(g, n)
+
+
+def _grad_inverse_laplacian_sum(family, config):
+    """|| sum_i Delta^-1 d_i f_i ||_{L_p} and its gradient."""
+    n = config.n
+    multiplier = _laplacian_multiplier(n, -1.0)
+    total = _walsh_multiply(_derivative_each(family, n).sum(axis=0), n, multiplier)
+    value, g = lp_norm_gradient(total, config.p, config.space())
+    return value, _derivative_each(_repeat(_walsh_multiply(g, n, multiplier), n), n)
+
+
+def _grad_theorem1(family, config, plan):
+    n = config.n
+    lhs, g = lp_norm_gradient(_difference_each(family, n).sum(axis=0), config.p, config.space())
+    return (lhs, _difference_each(_repeat(g, n), n)), _grad_derivative_average(family, config, plan)
+
+
+def _grad_corollary2(family, config, plan):
+    return (
+        _grad_inverse_laplacian_sum(family, config),
+        _grad_derivative_average(family, config, plan),
+    )
+
+
+def _grad_stein(family, config, plan):
+    n, p, space = config.n, config.p, config.space()
+    lhs, g = signed_combination_average_gradient(_condition_each(family, n), p, space, plan)
+    return (lhs, _condition_each(g, n)), signed_combination_average_gradient(family, p, space, plan)
+
+
+def _grad_hn_remark(family, config, plan):
+    rhs = signed_combination_average_gradient(family, config.p, config.space(), plan)
+    return _grad_inverse_laplacian_sum(family, config), rhs
+
+
+def _grad_k_convexity(f, config, plan):
+    n, p, space = config.n, config.p, config.space()
+    multiplier = _degree_one_multiplier(n)
+    lhs, g = lp_norm_gradient(_walsh_multiply(f, n, multiplier), p, space)
+    return (lhs, _walsh_multiply(g, n, multiplier)), lp_norm_gradient(f, p, space)
+
+
+def _grad_rademacher_type(vectors, config, plan):
+    s, space = config.p, config.space()
+    lhs, g = signed_combination_average_gradient(
+        vectors[:, None, :], s, space, RademacherAveragePlan(mode="exact")
+    )
+    # The ell_s sum of norms is an L_s norm with unit point weights.
+    rhs = lp_norm_gradient(vectors, s, space, np.ones(len(vectors)))
+    return (lhs, g[:, 0, :]), rhs
+
+
+def _dyadic_setup(f, config):
+    """The dyadic martingale differences of f and the uniform point measure."""
+    return _difference_each(_repeat(f, config.n), config.n), np.full(len(f), 1.0 / len(f))
+
+
+def _grad_umd(f, config, plan):
+    diffs, probs = _dyadic_setup(f, config)
+    lhs, g = umd_maximum_gradient(diffs, config.p, config.space(), probs)
+    return (lhs, _difference_each(g, config.n).sum(axis=0)), _centred_norm_gradient(f, config)
+
+
+def _grad_transform_average(f, config, plan):
+    diffs, probs = _dyadic_setup(f, config)
+    value, g = signed_combination_average_gradient(
+        diffs, config.p, config.space(), plan, weights=probs
+    )
+    return value, _difference_each(g, config.n).sum(axis=0)
+
+
+def _grad_umd_plus(f, config, plan):
+    return _grad_transform_average(f, config, plan), _centred_norm_gradient(f, config)
+
+
+def _grad_umd_minus(f, config, plan):
+    return _centred_norm_gradient(f, config), _grad_transform_average(f, config, plan)
+
+
+def _grad_martingale_type(f, config, plan):
+    diffs, probs = _dyadic_setup(f, config)
+    n, m = config.n, config.m
+    # sum_i || d_i ||_{L_s}^s is one L_s sum over all (step, point) pairs.
+    rhs, g = lp_norm_gradient(diffs.reshape(-1, m), config.p, config.space(), np.tile(probs, n))
+    rhs_gradient = _difference_each(g.reshape(diffs.shape), n).sum(axis=0)
+    return _centred_norm_gradient(f, config), (rhs, rhs_gradient)
+
+
+# name -> (witness kind, evaluate, gradient)
 _FUNCTIONALS = {
-    "pisier": ("function", _eval_pisier),
-    "theorem1": ("family", _eval_theorem1),
-    "corollary2": ("family", _eval_corollary2),
-    "stein": ("family", _eval_stein),
-    "hn-remark": ("family", _eval_hn_remark),
-    "k-convexity": ("function", _eval_k_convexity),
-    "rademacher-type": ("vectors", _eval_rademacher_type),
-    "umd": ("function", _eval_umd),
-    "umd-plus": ("function", _eval_umd_plus),
-    "umd-minus": ("function", _eval_umd_minus),
-    "martingale-type": ("function", _eval_martingale_type),
+    "pisier": ("function", _eval_pisier, _grad_pisier),
+    "theorem1": ("family", _eval_theorem1, _grad_theorem1),
+    "corollary2": ("family", _eval_corollary2, _grad_corollary2),
+    "stein": ("family", _eval_stein, _grad_stein),
+    "hn-remark": ("family", _eval_hn_remark, _grad_hn_remark),
+    "k-convexity": ("function", _eval_k_convexity, _grad_k_convexity),
+    "rademacher-type": ("vectors", _eval_rademacher_type, _grad_rademacher_type),
+    "umd": ("function", _eval_umd, _grad_umd),
+    "umd-plus": ("function", _eval_umd_plus, _grad_umd_plus),
+    "umd-minus": ("function", _eval_umd_minus, _grad_umd_minus),
+    "martingale-type": ("function", _eval_martingale_type, _grad_martingale_type),
 }
 
 FUNCTIONAL_NAMES = tuple(sorted(_FUNCTIONALS))
@@ -247,9 +390,9 @@ def _lookup(config: SearchConfig):
         )
     if config.functional in _TYPE_EXPONENT_FUNCTIONALS and not (1.0 < config.p <= 2.0):
         raise ValueError(f"{config.functional} requires p in (1, 2], got {config.p}")
-    kind, evaluate = _FUNCTIONALS[config.functional]
-    dimension, unflatten = _WITNESS_KINDS[kind]
-    return kind, evaluate, dimension(config), unflatten
+    kind, evaluate, _ = _FUNCTIONALS[config.functional]
+    shape, unflatten = _WITNESS_KINDS[kind]
+    return kind, evaluate, math.prod(shape(config)), unflatten
 
 
 @dataclass(frozen=True)
@@ -330,48 +473,67 @@ class _NonFiniteValue(Exception):
     pass
 
 
-def _make_objective(evaluate, unflatten, config, plan):
-    def objective(flat: np.ndarray):
+class SearchObjective:
+    """The ratio of one registered functional at a fixed config, on flat vectors.
+
+    Calling it evaluates both sides through the functional's evaluator;
+    `gradient` differentiates log(lhs/rhs) analytically.
+    """
+
+    def __init__(self, config: SearchConfig) -> None:
+        self.kind, self._evaluate, self.dimension, self._unflatten = _lookup(config)
+        self._gradient = _FUNCTIONALS[config.functional][2]
+        self._shape = _WITNESS_KINDS[self.kind][0](config)
+        self.config = config
+        self.plan = config.plan()
+
+    def __call__(self, flat: np.ndarray):
         """Returns (ratio, lhs, rhs); ratio is None for a degenerate rhs."""
-        lhs, rhs = evaluate(unflatten(flat, config), config, plan)
+        lhs, rhs = self._evaluate(self._unflatten(flat, self.config), self.config, self.plan)
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise _NonFiniteValue
         if rhs < DEGENERATE_EPS:
             return None, lhs, rhs
         return lhs / rhs, lhs, rhs
 
-    return objective
+    def gradient(self, flat: np.ndarray) -> np.ndarray:
+        """The gradient of log(lhs/rhs) at `flat`, as a flat vector.
+
+        Raises `_NonFiniteValue` when the ratio is not positive or the
+        gradient is not finite.
+        """
+        (lhs, dlhs), (rhs, drhs) = self._gradient(
+            flat.reshape(self._shape), self.config, self.plan
+        )
+        if not (lhs > 0.0 and rhs > 0.0):
+            raise _NonFiniteValue
+        gradient = (dlhs / lhs - drhs / rhs).reshape(-1)
+        if not np.all(np.isfinite(gradient)):
+            raise _NonFiniteValue
+        return gradient
 
 
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x * x)))
 
 
-def _ascend(objective, x0: np.ndarray, config: SearchConfig):
+def _ascend(objective: SearchObjective, x0: np.ndarray, config: SearchConfig):
     """Gradient ascent on log(ratio) with backtracking halving line search.
 
-    Iterates are renormalized to unit root-mean-square scale (the ratio is
-    scale invariant), which makes the constant finite-difference step
-    `config.step` a relative step in every coordinate.
+    The gradient is the objective's analytic one.  Iterates are
+    renormalized to unit root-mean-square scale (the ratio is scale
+    invariant), so the line search's steps are relative in every
+    coordinate.
     """
     x = x0 / _rms(x0)
     ratio, lhs, rhs = objective(x)
     if ratio is None:
         raise _NonFiniteValue
-    h = config.step
     trial_step = 0.5
     for _ in range(config.iterations):
-        gradient = np.empty_like(x)
-        for k in range(x.size):
-            bump = np.zeros_like(x)
-            bump[k] = h
-            up, _, _ = objective(x + bump)
-            down, _, _ = objective(x - bump)
-            if up is None or down is None or up <= 0.0 or down <= 0.0:
-                raise _NonFiniteValue
-            gradient[k] = (math.log(up) - math.log(down)) / (2.0 * h)
+        gradient = objective.gradient(x)
         norm = float(np.linalg.norm(gradient))
-        if norm == 0.0 or not math.isfinite(norm):
+        if norm == 0.0:
             break
         direction = gradient / norm
         t = trial_step
@@ -406,9 +568,8 @@ def maximize_ratio(config: SearchConfig) -> RatioCertificate:
     ties between candidates resolve to the earliest one, so identical
     configurations yield byte-identical certificates.
     """
-    kind, evaluate, dimension, unflatten = _lookup(config)
-    plan = config.plan()
-    objective = _make_objective(evaluate, unflatten, config, plan)
+    objective = SearchObjective(config)
+    kind, dimension = objective.kind, objective.dimension
     rng = np.random.default_rng(config.seed)
 
     def draw_nondegenerate() -> tuple[np.ndarray, float, float, float]:
@@ -459,13 +620,7 @@ def maximize_ratio(config: SearchConfig) -> RatioCertificate:
 
 
 def _witness_payload(kind: str, flat: np.ndarray, config: SearchConfig):
-    if kind == "function":
-        shaped = flat.reshape(1 << config.n, config.m)
-    elif kind == "family":
-        shaped = flat.reshape(config.n, 1 << config.n, config.m)
-    else:
-        shaped = flat.reshape(config.n, config.m)
-    return _freeze(shaped.tolist())
+    return _freeze(flat.reshape(_WITNESS_KINDS[kind][0](config)).tolist())
 
 
 def reevaluate_certificate(cert: RatioCertificate) -> InequalityReport:

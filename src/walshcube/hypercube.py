@@ -67,7 +67,7 @@ def _coerce_table(values: np.ndarray, what: str) -> tuple[int, int, np.ndarray]:
     _check_dimension(n)
     if m < 1:
         raise ValueError("target dimension m must be >= 1")
-    if not np.all(np.isfinite(table)):
+    if not np.isfinite(table).all():
         raise ValueError(f"{what} table contains non-finite entries")
     table.setflags(write=False)
     return n, m, table
@@ -262,16 +262,17 @@ def _fwht(table: np.ndarray) -> np.ndarray:
     stage structure, so results are deterministic.
     """
     rows = table.shape[0]
-    out = np.array(table, dtype=np.float64)
-    flat = out.reshape(rows, -1)
+    source = np.array(table, dtype=np.float64).reshape(rows, -1)
+    target = np.empty_like(source)  # stages alternate between two buffers
     h = 1
     while h < rows:
-        blocks = flat.reshape(-1, 2, h, flat.shape[1])
-        top = blocks[:, 0] + blocks[:, 1]
-        bottom = blocks[:, 0] - blocks[:, 1]
-        flat = np.concatenate((top[:, None], bottom[:, None]), axis=1).reshape(rows, -1)
+        blocks = source.reshape(-1, 2, h, source.shape[1])
+        halves = target.reshape(blocks.shape)
+        np.add(blocks[:, 0], blocks[:, 1], out=halves[:, 0])
+        np.subtract(blocks[:, 0], blocks[:, 1], out=halves[:, 1])
+        source, target = target, source
         h *= 2
-    return flat.reshape(out.shape)
+    return source.reshape(table.shape)
 
 
 def walsh_forward(f: HypercubeFunction) -> WalshSpectrum:

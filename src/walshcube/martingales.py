@@ -17,15 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, SignAssignment, sign_vector
+from .hypercube import HypercubeFunction, SignAssignment
 from .norms import (
     DEGENERATE_EPS,
     DegenerateInputError,
     NormSpace,
     RademacherAveragePlan,
+    _pattern_powers,
+    lp_norm_gradient,
     signed_combination_average,
 )
-from .operators import conditional_expectation
+from .operators import _condition
 
 __all__ = [
     "FiniteFiltration",
@@ -33,6 +35,7 @@ __all__ = [
     "make_dyadic_martingale",
     "martingale_lp_norm",
     "umd_ratio",
+    "umd_maximum_gradient",
     "umd_plus_ratio",
     "umd_minus_ratio",
     "martingale_type_ratio",
@@ -75,14 +78,21 @@ class FiniteFiltration:
                 raise ValueError(f"level {i} table has wrong length")
             if np.any(lvl < 0):
                 raise ValueError("cell ids must be nonnegative")
-        if np.unique(levels[0]).size != 1:
+        # Relabel sparse ids compactly (order kept) so no table is ever sized
+        # by an id read from the input; dyadic levels are already compact.
+        levels = tuple(
+            np.unique(lvl, return_inverse=True)[1] if lvl.max() >= size else lvl
+            for lvl in levels
+        )
+        if np.any(levels[0] != levels[0][0]):
             raise ValueError("level 0 must be the trivial partition")
+        parent_of = np.empty(size, dtype=np.int64)
         for i in range(1, len(levels)):
             # Refinement: every level-i cell sits inside a single level-(i-1) cell.
-            parent_of = {}
-            for child, parent in zip(levels[i].tolist(), levels[i - 1].tolist()):
-                if parent_of.setdefault(child, parent) != parent:
-                    raise ValueError(f"level {i} does not refine level {i - 1}")
+            child, parent = levels[i], levels[i - 1]
+            parent_of[child] = parent
+            if np.any(parent_of[child] != parent):
+                raise ValueError(f"level {i} does not refine level {i - 1}")
         probs.setflags(write=False)
         for lvl in levels:
             lvl.setflags(write=False)
@@ -118,18 +128,18 @@ class FiniteFiltration:
         """Probability-weighted cell averages of a (size, m) value table."""
         if not 0 <= level <= self.n:
             raise ValueError(f"level {level} out of range 0..{self.n}")
-        cells = self.levels[level]
-        ncells = int(cells.max()) + 1
-        mass = np.bincount(cells, weights=self.probabilities, minlength=ncells)
-        averaged = np.zeros((ncells, table.shape[1]))
-        for j in range(table.shape[1]):
-            averaged[:, j] = np.bincount(
-                cells, weights=self.probabilities * table[:, j], minlength=ncells
-            )
-        # Cell ids need not be contiguous; empty ids keep average 0 and are
-        # never indexed below.
-        occupied = mass > 0.0
-        averaged[occupied] /= mass[occupied, None]
+        cells, size, m = self.levels[level], self.size, table.shape[1]
+        # Ids are below the point count (construction relabels larger ones),
+        # so `size` cells always suffice.  One bincount over (cell, column)
+        # bins sums each bin's points in index order, as a per-column one would.
+        mass = np.bincount(cells, weights=self.probabilities, minlength=size)
+        averaged = np.bincount(
+            (cells[:, None] * m + np.arange(m)).ravel(),
+            weights=(self.probabilities[:, None] * table).ravel(),
+            minlength=size * m,
+        ).reshape(size, m)
+        # Empty ids keep average 0 and are never indexed below.
+        np.divide(averaged, mass[:, None], out=averaged, where=mass[:, None] > 0.0)
         return averaged[cells]
 
     def to_json_dict(self) -> dict:
@@ -171,17 +181,22 @@ class MartingaleSequence:
         expected = (self.filtration.n + 1, self.filtration.size, self.m)
         if values.shape != expected:
             raise ValueError(f"value table must have shape {expected}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("martingale values must be finite")
-        scale = max(1.0, float(np.max(np.abs(values))))
+        tolerance = MARTINGALE_TOL * max(1.0, float(np.abs(values).max()))
+        # Conditioning M_i and M_{i+1} together at level i checks both that
+        # M_i is measurable and that M_{i+1} averages back to M_i.
+        gaps = []
         for i in range(self.filtration.n + 1):
-            projected = self.filtration.condition(values[i], i)
-            if np.max(np.abs(projected - values[i])) > MARTINGALE_TOL * scale:
+            pair = values[i : i + 2]
+            projected = self.filtration.condition(np.concatenate(pair, axis=1), i)
+            gaps.append(np.abs(projected - np.concatenate([values[i]] * len(pair), axis=1)))
+        for i, gap in enumerate(gaps):
+            if gap[:, : self.m].max() > tolerance:
                 raise ValueError(f"level {i} values are not measurable at level {i}")
-        for i in range(1, self.filtration.n + 1):
-            pulled = self.filtration.condition(values[i], i - 1)
-            if np.max(np.abs(pulled - values[i - 1])) > MARTINGALE_TOL * scale:
-                raise ValueError(f"martingale property fails between levels {i - 1} and {i}")
+        for i, gap in enumerate(gaps[:-1]):
+            if gap[:, self.m :].max() > tolerance:
+                raise ValueError(f"martingale property fails between levels {i} and {i + 1}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -216,9 +231,7 @@ class MartingaleSequence:
 def make_dyadic_martingale(f: HypercubeFunction) -> MartingaleSequence:
     """The martingale of conditional expectations of f along the coordinate filtration."""
     filtration = FiniteFiltration.dyadic(f.n)
-    values = np.stack(
-        [conditional_expectation(f, i).values for i in range(f.n + 1)]
-    )
+    values = np.stack([_condition(f.values, f.n, i) for i in range(f.n + 1)])
     return MartingaleSequence(filtration=filtration, m=f.m, values=values)
 
 
@@ -268,13 +281,35 @@ def umd_ratio(
 
     if M.steps > 20:
         raise ValueError("exhaustive sign search is limited to 20 steps")
-    best = -math.inf
-    for mask in range(1 << M.steps):
-        transformed = np.tensordot(sign_vector(M.steps, mask), diffs, axes=(0, 0))
-        ratio = martingale_lp_norm(transformed, p, space, probs) / denominator
-        if ratio > best:
-            best = ratio
-    return best
+    powered, _ = _largest_transform(diffs, p, space, probs)
+    return powered ** (1.0 / p) / denominator
+
+
+def _largest_transform(
+    diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The largest mean p-th power of || sum_i delta_i d_i ||_q over all 2^n
+    sign patterns, with the first pattern (ascending bitmask) that reaches it."""
+    masks = np.arange(1 << diffs.shape[0], dtype=np.int64)
+    best, best_signs = -math.inf, None
+    for signs, powered in _pattern_powers(diffs, p, space.q, masks, probs):
+        k = int(np.argmax(powered))
+        if powered[k] > best:
+            best, best_signs = float(powered[k]), signs[k]
+    return best, best_signs
+
+
+def umd_maximum_gradient(
+    diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """max over delta of || sum_i delta_i d_i ||_{L_p} and its gradient in `diffs`.
+
+    Differentiated through the first pattern reaching the maximum, the
+    pattern `umd_ratio` reports.
+    """
+    _, signs = _largest_transform(diffs, p, space, probs)
+    value, cotangent = lp_norm_gradient(np.tensordot(signs, diffs, axes=(0, 0)), p, space, probs)
+    return value, signs[:, None, None] * cotangent
 
 
 def umd_plus_ratio(

@@ -22,10 +22,12 @@ __all__ = [
     "FunctionFamily",
     "RademacherAveragePlan",
     "lp_norm",
+    "lp_norm_gradient",
     "rademacher_average",
     "duality_pairing",
     "sample_sign_masks",
     "signed_combination_average",
+    "signed_combination_average_gradient",
 ]
 
 DEGENERATE_EPS = 1e-14
@@ -211,6 +213,81 @@ def lp_norm(f: HypercubeFunction, p: float, space: NormSpace) -> float:
     return float(np.mean(pointwise**p) ** (1.0 / p))
 
 
+def lp_norm_gradient(
+    table: np.ndarray, p: float, space: NormSpace, weights: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """(sum_k w_k ||t_k||_q^p)^(1/p) for a raw (points, m) table, and its gradient.
+
+    The point weights default to the uniform 1/points.  At the kinks the
+    gradient takes sign(t) (q = 1) and the coordinate that `argmax` picks
+    (q = inf); a zero row contributes nothing.
+    """
+    p = _check_p_finite(p)
+    if weights is None:
+        weights = np.full(table.shape[0], 1.0 / table.shape[0])
+    pointwise, derivative = _norms_with_derivative(table, space.q)
+    value = float((pointwise**p @ weights) ** (1.0 / p))
+    cotangent = (weights * pointwise ** (p - 1.0))[:, None] * derivative
+    if value > 0.0:
+        cotangent *= value ** (1.0 - p)
+    return value, cotangent
+
+
+def _norms_with_derivative(table: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """ell_q norms along the last axis and their derivative with respect to `table`."""
+    a = np.abs(table)
+    signs = np.sign(table)
+    if math.isinf(q):
+        picked = np.argmax(a, axis=-1)[..., None]
+        derivative = np.zeros_like(table)
+        np.put_along_axis(derivative, picked, np.take_along_axis(signs, picked, axis=-1), axis=-1)
+        return np.take_along_axis(a, picked, axis=-1)[..., 0], derivative
+    if q == 1.0:
+        return _reduce_last(np.add, a), signs
+    norms = _reduce_last(np.add, a**q) ** (1.0 / q)
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0) ** (q - 1.0)
+    return norms, signs * a ** (q - 1.0) * scale[..., None]
+
+
+def _sign_masks(count: int, plan: RademacherAveragePlan) -> np.ndarray:
+    """The plan's sign vectors as bitmasks: all 2^count, or its keyed samples."""
+    if plan.mode == "exact":
+        if count > 20:
+            raise ValueError(f"exact sign enumeration is limited to 20 members, got {count}")
+        return np.arange(1 << count, dtype=np.int64)
+    return sample_sign_masks(plan.seed, plan.samples, count)
+
+
+def _sign_blocks(count: int, masks: np.ndarray):
+    """Sign matrices for chunks of fixed size in ascending mask/sample order.
+
+    The fixed chunking keeps every reduction over patterns deterministic
+    regardless of any internal parallelism.
+    """
+    for start in range(0, len(masks), _CHUNK):
+        yield sign_matrix(count, masks[start : start + _CHUNK])
+
+
+def _pattern_powers(tables: np.ndarray, p: float, q: float, masks: np.ndarray, weights=None):
+    """Per sign pattern, the point mean of || sum_i delta_i t_i ||_q^p.
+
+    Yields (signs, powered) per chunk of `_sign_blocks`; the mean is
+    uniform unless `weights` gives point probabilities.  Shared by the sign
+    averages (mean over patterns) and the umd maximum (max over patterns).
+    """
+    count, _, m = tables.shape
+    flat = np.ascontiguousarray(tables.reshape(count, -1))
+    # One combination buffer for the whole run; repeated fresh allocations
+    # of the combination table dominate the cost otherwise.
+    buffer = np.empty((min(_CHUNK, len(masks)), flat.shape[1]))
+    for signs in _sign_blocks(count, masks):
+        view = buffer[: len(signs)]
+        np.matmul(signs, flat, out=view)
+        np.abs(view, out=view)
+        pointwise = _norms_of_absolute(view.reshape(len(signs), -1, m), q) ** p
+        yield signs, (pointwise.mean(axis=1) if weights is None else pointwise @ weights)
+
+
 def signed_combination_average(
     tables: np.ndarray,
     p: float,
@@ -228,38 +305,44 @@ def signed_combination_average(
     if m != space.m:
         raise ValueError(f"tables into R^{m} measured in ell_q^{space.m}")
     p = _check_p_finite(p)
-
-    if plan.mode == "exact":
-        if count > 20:
-            raise ValueError(f"exact sign enumeration is limited to 20 members, got {count}")
-        total_masks = 1 << count
-        masks = np.arange(total_masks, dtype=np.int64)
-        denominator = float(total_masks)
-    else:
-        masks = sample_sign_masks(plan.seed, plan.samples, count)
-        denominator = float(plan.samples)
-
-    flat = np.ascontiguousarray(tables.reshape(count, -1))
-    # One combination buffer for the whole run; repeated fresh allocations
-    # of the combination table dominate the cost otherwise.
-    buffer = np.empty((min(_CHUNK, len(masks)), flat.shape[1]))
+    masks = _sign_masks(count, plan)
     accumulated = 0.0
-    # Chunks of fixed size in ascending mask/sample order keep the
-    # reduction deterministic regardless of any internal parallelism.
-    for start in range(0, len(masks), _CHUNK):
-        block = masks[start : start + _CHUNK]
-        signs = sign_matrix(count, block)
-        view = buffer[: len(block)]
-        np.matmul(signs, flat, out=view)
-        np.abs(view, out=view)
-        shaped = view.reshape(len(block), -1, m)
-        pointwise = _norms_of_absolute(shaped, space.q) ** p
-        if weights is None:
-            powered = pointwise.mean(axis=1)
-        else:
-            powered = pointwise @ weights
+    for _, powered in _pattern_powers(tables, p, space.q, masks, weights):
         accumulated += float(powered.sum())
-    return (accumulated / denominator) ** (1.0 / p)
+    return (accumulated / float(len(masks))) ** (1.0 / p)
+
+
+def signed_combination_average_gradient(
+    tables: np.ndarray,
+    p: float,
+    space: NormSpace,
+    plan: RademacherAveragePlan,
+    weights: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """`signed_combination_average` and its gradient with respect to `tables`.
+
+    Visits the same sign patterns in the same chunks as the value; the
+    backward step of a chunk is signs.T @ (pointwise cotangents).
+    """
+    count, points, m = tables.shape
+    p = _check_p_finite(p)
+    if weights is None:
+        weights = np.full(points, 1.0 / points)
+    masks = _sign_masks(count, plan)
+    flat = tables.reshape(count, -1)
+    accumulated = 0.0
+    gradient = np.zeros_like(flat)
+    for signs in _sign_blocks(count, masks):
+        combos = (signs @ flat).reshape(len(signs), points, m)
+        pointwise, derivative = _norms_with_derivative(combos, space.q)
+        raised = pointwise ** (p - 1.0) * weights
+        accumulated += float(np.sum(raised * pointwise))
+        gradient += signs.T @ (raised[..., None] * derivative).reshape(len(signs), -1)
+    mean = accumulated / float(len(masks))
+    value = mean ** (1.0 / p)
+    if value > 0.0:
+        gradient *= value ** (1.0 - p) / float(len(masks))
+    return value, gradient.reshape(tables.shape)
 
 
 def _norms_of_absolute(table: np.ndarray, q: float) -> np.ndarray:
@@ -268,14 +351,30 @@ def _norms_of_absolute(table: np.ndarray, q: float) -> np.ndarray:
     May overwrite `table`; callers pass scratch buffers.
     """
     if math.isinf(q):
-        return table.max(axis=-1)
+        return _reduce_last(np.maximum, table)
     if q == 1.0:
-        return table.sum(axis=-1)
+        return _reduce_last(np.add, table)
     if q == 2.0:
         np.multiply(table, table, out=table)
-        return np.sqrt(table.sum(axis=-1))
+        return np.sqrt(_reduce_last(np.add, table))
     np.power(table, q, out=table)
-    return table.sum(axis=-1) ** (1.0 / q)
+    return _reduce_last(np.add, table) ** (1.0 / q)
+
+
+def _reduce_last(ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
+    """`ufunc.reduce` over the last axis, column by column when that axis is short.
+
+    numpy reduces a short contiguous last axis several times slower than
+    m - 1 whole-table passes.  Below 8 columns numpy also sums in plain
+    left-to-right order, so both routes give the same bits.
+    """
+    m = table.shape[-1]
+    if m >= 8:
+        return ufunc.reduce(table, axis=-1)
+    out = table[..., 0].copy()
+    for j in range(1, m):
+        ufunc(out, table[..., j], out=out)
+    return out
 
 
 def rademacher_average(

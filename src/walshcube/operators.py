@@ -17,6 +17,7 @@ import numpy as np
 from .hypercube import (
     HypercubeFunction,
     WalshSpectrum,
+    _fwht,
     subset_sizes,
     walsh_forward,
     walsh_inverse,
@@ -94,9 +95,7 @@ def partial_derivative(f: HypercubeFunction, i: int) -> HypercubeFunction:
 
 def derivative_stack(f: HypercubeFunction) -> np.ndarray:
     """All n partial derivatives stacked to (n, 2^n, m), for the hot paths."""
-    return np.stack(
-        [0.5 * (f.values - f.values[_flip_indices(f.n, i)]) for i in range(1, f.n + 1)]
-    )
+    return _derivative_each(_repeat(f.values, f.n), f.n)
 
 
 def averaging_operator(f: HypercubeFunction, i: int) -> HypercubeFunction:
@@ -115,11 +114,7 @@ def conditional_expectation(f: HypercubeFunction, level: int) -> HypercubeFuncti
         raise ValueError(f"level {level} out of range 0..{f.n}")
     if level == f.n:
         return f
-    block = 1 << level
-    tail = 1 << (f.n - level)
-    averaged = f.values.reshape(tail, block, f.m).mean(axis=0)
-    out = np.broadcast_to(averaged, (tail, block, f.m)).reshape(1 << f.n, f.m)
-    return HypercubeFunction(n=f.n, m=f.m, values=out)
+    return HypercubeFunction(n=f.n, m=f.m, values=_condition(f.values, f.n, level))
 
 
 def conditional_expectation_permuted(
@@ -145,23 +140,72 @@ def fractional_laplacian(f: HypercubeFunction, alpha: float) -> HypercubeFunctio
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    spectrum = walsh_forward(f)
-    sizes = subset_sizes(f.n).astype(np.float64)
-    multiplier = np.zeros(1 << f.n)
-    multiplier[1:] = sizes[1:] ** alpha
-    coeffs = spectrum.coefficients * multiplier[:, None]
-    return walsh_inverse(WalshSpectrum(n=f.n, m=f.m, coefficients=coeffs))
+    values = _walsh_multiply(f.values, f.n, _laplacian_multiplier(f.n, alpha))
+    return HypercubeFunction(n=f.n, m=f.m, values=values)
 
 
 def rademacher_projection(f: HypercubeFunction) -> HypercubeFunction:
     """Keep exactly the degree-one Walsh terms fhat({i}) w_{i}."""
-    spectrum = walsh_forward(f)
-    singleton = subset_sizes(f.n) == 1
-    coeffs = np.where(singleton[:, None], spectrum.coefficients, 0.0)
-    return walsh_inverse(WalshSpectrum(n=f.n, m=f.m, coefficients=coeffs))
+    values = _walsh_multiply(f.values, f.n, _degree_one_multiplier(f.n))
+    return HypercubeFunction(n=f.n, m=f.m, values=values)
 
 
 def martingale_difference(f: HypercubeFunction, i: int) -> HypercubeFunction:
     """The i-th dyadic martingale difference of f against the coordinate filtration."""
     _check_coordinate(f, i)
     return conditional_expectation(f, i) - conditional_expectation(f, i - 1)
+
+
+# Raw-array forms on (2^n, m) tables and (n, 2^n, m) stacks, for the
+# analytic gradients of the functionals.  Each map is a symmetric matrix on
+# R^(2^n) acting on every column (member by member on a stack), so its
+# backward pass applies the same map to the cotangent.
+
+
+def _derivative_each(stack: np.ndarray, n: int) -> np.ndarray:
+    """(d_1 g_1, ..., d_n g_n) for a stacked (n, 2^n, m) table."""
+    return np.stack([0.5 * (g - g[_flip_indices(n, i)]) for i, g in enumerate(stack, start=1)])
+
+
+def _condition(values: np.ndarray, n: int, level: int) -> np.ndarray:
+    """E_level f: the mean over the trailing n - level coordinates."""
+    if level == n:
+        return values
+    block = 1 << level
+    tail = 1 << (n - level)
+    # add.reduce then divide is what `mean` computes, without its Python wrapper.
+    averaged = np.add.reduce(values.reshape(tail, block, values.shape[1]), axis=0) / tail
+    return averaged[None].repeat(tail, axis=0).reshape(1 << n, -1)
+
+
+def _condition_each(stack: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
+    """(E_{1-shift} g_1, ..., E_{n-shift} g_n) for a stacked (n, 2^n, m) table."""
+    return np.stack([_condition(g, n, i - shift) for i, g in enumerate(stack, start=1)])
+
+
+def _difference_each(stack: np.ndarray, n: int) -> np.ndarray:
+    """((E_1 - E_0) g_1, ..., (E_n - E_{n-1}) g_n): dyadic martingale differences."""
+    return _condition_each(stack, n) - _condition_each(stack, n, shift=1)
+
+
+def _repeat(values: np.ndarray, n: int) -> np.ndarray:
+    """n read-only copies of one table as a stack, so one-to-n maps reuse the `_each` forms."""
+    return np.broadcast_to(values, (n,) + values.shape)
+
+
+def _walsh_multiply(values: np.ndarray, n: int, multiplier: np.ndarray) -> np.ndarray:
+    """The Walsh multiplier fhat(A) -> multiplier[A] fhat(A), evaluated back on the cube."""
+    return _fwht(_fwht(values) / (1 << n) * multiplier[:, None])
+
+
+def _laplacian_multiplier(n: int, alpha: float) -> np.ndarray:
+    """|A|^alpha for nonempty A and 0 for the empty set: the multiplier of Delta^alpha."""
+    sizes = subset_sizes(n).astype(np.float64)
+    multiplier = np.zeros(1 << n)
+    multiplier[1:] = sizes[1:] ** alpha
+    return multiplier
+
+
+def _degree_one_multiplier(n: int) -> np.ndarray:
+    """1 on singletons and 0 elsewhere: the multiplier of the projection Rad."""
+    return (subset_sizes(n) == 1).astype(np.float64)

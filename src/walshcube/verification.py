@@ -1,18 +1,21 @@
 """The runnable identity suite behind the `verify` command.
 
 Each check compares two independently computed quantities (an operator
-identity, a spectral action, or an equality case) and reports its largest
-deviation against the stated tolerance.  The `corrupt` hook injects a
+identity, a spectral action, an equality case, or the search's analytic
+gradient against a central difference) and reports its largest deviation
+against the stated tolerance.  The `corrupt` hook injects a
 1e-3 fault into the named check so that pipelines can prove the suite
 actually fails when an operator regresses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import FUNCTIONAL_NAMES, SearchConfig, SearchObjective
 from .hypercube import (
     HypercubeFunction,
     WalshSpectrum,
@@ -320,6 +323,22 @@ def run_verification_suite(
                 worst_tree = max(worst_tree, (after - before) / max(before, 1e-30))
     record("tree-contraction", max(worst_tree, 0.0), 1e-12)
 
+    # Analytic search gradients against a central difference along one direction.
+    worst_gradient = 0.0
+    h = 1e-6
+    for name in FUNCTIONAL_NAMES:
+        p = 1.5 if name.endswith("-type") else 2.5
+        objective = SearchObjective(
+            SearchConfig(functional=name, n=min(n, 3), m=2, p=p, q=3.0, seed=seed)
+        )
+        x = rng.standard_normal(objective.dimension)
+        v = rng.standard_normal(objective.dimension)
+        analytic = float(objective.gradient(x) @ v)
+        up, down = objective(x + h * v)[0], objective(x - h * v)[0]
+        numeric = (math.log(up) - math.log(down)) / (2.0 * h)
+        worst_gradient = max(worst_gradient, _relative_gap(analytic, numeric))
+    record("gradient-vs-finite-difference", worst_gradient, 1e-6)
+
     return results
 
 
@@ -346,4 +365,5 @@ CHECK_NAMES = (
     "sign-average-symmetry",
     "ratio-scale-invariance",
     "tree-contraction",
+    "gradient-vs-finite-difference",
 )

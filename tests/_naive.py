@@ -89,3 +89,27 @@ def rademacher_average_enumerated(tables: np.ndarray, p: float, q: float) -> flo
         combo = np.tensordot(delta, tables, axes=(0, 0))
         total += lp_norm_sum(combo, p, q) ** p
     return (total / (1 << count)) ** (1.0 / p)
+
+
+def central_difference_gradient(log_value, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Coordinate-wise central differences of a scalar function of a flat vector."""
+    gradient = np.empty_like(x)
+    for k in range(x.size):
+        bump = np.zeros_like(x)
+        bump[k] = h
+        gradient[k] = (log_value(x + bump) - log_value(x - bump)) / (2.0 * h)
+    return gradient
+
+
+def umd_maximum_per_mask(diffs: np.ndarray, p: float, q: float, probabilities: np.ndarray) -> float:
+    """max over sign patterns of || sum_i delta_i d_i ||_{L_p}, one pattern at a time."""
+    steps = diffs.shape[0]
+    best = -np.inf
+    for mask in range(1 << steps):
+        combo = np.tensordot(signs_of_mask(mask, steps), diffs, axes=(0, 0))
+        if np.isinf(q):
+            pointwise = np.max(np.abs(combo), axis=1)
+        else:
+            pointwise = np.sum(np.abs(combo) ** q, axis=1) ** (1.0 / q)
+        best = max(best, float(np.sum(probabilities * pointwise**p) ** (1.0 / p)))
+    return best

@@ -57,6 +57,16 @@ class TestVerifyCommand:
         failing = [c for c in report["checks"] if not c["passed"]]
         assert [c["name"] for c in failing] == ["averaging-complement"]
 
+    def test_corrupted_gradient_check_fails(self, tmp_path, capsys):
+        code = main(
+            [
+                "--command", "verify", "--n", "3", "--m", "1",
+                "--corrupt", "gradient-vs-finite-difference", "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 1
+        assert "gradient-vs-finite-difference" in capsys.readouterr().err
+
     def test_suite_runs_every_documented_check(self):
         results = run_verification_suite(n=3, m=1, seed=0, rounds=3)
         assert sorted(r.name for r in results) == sorted(CHECK_NAMES)

@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from _naive import central_difference_gradient
 from walshcube.estimators import (
     FUNCTIONAL_NAMES,
     CertificateMismatchError,
     RatioCertificate,
     SearchConfig,
+    SearchObjective,
     load_certificate,
     maximize_ratio,
     reevaluate_certificate,
@@ -188,6 +190,66 @@ class TestCertificates:
         lhs1, rhs1 = evaluate(unflatten(flat, cfg), cfg, cfg.plan())
         lhs2, rhs2 = evaluate(unflatten(flat * 37.0, cfg), cfg, cfg.plan())
         assert lhs2 / rhs2 == pytest.approx(lhs1 / rhs1, rel=1e-12)
+
+
+def _gradient_gap(name, n, q, plan_mode="exact"):
+    """Largest gap between the analytic and the central-difference gradient of log ratio."""
+    p = 1.5 if name in ("rademacher-type", "martingale-type") else 2.5
+    objective = SearchObjective(
+        SearchConfig(
+            functional=name, n=n, m=2, p=p, q=q, seed=5, plan_mode=plan_mode, plan_samples=37
+        )
+    )
+    x = np.random.default_rng([n, 17]).standard_normal(objective.dimension)
+    numeric = central_difference_gradient(lambda y: math.log(objective(y)[0]), x, h=1e-6)
+    return float(np.max(np.abs(objective.gradient(x) - numeric))) / max(
+        1.0, float(np.max(np.abs(numeric)))
+    )
+
+
+class TestAnalyticGradients:
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_smooth_targets_match_central_differences(self, name, n):
+        for q in (1.5, 2.0, 3.0):
+            assert _gradient_gap(name, n, q) <= 1e-6, q
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kinked_targets_match_central_differences(self, name, n):
+        # Seeded points with no ties in the active coordinate or sign pattern.
+        for q in (1.0, math.inf):
+            assert _gradient_gap(name, n, q) <= 1e-5, q
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    def test_monte_carlo_plan_uses_the_same_masks(self, name):
+        assert _gradient_gap(name, 3, 3.0, plan_mode="monte-carlo") <= 1e-6
+
+    def test_gradient_is_orthogonal_to_the_scale_direction(self):
+        # The ratio is homogeneous of degree zero, so <grad log ratio, x> = 0.
+        objective = SearchObjective(SearchConfig(functional="corollary2", n=3, m=2, p=2.5, q=3.0))
+        x = np.random.default_rng(3).standard_normal(objective.dimension)
+        assert abs(objective.gradient(x) @ x) <= 1e-10 * np.linalg.norm(x)
+
+    def test_ascent_makes_few_objective_calls(self, monkeypatch):
+        import walshcube.estimators as est
+
+        calls = []
+        original = est.SearchObjective.__call__
+
+        def counting(self, flat):
+            calls.append(1)
+            return original(self, flat)
+
+        monkeypatch.setattr(est.SearchObjective, "__call__", counting)
+        cfg = SearchConfig(
+            functional="pisier", n=4, m=2, p=2.0, q=math.inf, restarts=2, iterations=15,
+            probes=20, seed=1,
+        )
+        maximize_ratio(cfg)
+        # Probes, starts, line searches and final re-evaluations only: a
+        # finite-difference gradient alone would need 2 * 32 calls per step.
+        assert len(calls) <= 150
 
 
 class TestScanDimension:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _naive import umd_maximum_per_mask
 from walshcube.hypercube import HypercubeFunction, SignAssignment
 from walshcube.inequalities import pisier_lhs
 from walshcube.martingales import (
@@ -236,6 +237,20 @@ class TestUmdRatio:
             umd_ratio(M, 2.0, NormSpace(1, 2.0))
 
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+    def test_vectorised_search_matches_per_mask_loop(self, q):
+        space = NormSpace(2, q)
+        for M in (
+            make_dyadic_martingale(random_function(5, 2, seed=31)),
+            random_tree_martingale(seed=32),
+        ):
+            probs = M.filtration.probabilities
+            expected = umd_maximum_per_mask(M.differences(), 2.5, q, probs) / martingale_lp_norm(
+                M.increment(), 2.5, space, probs
+            )
+            assert umd_ratio(M, 2.5, space) == pytest.approx(expected, rel=1e-12)
+
+
 class TestUmdAveragedRatios:
     def test_hilbert_p2_both_equal_one(self):
         space = NormSpace(2, 2.0)
@@ -346,3 +361,23 @@ def test_tree_with_non_contiguous_cell_ids():
     values = np.stack([filtration.condition(table, i) for i in range(3)])
     M = MartingaleSequence(filtration=filtration, m=1, values=values)
     assert M.steps == 2
+
+
+def test_huge_cell_ids_behave_like_their_compact_relabelling():
+    huge = 10**15
+    sparse = FiniteFiltration.tree(
+        [[7, 7, 7, 7], [3, 3, huge, huge], [0, 3, huge, 12]], [0.1, 0.2, 0.3, 0.4]
+    )
+    compact = FiniteFiltration.tree(
+        [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 3, 2]], [0.1, 0.2, 0.3, 0.4]
+    )
+    table = np.random.default_rng(4).standard_normal((4, 3))
+    for level in range(3):
+        assert np.array_equal(sparse.condition(table, level), compact.condition(table, level))
+    for level in sparse.levels:
+        assert level.max() < sparse.size
+
+
+def test_refinement_check_rejects_a_split_parent_late_in_the_table():
+    with pytest.raises(ValueError, match="does not refine"):
+        FiniteFiltration.tree([[0] * 6, [0, 0, 0, 1, 1, 1], [0, 1, 2, 3, 4, 2]], [1 / 6] * 6)
