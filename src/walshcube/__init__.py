@@ -8,7 +8,8 @@ The layers, bottom to top:
 * `norms`        ell_q targets, L_p norms, sign averages (exact or Monte Carlo);
 * `inequalities` two-sided functionals and proof-identity verifiers;
 * `martingales`  finite filtrations, adapted martingales, transform ratios;
-* `estimators`   random-restart ascent producing re-checkable ratio certificates;
+* `estimators`   the functional table, and the random-restart ascent producing
+                 re-checkable ratio certificates;
 * `verification` the runnable identity suite;
 * `cli`          the `walshcube` command.
 
@@ -49,7 +50,6 @@ from .norms import (
     RademacherAveragePlan,
     lp_norm,
     rademacher_average,
-    duality_pairing,
 )
 from .inequalities import (
     InequalityReport,
@@ -60,18 +60,14 @@ from .inequalities import (
     pisier_envelope,
     theorem1_lhs,
     theorem1_rhs,
-    theorem1_report,
     corollary2_lhs,
     corollary2_rhs,
-    corollary2_report,
     stein_lhs,
     stein_rhs,
-    stein_report,
     verify_symmetrization_identity,
     hn_extract_component,
     hn_remark_lhs,
     hn_remark_rhs,
-    hn_remark_report,
     k_convexity_ratio,
     rademacher_type_ratio,
 )
@@ -89,6 +85,7 @@ from .martingales import (
 )
 from .estimators import (
     FUNCTIONAL_NAMES,
+    functional_report,
     SearchConfig,
     RatioCertificate,
     CertificateMismatchError,

@@ -27,6 +27,8 @@ import numpy as np
 from .estimators import (
     FUNCTIONAL_NAMES,
     SearchConfig,
+    functional_entry,
+    functional_report,
     maximize_ratio,
     save_certificate,
     scan_dimension,
@@ -38,32 +40,14 @@ from .hypercube import (
     walsh_forward_naive,
     walsh_inverse,
 )
-from .inequalities import (
-    REPORT_CSV_COLUMNS,
-    InequalityReport,
-    corollary2_report,
-    hn_remark_report,
-    pisier_report,
-    stein_report,
-    theorem1_report,
-)
-from .martingales import (
-    MartingaleSequence,
-    make_dyadic_martingale,
-    martingale_lp_norm,
-    umd_ratio,
-)
+from .inequalities import REPORT_CSV_COLUMNS
 from .norms import (
-    DEGENERATE_EPS,
     DegenerateInputError,
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
-    lp_norm,
     rademacher_average,
-    signed_combination_average,
 )
-from .operators import rademacher_projection
 from .verification import run_verification_suite
 
 EXIT_OK = 0
@@ -150,83 +134,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _report_from_martingale(name: str, data: dict, args) -> InequalityReport:
-    M = MartingaleSequence.from_json_dict(data)
-    space = NormSpace(M.m, args.q)
-    plan = _plan_from_args(args, M.steps)
-    probs = M.filtration.probabilities
-    denominator = martingale_lp_norm(M.increment(), args.p, space, probs)
-    if name == "umd":
-        if denominator < DEGENERATE_EPS:
-            raise DegenerateInputError("constant martingale")
-        ratio = umd_ratio(M, args.p, space)
-        lhs, rhs = ratio * denominator, denominator
-    elif name == "umd-plus":
-        lhs = signed_combination_average(M.differences(), args.p, space, plan, weights=probs)
-        rhs = denominator
-    elif name == "umd-minus":
-        lhs = denominator
-        rhs = signed_combination_average(M.differences(), args.p, space, plan, weights=probs)
-    else:  # martingale-type
-        if not (1.0 < args.p <= 2.0):
-            raise ValueError(f"martingale-type requires p in (1, 2], got {args.p}")
-        lhs = denominator
-        rhs = float(
-            sum(
-                martingale_lp_norm(d, args.p, space, probs) ** args.p
-                for d in M.differences()
-            )
-            ** (1.0 / args.p)
-        )
-    return InequalityReport.build(name, lhs, rhs, M.steps, M.m, args.p, space.q, plan)
-
-
 def cmd_eval(args) -> int:
-    data = _load_json(args.input_path)
-    name = args.functional
-    if name in ("pisier", "k-convexity"):
-        f = HypercubeFunction.from_json_dict(data)
-        space = NormSpace(f.m, args.q)
-        plan = _plan_from_args(args, f.n)
-        if name == "pisier":
-            report = pisier_report(f, args.p, space, plan)
-        else:
-            numerator = lp_norm(rademacher_projection(f), args.p, space)
-            denominator = lp_norm(f, args.p, space)
-            report = InequalityReport.build(
-                name, numerator, denominator, f.n, f.m, args.p, space.q, plan
-            )
-    elif name in ("theorem1", "corollary2", "stein", "hn-remark"):
-        family = FunctionFamily.from_json_dict(data)
-        space = NormSpace(family.m, args.q)
-        plan = _plan_from_args(args, family.n)
-        builder = {
-            "theorem1": theorem1_report,
-            "corollary2": corollary2_report,
-            "stein": stein_report,
-            "hn-remark": hn_remark_report,
-        }[name]
-        report = builder(family, args.p, space, plan)
-    elif name == "rademacher-type":
-        if not (1.0 < args.p <= 2.0):
-            raise ValueError(f"rademacher-type requires p in (1, 2], got {args.p}")
-        vectors = np.asarray(data["vectors"], dtype=np.float64)
-        space = NormSpace(vectors.shape[1], args.q)
-        plan = RademacherAveragePlan(mode="exact", seed=args.seed)
-        norms = space.norms(vectors)
-        rhs = float(np.sum(norms**args.p) ** (1.0 / args.p))
-        lhs = signed_combination_average(vectors[:, None, :], args.p, space, plan)
-        report = InequalityReport.build(
-            name, lhs, rhs, vectors.shape[0], vectors.shape[1], args.p, space.q, plan
-        )
-    elif name in ("umd", "umd-plus", "umd-minus", "martingale-type"):
-        if "values" in data and "filtration" not in data:
-            M = make_dyadic_martingale(HypercubeFunction.from_json_dict(data))
-            data = M.to_json_dict()
-        report = _report_from_martingale(name, data, args)
-    else:
-        raise ValueError(f"unknown functional {name!r}; choose one of {FUNCTIONAL_NAMES}")
-
+    entry = functional_entry(args.functional, args.p)
+    witness = entry.kind.load(_load_json(args.input_path))
+    n, m = entry.kind.dims(witness)
+    plan = _plan_from_args(args, n)
+    report = functional_report(args.functional, witness, args.p, NormSpace(m, args.q), plan)
     if args.format == "csv":
         lines = [",".join(REPORT_CSV_COLUMNS)]
         lines.append(",".join(str(v) for v in report.csv_row()))

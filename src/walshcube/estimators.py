@@ -1,9 +1,19 @@
-"""Random-restart ascent for extremal inequality witnesses.
+"""The functional table and the random-restart ascent for extremal witnesses.
 
-Every registered ratio functional maps a flat parameter vector to a
-(lhs, rhs) pair; the search maximizes log(lhs/rhs) by gradient ascent with
-a halving line search.  Each functional registers, beside its evaluator,
-an analytic (adjoint) gradient on raw arrays: the functionals compose
+Each of the 11 two-sided functionals has one entry in the table: the kind
+of witness it reads, the exponents p it accepts, `sides(witness, p, space,
+plan) -> (lhs, rhs)` and an analytic gradient.  `sides` is the only
+definition of a functional's value: `eval` (through `functional_report`),
+`estimate` and `scan` (through `SearchObjective`) and certificate re-checks
+all call it, and `functional_entry` checks the name and p range for all of
+them.  The p ranges are [1, inf) for pisier, (1, 2] for the type exponent
+of rademacher-type and martingale-type, and (1, inf) for the rest.  The
+four martingale functionals read a `MartingaleSequence`: the search builds
+the dyadic martingale of its function, and `eval` reads a martingale file
+or a plain function.
+
+The search maximizes log(lhs/rhs) by gradient ascent with a halving line
+search.  Each gradient is adjoint, on raw arrays: the functionals compose
 self-adjoint linear maps on the cube (d_i, E_i, centring, Delta^-1, Rad,
 martingale differences) with pointwise ell_q norms, L_p means and sign
 averages or a maximum, so one backward pass costs about one evaluation,
@@ -12,7 +22,7 @@ q = inf, the umd maximum) it takes one subgradient.  The objective is
 homogeneous of degree zero, so iterates are renormalized to unit scale
 and any returned value is automatically a witnessed, re-checkable lower
 bound: the certificate stores the witness and enough configuration to
-reproduce both sides exactly, through the evaluators alone.
+reproduce both sides exactly, through `sides` alone.
 """
 
 from __future__ import annotations
@@ -21,13 +31,16 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .hypercube import HypercubeFunction
 from .inequalities import (
     InequalityReport,
+    _k_convexity_sides,
+    _rademacher_type_sides,
     corollary2_lhs,
     corollary2_rhs,
     hn_remark_lhs,
@@ -41,19 +54,20 @@ from .inequalities import (
     theorem1_rhs,
 )
 from .martingales import (
+    MartingaleSequence,
+    _martingale_type_sides,
+    _umd_minus_sides,
+    _umd_plus_sides,
+    _umd_sides,
     make_dyadic_martingale,
-    martingale_lp_norm,
     umd_maximum_gradient,
-    umd_ratio,
 )
 from .norms import (
     DEGENERATE_EPS,
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
-    lp_norm,
     lp_norm_gradient,
-    signed_combination_average,
     signed_combination_average_gradient,
 )
 from .operators import (
@@ -64,10 +78,14 @@ from .operators import (
     _laplacian_multiplier,
     _repeat,
     _walsh_multiply,
-    rademacher_projection,
 )
 
 __all__ = [
+    "Functional",
+    "WitnessKind",
+    "PRange",
+    "functional_entry",
+    "functional_report",
     "SearchConfig",
     "SearchObjective",
     "RatioCertificate",
@@ -149,105 +167,152 @@ class SearchConfig:
         return cls(**data)
 
 
-def _function_witness(flat: np.ndarray, config: SearchConfig) -> HypercubeFunction:
-    return HypercubeFunction.from_values(flat.reshape(1 << config.n, config.m))
+@dataclass(frozen=True)
+class WitnessKind:
+    """What a functional reads: a function, a family, vectors or a martingale.
+
+    `name` is the certificate's `witness_kind`; `build` turns a raw array of
+    `shape(n, m)` into the validated witness that `sides` reads; `load` does
+    the same for parsed JSON and raises `ValueError` on a malformed input;
+    `dims` gives a witness's (n, m) for its report.
+    """
+
+    name: str
+    shape: Callable[[int, int], tuple[int, ...]]
+    build: Callable[[np.ndarray], object]
+    load: Callable[[object], object]
+    dims: Callable[[object], tuple[int, int]]
 
 
-def _family_witness(flat: np.ndarray, config: SearchConfig) -> FunctionFamily:
-    tables = flat.reshape(config.n, 1 << config.n, config.m)
-    return FunctionFamily(tuple(HypercubeFunction.from_values(t) for t in tables))
+def _json_list(data, key: str) -> list:
+    """The list under `key` of a parsed JSON object; anything else is an input error."""
+    if not isinstance(data, dict):
+        raise ValueError(f"input must be a JSON object, got {type(data).__name__}")
+    if not isinstance(data.get(key), list):
+        raise ValueError(f"input field {key!r} must be a list")
+    return data[key]
 
 
-def _vectors_witness(flat: np.ndarray, config: SearchConfig) -> np.ndarray:
-    return flat.reshape(config.n, config.m)
+def _load_function(data) -> HypercubeFunction:
+    _json_list(data, "values")
+    return HypercubeFunction.from_json_dict(data)
 
 
-# kind -> (raw array shape, validated witness for the evaluators)
-_WITNESS_KINDS = {
-    "function": (lambda c: (1 << c.n, c.m), _function_witness),
-    "family": (lambda c: (c.n, 1 << c.n, c.m), _family_witness),
-    "vectors": (lambda c: (c.n, c.m), _vectors_witness),
-}
+def _load_family(data) -> FunctionFamily:
+    _json_list(data, "functions")
+    return FunctionFamily.from_json_dict(data)
 
 
-def _eval_pisier(f, config, plan):
-    space = config.space()
-    return pisier_lhs(f, config.p, space), pisier_rhs(f, config.p, space, plan)
+def _load_vectors(data) -> np.ndarray:
+    vectors = np.asarray(_json_list(data, "vectors"), dtype=np.float64)
+    if vectors.ndim != 2 or vectors.size == 0:
+        raise ValueError(f"'vectors' must be a non-empty (k, m) table, got shape {vectors.shape}")
+    if not np.isfinite(vectors).all():
+        raise ValueError("'vectors' contains non-finite entries")
+    return vectors
 
 
-def _eval_theorem1(family, config, plan):
-    space = config.space()
-    return theorem1_lhs(family, config.p, space), theorem1_rhs(family, config.p, space, plan)
+def _load_martingale(data) -> MartingaleSequence:
+    """A martingale file, or a plain function read as its dyadic martingale."""
+    if isinstance(data, dict) and "filtration" in data:
+        _json_list(data, "values")
+        return MartingaleSequence.from_json_dict(data)
+    return make_dyadic_martingale(_load_function(data))
 
 
-def _eval_corollary2(family, config, plan):
-    space = config.space()
-    return corollary2_lhs(family, config.p, space), corollary2_rhs(family, config.p, space, plan)
+def _cube_table(n: int, m: int) -> tuple[int, int]:
+    return (1 << n, m)
 
 
-def _eval_stein(family, config, plan):
-    space = config.space()
-    return stein_lhs(family, config.p, space, plan), stein_rhs(family, config.p, space, plan)
+# Each `build` looks up its constructor at call time, so a wrapper installed
+# on the class or module name (as a tracer does) sees every call.
+_FUNCTION = WitnessKind(
+    "function",
+    _cube_table,
+    lambda table: HypercubeFunction.from_values(table),
+    _load_function,
+    lambda f: (f.n, f.m),
+)
+_FAMILY = WitnessKind(
+    "family",
+    lambda n, m: (n, 1 << n, m),
+    lambda stack: FunctionFamily(tuple(HypercubeFunction.from_values(t) for t in stack)),
+    _load_family,
+    lambda family: (family.n, family.m),
+)
+_VECTORS = WitnessKind("vectors", lambda n, m: (n, m), lambda table: table, _load_vectors, np.shape)
+# The martingale functionals search over functions, read as their dyadic
+# martingales, so their certificates name the witness kind "function".
+_MARTINGALE = WitnessKind(
+    "function",
+    _cube_table,
+    lambda table: make_dyadic_martingale(HypercubeFunction.from_values(table)),
+    _load_martingale,
+    lambda M: (M.steps, M.m),
+)
 
 
-def _eval_hn_remark(family, config, plan):
-    space = config.space()
-    return hn_remark_lhs(family, config.p, space), hn_remark_rhs(family, config.p, space, plan)
+@dataclass(frozen=True)
+class PRange:
+    """An interval of exponents, open at each end unless that end is closed."""
+
+    low: float
+    high: float
+    low_closed: bool = False
+    high_closed: bool = False
+
+    def __contains__(self, p: float) -> bool:
+        above = self.low <= p if self.low_closed else self.low < p
+        below = p <= self.high if self.high_closed else p < self.high
+        return above and below
+
+    def __str__(self) -> str:
+        return (
+            f"{'[' if self.low_closed else '('}{self.low:g}, "
+            f"{self.high:g}{']' if self.high_closed else ')'}"
+        )
 
 
-def _eval_k_convexity(f, config, plan):
-    space = config.space()
-    return (
-        lp_norm(rademacher_projection(f), config.p, space),
-        lp_norm(f, config.p, space),
-    )
+@dataclass(frozen=True)
+class Functional:
+    """One two-sided functional, defined once for every command.
+
+    `sides(witness, p, space, plan) -> (lhs, rhs)` is its value.
+    `gradient(raw, config, plan) -> ((lhs, d lhs), (rhs, d rhs))`
+    differentiates both sides on the raw witness array for the search; it
+    never supplies a certified value.  With `exact_signs` the sign averages
+    enumerate every sign vector, whatever plan is asked for.
+    """
+
+    kind: WitnessKind
+    p_range: PRange
+    sides: Callable
+    gradient: Callable
+    exact_signs: bool = False
+
+    def plan(self, plan: RademacherAveragePlan) -> RademacherAveragePlan:
+        """The plan `sides` runs with when `plan` is asked for."""
+        return replace(plan, mode="exact") if self.exact_signs else plan
 
 
-def _eval_rademacher_type(vectors, config, plan):
-    space = config.space()
-    s = config.p
-    norms = space.norms(vectors)
-    denominator = float(np.sum(norms**s) ** (1.0 / s))
-    plan_exact = RademacherAveragePlan(mode="exact")
-    numerator = signed_combination_average(vectors[:, None, :], s, space, plan_exact)
-    return numerator, denominator
+def _pisier_sides(f, p, space, plan):
+    return pisier_lhs(f, p, space), pisier_rhs(f, p, space, plan)
 
 
-def _eval_umd(f, config, plan):
-    M = make_dyadic_martingale(f)
-    space = config.space()
-    probs = M.filtration.probabilities
-    denominator = martingale_lp_norm(M.increment(), config.p, space, probs)
-    if denominator < DEGENERATE_EPS:
-        return 0.0, denominator
-    return umd_ratio(M, config.p, space) * denominator, denominator
+def _theorem1_sides(family, p, space, plan):
+    return theorem1_lhs(family, p, space), theorem1_rhs(family, p, space, plan)
 
 
-def _eval_umd_plus(f, config, plan):
-    M = make_dyadic_martingale(f)
-    space = config.space()
-    probs = M.filtration.probabilities
-    averaged = signed_combination_average(M.differences(), config.p, space, plan, weights=probs)
-    return averaged, martingale_lp_norm(M.increment(), config.p, space, probs)
+def _corollary2_sides(family, p, space, plan):
+    return corollary2_lhs(family, p, space), corollary2_rhs(family, p, space, plan)
 
 
-def _eval_umd_minus(f, config, plan):
-    M = make_dyadic_martingale(f)
-    space = config.space()
-    probs = M.filtration.probabilities
-    averaged = signed_combination_average(M.differences(), config.p, space, plan, weights=probs)
-    return martingale_lp_norm(M.increment(), config.p, space, probs), averaged
+def _stein_sides(family, p, space, plan):
+    return stein_lhs(family, p, space, plan), stein_rhs(family, p, space, plan)
 
 
-def _eval_martingale_type(f, config, plan):
-    M = make_dyadic_martingale(f)
-    space = config.space()
-    s = config.p
-    probs = M.filtration.probabilities
-    denominator = float(
-        sum(martingale_lp_norm(d, s, space, probs) ** s for d in M.differences()) ** (1.0 / s)
-    )
-    return martingale_lp_norm(M.increment(), s, space, probs), denominator
+def _hn_remark_sides(family, p, space, plan):
+    return hn_remark_lhs(family, p, space), hn_remark_rhs(family, p, space, plan)
 
 
 # Analytic gradients.  Each takes the raw witness array and returns
@@ -319,9 +384,7 @@ def _grad_k_convexity(f, config, plan):
 
 def _grad_rademacher_type(vectors, config, plan):
     s, space = config.p, config.space()
-    lhs, g = signed_combination_average_gradient(
-        vectors[:, None, :], s, space, RademacherAveragePlan(mode="exact")
-    )
+    lhs, g = signed_combination_average_gradient(vectors[:, None, :], s, space, plan)
     # The ell_s sum of norms is an L_s norm with unit point weights.
     rhs = lp_norm_gradient(vectors, s, space, np.ones(len(vectors)))
     return (lhs, g[:, 0, :]), rhs
@@ -363,36 +426,51 @@ def _grad_martingale_type(f, config, plan):
     return _centred_norm_gradient(f, config), (rhs, rhs_gradient)
 
 
-# name -> (witness kind, evaluate, gradient)
+_OPEN = PRange(1.0, math.inf)
+_TYPE_EXPONENT = PRange(1.0, 2.0, high_closed=True)
+
 _FUNCTIONALS = {
-    "pisier": ("function", _eval_pisier, _grad_pisier),
-    "theorem1": ("family", _eval_theorem1, _grad_theorem1),
-    "corollary2": ("family", _eval_corollary2, _grad_corollary2),
-    "stein": ("family", _eval_stein, _grad_stein),
-    "hn-remark": ("family", _eval_hn_remark, _grad_hn_remark),
-    "k-convexity": ("function", _eval_k_convexity, _grad_k_convexity),
-    "rademacher-type": ("vectors", _eval_rademacher_type, _grad_rademacher_type),
-    "umd": ("function", _eval_umd, _grad_umd),
-    "umd-plus": ("function", _eval_umd_plus, _grad_umd_plus),
-    "umd-minus": ("function", _eval_umd_minus, _grad_umd_minus),
-    "martingale-type": ("function", _eval_martingale_type, _grad_martingale_type),
+    "pisier": Functional(
+        _FUNCTION, PRange(1.0, math.inf, low_closed=True), _pisier_sides, _grad_pisier
+    ),
+    "theorem1": Functional(_FAMILY, _OPEN, _theorem1_sides, _grad_theorem1),
+    "corollary2": Functional(_FAMILY, _OPEN, _corollary2_sides, _grad_corollary2),
+    "stein": Functional(_FAMILY, _OPEN, _stein_sides, _grad_stein),
+    "hn-remark": Functional(_FAMILY, _OPEN, _hn_remark_sides, _grad_hn_remark),
+    "k-convexity": Functional(_FUNCTION, _OPEN, _k_convexity_sides, _grad_k_convexity),
+    "rademacher-type": Functional(
+        _VECTORS, _TYPE_EXPONENT, _rademacher_type_sides, _grad_rademacher_type, exact_signs=True
+    ),
+    "umd": Functional(_MARTINGALE, _OPEN, _umd_sides, _grad_umd),
+    "umd-plus": Functional(_MARTINGALE, _OPEN, _umd_plus_sides, _grad_umd_plus),
+    "umd-minus": Functional(_MARTINGALE, _OPEN, _umd_minus_sides, _grad_umd_minus),
+    "martingale-type": Functional(
+        _MARTINGALE, _TYPE_EXPONENT, _martingale_type_sides, _grad_martingale_type
+    ),
 }
 
 FUNCTIONAL_NAMES = tuple(sorted(_FUNCTIONALS))
 
-_TYPE_EXPONENT_FUNCTIONALS = ("rademacher-type", "martingale-type")
+
+def functional_entry(name: str, p: float) -> Functional:
+    """The table entry of functional `name`, once p is checked against its range."""
+    entry = _FUNCTIONALS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown functional {name!r}; choose one of {FUNCTIONAL_NAMES}")
+    if p not in entry.p_range:
+        raise ValueError(f"{name} requires p in {entry.p_range}, got {p}")
+    return entry
 
 
-def _lookup(config: SearchConfig):
-    if config.functional not in _FUNCTIONALS:
-        raise ValueError(
-            f"unknown functional {config.functional!r}; choose one of {FUNCTIONAL_NAMES}"
-        )
-    if config.functional in _TYPE_EXPONENT_FUNCTIONALS and not (1.0 < config.p <= 2.0):
-        raise ValueError(f"{config.functional} requires p in (1, 2], got {config.p}")
-    kind, evaluate, _ = _FUNCTIONALS[config.functional]
-    shape, unflatten = _WITNESS_KINDS[kind]
-    return kind, evaluate, math.prod(shape(config)), unflatten
+def functional_report(
+    name: str, witness, p: float, space: NormSpace, plan: RademacherAveragePlan
+) -> InequalityReport:
+    """Both sides of functional `name` at `witness`, with the plan they ran with."""
+    entry = functional_entry(name, p)
+    plan = entry.plan(plan)
+    lhs, rhs = entry.sides(witness, p, space, plan)
+    n, m = entry.kind.dims(witness)
+    return InequalityReport.build(name, lhs, rhs, n, m, float(p), space.q, plan)
 
 
 @dataclass(frozen=True)
@@ -474,22 +552,29 @@ class _NonFiniteValue(Exception):
 
 
 class SearchObjective:
-    """The ratio of one registered functional at a fixed config, on flat vectors.
+    """The ratio of one table functional at a fixed config, on flat vectors.
 
-    Calling it evaluates both sides through the functional's evaluator;
+    Calling it evaluates both sides through the functional's `sides`;
     `gradient` differentiates log(lhs/rhs) analytically.
     """
 
     def __init__(self, config: SearchConfig) -> None:
-        self.kind, self._evaluate, self.dimension, self._unflatten = _lookup(config)
-        self._gradient = _FUNCTIONALS[config.functional][2]
-        self._shape = _WITNESS_KINDS[self.kind][0](config)
+        self.entry = functional_entry(config.functional, config.p)
+        self.kind = self.entry.kind.name
+        self.shape = self.entry.kind.shape(config.n, config.m)
+        self.dimension = math.prod(self.shape)
         self.config = config
-        self.plan = config.plan()
+        self.space = config.space()
+        self.plan = self.entry.plan(config.plan())
+
+    def sides(self, flat: np.ndarray) -> tuple[float, float]:
+        """(lhs, rhs) at the witness whose raw array is `flat`."""
+        witness = self.entry.kind.build(flat.reshape(self.shape))
+        return self.entry.sides(witness, self.config.p, self.space, self.plan)
 
     def __call__(self, flat: np.ndarray):
         """Returns (ratio, lhs, rhs); ratio is None for a degenerate rhs."""
-        lhs, rhs = self._evaluate(self._unflatten(flat, self.config), self.config, self.plan)
+        lhs, rhs = self.sides(flat)
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise _NonFiniteValue
         if rhs < DEGENERATE_EPS:
@@ -502,8 +587,8 @@ class SearchObjective:
         Raises `_NonFiniteValue` when the ratio is not positive or the
         gradient is not finite.
         """
-        (lhs, dlhs), (rhs, drhs) = self._gradient(
-            flat.reshape(self._shape), self.config, self.plan
+        (lhs, dlhs), (rhs, drhs) = self.entry.gradient(
+            flat.reshape(self.shape), self.config, self.plan
         )
         if not (lhs > 0.0 and rhs > 0.0):
             raise _NonFiniteValue
@@ -604,7 +689,7 @@ def maximize_ratio(config: SearchConfig) -> RatioCertificate:
             best = (ratio, x, lhs, rhs)
 
     ratio, x, lhs, rhs = best
-    witness = _witness_payload(kind, x, config)
+    witness = _freeze(x.reshape(objective.shape).tolist())
     digest = _certificate_digest(config.functional, kind, witness, config)
     return RatioCertificate(
         functional=config.functional,
@@ -619,26 +704,21 @@ def maximize_ratio(config: SearchConfig) -> RatioCertificate:
     )
 
 
-def _witness_payload(kind: str, flat: np.ndarray, config: SearchConfig):
-    return _freeze(flat.reshape(_WITNESS_KINDS[kind][0](config)).tolist())
-
-
 def reevaluate_certificate(cert: RatioCertificate) -> InequalityReport:
     """Recompute both sides from the stored witness; any drift is an error."""
     expected = _certificate_digest(cert.functional, cert.witness_kind, cert.witness, cert.config)
     if expected != cert.digest:
         raise CertificateMismatchError("certificate digest does not match its payload")
     config = cert.config
-    kind, evaluate, dimension, unflatten = _lookup(config)
-    if kind != cert.witness_kind:
+    objective = SearchObjective(config)
+    if objective.kind != cert.witness_kind:
         raise CertificateMismatchError(
             f"witness kind {cert.witness_kind!r} does not fit functional {config.functional!r}"
         )
     flat = cert.witness_array().reshape(-1)
-    if flat.size != dimension:
+    if flat.size != objective.dimension:
         raise CertificateMismatchError("witness size does not match the declared shape")
-    plan = config.plan()
-    lhs, rhs = evaluate(unflatten(flat, config), config, plan)
+    lhs, rhs = objective.sides(flat)
     scale = max(abs(cert.lhs), abs(cert.rhs), 1e-30)
     if abs(lhs - cert.lhs) > 1e-9 * scale or abs(rhs - cert.rhs) > 1e-9 * scale:
         raise CertificateMismatchError(
@@ -653,7 +733,7 @@ def reevaluate_certificate(cert: RatioCertificate) -> InequalityReport:
         config.m,
         config.p,
         config.q,
-        plan,
+        objective.plan,
     )
 
 

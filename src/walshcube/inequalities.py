@@ -1,9 +1,12 @@
 """Left/right functionals for the hypercube inequalities and proof identities.
 
-Each inequality is exposed as a pair of functionals (its two sides) plus a
-report builder that records the witnessed ratio.  A witnessed ratio is a
-certified lower bound for the corresponding space constant; upper bounds
-are out of reach for any finite search and are never claimed.
+Each inequality is exposed as its two sides (`*_lhs`, `*_rhs`) or as a
+ratio (`k_convexity_ratio`, `rademacher_type_ratio`).  The functional table
+in `estimators` evaluates every functional through one `sides` function,
+which calls these, and `estimators.functional_report` turns both sides into
+an `InequalityReport`.  A witnessed ratio is a certified lower bound for the
+corresponding space constant; upper bounds are out of reach for any finite
+search and are never claimed.
 
 Ratios with a denominator below 1e-14 are degenerate (constant inputs make
 every inequality 0 <= 0) and are reported through the `degenerate` flag
@@ -22,10 +25,10 @@ import numpy as np
 from .hypercube import HypercubeFunction, WalshSpectrum, sign_matrix, walsh_forward, walsh_inverse
 from .norms import (
     DEGENERATE_EPS,
-    DegenerateInputError,
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _checked_ratio,
     lp_norm,
     rademacher_average,
     signed_combination_average,
@@ -48,22 +51,17 @@ __all__ = [
     "pisier_report",
     "theorem1_lhs",
     "theorem1_rhs",
-    "theorem1_report",
     "corollary2_lhs",
     "corollary2_rhs",
-    "corollary2_report",
     "stein_lhs",
     "stein_rhs",
-    "stein_report",
     "verify_symmetrization_identity",
     "hn_extract_component",
     "hn_remark_lhs",
     "hn_remark_rhs",
-    "hn_remark_report",
     "k_convexity_ratio",
     "rademacher_type_ratio",
     "pisier_envelope",
-    "derivative_family",
     "REPORT_CSV_COLUMNS",
 ]
 
@@ -184,11 +182,6 @@ def pisier_envelope(n: int) -> float:
     return 2.0 * math.e * math.log(n)
 
 
-def derivative_family(f: HypercubeFunction) -> FunctionFamily:
-    """(d_1 f, ..., d_n f) as a family, the right-hand side input of the deviation bound."""
-    return FunctionFamily(tuple(partial_derivative(f, i) for i in range(1, f.n + 1)))
-
-
 def pisier_lhs(f: HypercubeFunction, p: float, space: NormSpace) -> float:
     """|| f - mean f ||_{L_p}."""
     p = float(p)
@@ -246,21 +239,6 @@ def theorem1_rhs(
     return signed_combination_average(derivatives, p, space, plan)
 
 
-def theorem1_report(
-    family: FunctionFamily, p: float, space: NormSpace, plan: RademacherAveragePlan
-) -> InequalityReport:
-    return InequalityReport.build(
-        "theorem1",
-        theorem1_lhs(family, p, space),
-        theorem1_rhs(family, p, space, plan),
-        family.n,
-        family.m,
-        float(p),
-        space.q,
-        plan,
-    )
-
-
 def corollary2_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
     p = _check_open_p(p, "the inverse-Laplacian functional")
@@ -275,21 +253,6 @@ def corollary2_rhs(
 ) -> float:
     """Identical right side as the martingale-difference inequality."""
     return theorem1_rhs(family, p, space, plan)
-
-
-def corollary2_report(
-    family: FunctionFamily, p: float, space: NormSpace, plan: RademacherAveragePlan
-) -> InequalityReport:
-    return InequalityReport.build(
-        "corollary2",
-        corollary2_lhs(family, p, space),
-        corollary2_rhs(family, p, space, plan),
-        family.n,
-        family.m,
-        float(p),
-        space.q,
-        plan,
-    )
 
 
 def stein_lhs(
@@ -309,21 +272,6 @@ def stein_rhs(
     """Sign-averaged norm of sum_i delta_i f_i."""
     p = _check_open_p(p, "the conditional-expectation functional")
     return rademacher_average(family, p, space, plan)
-
-
-def stein_report(
-    family: FunctionFamily, p: float, space: NormSpace, plan: RademacherAveragePlan
-) -> InequalityReport:
-    return InequalityReport.build(
-        "stein",
-        stein_lhs(family, p, space, plan),
-        stein_rhs(family, p, space, plan),
-        family.n,
-        family.m,
-        float(p),
-        space.q,
-        plan,
-    )
 
 
 def verify_symmetrization_identity(
@@ -453,12 +401,9 @@ def hn_extract_component(
 
 
 def hn_remark_lhs(components: FunctionFamily, p: float, space: NormSpace) -> float:
-    """|| sum_i Delta^-1 d_i F_i ||_{L_p} for extracted components F_i."""
-    p = _check_open_p(p, "the product-extraction functional")
-    total = np.zeros((1 << components.n, components.m))
-    for i, g in enumerate(components, start=1):
-        total += fractional_laplacian(partial_derivative(g, i), -1.0).values
-    return lp_norm(HypercubeFunction.from_values(total), p, space)
+    """|| sum_i Delta^-1 d_i F_i ||_{L_p} for extracted components F_i: the
+    left side of corollary2, taken on the components."""
+    return corollary2_lhs(components, p, space)
 
 
 def hn_remark_rhs(
@@ -469,29 +414,27 @@ def hn_remark_rhs(
     return rademacher_average(components, p, space, plan)
 
 
-def hn_remark_report(
-    components: FunctionFamily, p: float, space: NormSpace, plan: RademacherAveragePlan
-) -> InequalityReport:
-    return InequalityReport.build(
-        "hn-remark",
-        hn_remark_lhs(components, p, space),
-        hn_remark_rhs(components, p, space, plan),
-        components.n,
-        components.m,
-        float(p),
-        space.q,
-        plan,
-    )
+def _k_convexity_sides(f: HypercubeFunction, r: float, space: NormSpace, plan) -> tuple:
+    """(|| Rad f ||_{L_r}, || f ||_{L_r})."""
+    return lp_norm(rademacher_projection(f), r, space), lp_norm(f, r, space)
 
 
 def k_convexity_ratio(f: HypercubeFunction, r: float, space: NormSpace) -> float:
     """|| Rad f ||_{L_r} / || f ||_{L_r}; witnessed values lower-bound the
     degree-one projection norm."""
     r = _check_open_p(r, "the degree-one projection ratio")
-    denominator = lp_norm(f, r, space)
-    if denominator < DEGENERATE_EPS:
-        raise DegenerateInputError("zero function has no projection ratio")
-    return lp_norm(rademacher_projection(f), r, space) / denominator
+    return _checked_ratio(
+        *_k_convexity_sides(f, r, space, None), "zero function has no projection ratio"
+    )
+
+
+def _rademacher_type_sides(
+    vectors: np.ndarray, s: float, space: NormSpace, plan: RademacherAveragePlan
+) -> tuple:
+    """(the sign-averaged || sum_i delta_i x_i ||^s to the power 1/s,
+    the ell_s sum of || x_i ||) for a (k, m) table of vectors."""
+    numerator = signed_combination_average(vectors[:, None, :], s, space, plan)
+    return numerator, float(np.sum(space.norms(vectors) ** s) ** (1.0 / s))
 
 
 def rademacher_type_ratio(vectors: np.ndarray, s: float, space: NormSpace) -> float:
@@ -505,14 +448,7 @@ def rademacher_type_ratio(vectors: np.ndarray, s: float, space: NormSpace) -> fl
     table = np.asarray(vectors, dtype=np.float64)
     if table.ndim != 2:
         raise ValueError("vectors must form a (k, m) table")
-    k = table.shape[0]
-    if k > 20:
-        raise ValueError("exact sign enumeration is limited to 20 vectors")
-    norms = space.norms(table)
-    denominator = float(np.sum(norms**s) ** (1.0 / s))
-    if denominator < DEGENERATE_EPS:
-        raise DegenerateInputError("all-zero vectors have no type ratio")
-    signs = sign_matrix(k, np.arange(1 << k))
-    combos = signs @ table
-    numerator = float(np.mean(space.norms(combos) ** s) ** (1.0 / s))
-    return numerator / denominator
+    exact = RademacherAveragePlan(mode="exact")
+    return _checked_ratio(
+        *_rademacher_type_sides(table, s, space, exact), "all-zero vectors have no type ratio"
+    )

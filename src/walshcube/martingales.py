@@ -14,15 +14,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .hypercube import HypercubeFunction, SignAssignment
 from .norms import (
-    DEGENERATE_EPS,
-    DegenerateInputError,
     NormSpace,
     RademacherAveragePlan,
+    _checked_ratio,
     _pattern_powers,
     lp_norm_gradient,
     signed_combination_average,
@@ -104,8 +104,13 @@ class FiniteFiltration:
         return self.probabilities.shape[0]
 
     @classmethod
+    @lru_cache(maxsize=8)
     def dyadic(cls, n: int) -> "FiniteFiltration":
-        """The coordinate filtration of C_n: level i groups points by their low i bits."""
+        """The coordinate filtration of C_n: level i groups points by their low i bits.
+
+        Filtrations are immutable, so recent ones are cached and shared; the
+        cache is small because one at n = 20 holds about 180 MB of levels.
+        """
         if not 1 <= n <= 20:
             raise ValueError(f"dyadic filtration needs n in [1, 20], got {n}")
         size = 1 << n
@@ -200,6 +205,17 @@ class MartingaleSequence:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _trusted(cls, filtration: FiniteFiltration, m: int, values: np.ndarray):
+        """A sequence from (n + 1, size, m) float64 values that pass the
+        constructor's checks by construction, without running them."""
+        values.setflags(write=False)
+        sequence = object.__new__(cls)
+        object.__setattr__(sequence, "filtration", filtration)
+        object.__setattr__(sequence, "m", m)
+        object.__setattr__(sequence, "values", values)
+        return sequence
+
     @property
     def steps(self) -> int:
         return self.filtration.n
@@ -230,9 +246,10 @@ class MartingaleSequence:
 
 def make_dyadic_martingale(f: HypercubeFunction) -> MartingaleSequence:
     """The martingale of conditional expectations of f along the coordinate filtration."""
-    filtration = FiniteFiltration.dyadic(f.n)
     values = np.stack([_condition(f.values, f.n, i) for i in range(f.n + 1)])
-    return MartingaleSequence(filtration=filtration, m=f.m, values=values)
+    # Each level is a mean over whole level cells, so it is measurable and
+    # averages back to the level below: the checks hold by construction.
+    return MartingaleSequence._trusted(FiniteFiltration.dyadic(f.n), f.m, values)
 
 
 def martingale_lp_norm(
@@ -255,6 +272,48 @@ def _check_transform_p(p: float) -> float:
     return p
 
 
+# The two sides of each martingale functional, as its entry in the
+# estimators' functional table evaluates them; the ratios below add their
+# exponent and degeneracy checks.
+
+
+def _increment_norm(M: MartingaleSequence, p: float, space: NormSpace) -> float:
+    """|| M_n - M_0 ||_{L_p} under the filtration's point measure."""
+    return martingale_lp_norm(M.increment(), p, space, M.filtration.probabilities)
+
+
+def _transform_average(
+    M: MartingaleSequence, p: float, space: NormSpace, plan: RademacherAveragePlan
+) -> float:
+    """The sign-averaged || sum_i delta_i d_i ||_{L_p}."""
+    return signed_combination_average(
+        M.differences(), p, space, plan, weights=M.filtration.probabilities
+    )
+
+
+def _umd_sides(M, p, space, plan):
+    """(max over delta of || sum_i delta_i d_i ||_{L_p}, || M_n - M_0 ||_{L_p})."""
+    if M.steps > 20:
+        raise ValueError("exhaustive sign search is limited to 20 steps")
+    powered, _ = _largest_transform(M.differences(), p, space, M.filtration.probabilities)
+    return powered ** (1.0 / p), _increment_norm(M, p, space)
+
+
+def _umd_plus_sides(M, p, space, plan):
+    return _transform_average(M, p, space, plan), _increment_norm(M, p, space)
+
+
+def _umd_minus_sides(M, p, space, plan):
+    return _increment_norm(M, p, space), _transform_average(M, p, space, plan)
+
+
+def _martingale_type_sides(M, s, space, plan):
+    """(|| M_n - M_0 ||_{L_s}, the ell_s sum of the increments' L_s norms)."""
+    probs = M.filtration.probabilities
+    total = sum(martingale_lp_norm(d, s, space, probs) ** s for d in M.differences())
+    return _increment_norm(M, s, space), float(total ** (1.0 / s))
+
+
 def umd_ratio(
     M: MartingaleSequence,
     p: float,
@@ -267,22 +326,15 @@ def umd_ratio(
     2^n sign patterns are enumerated and the largest ratio returned.
     """
     p = _check_transform_p(p)
-    diffs = M.differences()
-    probs = M.filtration.probabilities
-    denominator = martingale_lp_norm(M.increment(), p, space, probs)
-    if denominator < DEGENERATE_EPS:
-        raise DegenerateInputError("constant martingale has no transform ratio")
-
-    if signs is not None:
+    if signs is None:
+        lhs, rhs = _umd_sides(M, p, space, None)
+    else:
         if signs.n != M.steps:
             raise ValueError(f"sign assignment on {signs.n} steps for a {M.steps}-step martingale")
-        transformed = np.tensordot(signs.signs(), diffs, axes=(0, 0))
-        return martingale_lp_norm(transformed, p, space, probs) / denominator
-
-    if M.steps > 20:
-        raise ValueError("exhaustive sign search is limited to 20 steps")
-    powered, _ = _largest_transform(diffs, p, space, probs)
-    return powered ** (1.0 / p) / denominator
+        transformed = np.tensordot(signs.signs(), M.differences(), axes=(0, 0))
+        lhs = martingale_lp_norm(transformed, p, space, M.filtration.probabilities)
+        rhs = _increment_norm(M, p, space)
+    return _checked_ratio(lhs, rhs, "constant martingale has no transform ratio")
 
 
 def _largest_transform(
@@ -317,12 +369,9 @@ def umd_plus_ratio(
 ) -> float:
     """Sign-averaged transform norm over the final increment norm."""
     p = _check_transform_p(p)
-    probs = M.filtration.probabilities
-    denominator = martingale_lp_norm(M.increment(), p, space, probs)
-    if denominator < DEGENERATE_EPS:
-        raise DegenerateInputError("constant martingale has no transform ratio")
-    averaged = signed_combination_average(M.differences(), p, space, plan, weights=probs)
-    return averaged / denominator
+    return _checked_ratio(
+        *_umd_plus_sides(M, p, space, plan), "constant martingale has no transform ratio"
+    )
 
 
 def umd_minus_ratio(
@@ -330,11 +379,9 @@ def umd_minus_ratio(
 ) -> float:
     """Final increment norm over the sign-averaged transform norm."""
     p = _check_transform_p(p)
-    probs = M.filtration.probabilities
-    averaged = signed_combination_average(M.differences(), p, space, plan, weights=probs)
-    if averaged < DEGENERATE_EPS:
-        raise DegenerateInputError("sign-averaged transform norm is degenerate")
-    return martingale_lp_norm(M.increment(), p, space, probs) / averaged
+    return _checked_ratio(
+        *_umd_minus_sides(M, p, space, plan), "sign-averaged transform norm is degenerate"
+    )
 
 
 def martingale_type_ratio(M: MartingaleSequence, s: float, space: NormSpace) -> float:
@@ -342,14 +389,9 @@ def martingale_type_ratio(M: MartingaleSequence, s: float, space: NormSpace) -> 
     s = float(s)
     if not (1.0 < s <= 2.0):
         raise ValueError(f"martingale type exponent s must lie in (1, 2], got {s}")
-    probs = M.filtration.probabilities
-    increments = M.differences()
-    denominator = (
-        sum(martingale_lp_norm(d, s, space, probs) ** s for d in increments) ** (1.0 / s)
+    return _checked_ratio(
+        *_martingale_type_sides(M, s, space, None), "constant martingale has no type ratio"
     )
-    if denominator < DEGENERATE_EPS:
-        raise DegenerateInputError("constant martingale has no type ratio")
-    return martingale_lp_norm(M.increment(), s, space, probs) / denominator
 
 
 def load_martingale(path: str) -> MartingaleSequence:

@@ -24,7 +24,6 @@ __all__ = [
     "lp_norm",
     "lp_norm_gradient",
     "rademacher_average",
-    "duality_pairing",
     "sample_sign_masks",
     "signed_combination_average",
     "signed_combination_average_gradient",
@@ -76,14 +75,7 @@ class NormSpace:
         """ell_q norms along the last axis."""
         if table.shape[-1] != self.m:
             raise ValueError(f"vectors of length {table.shape[-1]} in ell_q^{self.m}")
-        a = np.abs(table)
-        if math.isinf(self.q):
-            return a.max(axis=-1)
-        if self.q == 1.0:
-            return a.sum(axis=-1)
-        if self.q == 2.0:
-            return np.sqrt((a * a).sum(axis=-1))
-        return (a**self.q).sum(axis=-1) ** (1.0 / self.q)
+        return _norms_of_absolute(np.abs(table), self.q)
 
     def label(self) -> str:
         return f"l{self.q:g}^{self.m}"
@@ -384,7 +376,8 @@ def rademacher_average(
     return signed_combination_average(family.stacked(), p, space, plan)
 
 
-def duality_pairing(f: HypercubeFunction, g: HypercubeFunction) -> float:
-    """2^-n sum_eps <f(eps), g(eps)> with the Euclidean pairing on R^m."""
-    f._check_same_shape(g)
-    return float(np.mean(np.einsum("km,km->k", f.values, g.values)))
+def _checked_ratio(lhs: float, rhs: float, degenerate: str) -> float:
+    """lhs / rhs, or `DegenerateInputError(degenerate)` when rhs is below 1e-14."""
+    if rhs < DEGENERATE_EPS:
+        raise DegenerateInputError(degenerate)
+    return lhs / rhs

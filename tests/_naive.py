@@ -113,3 +113,15 @@ def umd_maximum_per_mask(diffs: np.ndarray, p: float, q: float, probabilities: n
             pointwise = np.sum(np.abs(combo) ** q, axis=1) ** (1.0 / q)
         best = max(best, float(np.sum(probabilities * pointwise**p) ** (1.0 / p)))
     return best
+
+
+def ell_q_norms_by_axis_reduce(table: np.ndarray, q: float) -> np.ndarray:
+    """ell_q norms along the last axis through numpy's reduce over that axis."""
+    a = np.abs(table)
+    if np.isinf(q):
+        return a.max(axis=-1)
+    if q == 1.0:
+        return a.sum(axis=-1)
+    if q == 2.0:
+        return np.sqrt((a * a).sum(axis=-1))
+    return (a**q).sum(axis=-1) ** (1.0 / q)

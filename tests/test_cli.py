@@ -10,6 +10,33 @@ import pytest
 from numpy.testing import assert_allclose
 
 from walshcube.cli import main
+from walshcube.estimators import FUNCTIONAL_NAMES
+from walshcube.hypercube import HypercubeFunction
+from walshcube.inequalities import (
+    corollary2_lhs,
+    corollary2_rhs,
+    hn_remark_lhs,
+    hn_remark_rhs,
+    k_convexity_ratio,
+    pisier_lhs,
+    pisier_rhs,
+    rademacher_type_ratio,
+    stein_lhs,
+    stein_rhs,
+    theorem1_lhs,
+    theorem1_rhs,
+)
+from walshcube.martingales import (
+    FiniteFiltration,
+    MartingaleSequence,
+    martingale_lp_norm,
+    martingale_type_ratio,
+    umd_minus_ratio,
+    umd_plus_ratio,
+    umd_ratio,
+)
+from walshcube.norms import FunctionFamily, NormSpace, RademacherAveragePlan, lp_norm
+from walshcube.operators import rademacher_projection
 from walshcube.verification import CHECK_NAMES, run_verification_suite
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -26,6 +53,87 @@ def sample_function(tmp_path):
     path = tmp_path / "f.json"
     write_json(path, {"n": 3, "m": 2, "values": rng.standard_normal((8, 2)).tolist()})
     return path
+
+
+# The witness each functional's `eval` reads.
+INPUT_KIND = {
+    "pisier": "function",
+    "k-convexity": "function",
+    "theorem1": "family",
+    "corollary2": "family",
+    "stein": "family",
+    "hn-remark": "family",
+    "rademacher-type": "vectors",
+    "umd": "martingale",
+    "umd-plus": "martingale",
+    "umd-minus": "martingale",
+    "martingale-type": "martingale",
+}
+
+
+def tree_martingale(m, seed):
+    """A 3-step martingale on a weighted 6-point tree: conditional expectations of a final table."""
+    filtration = FiniteFiltration.tree(
+        [[0] * 6, [0, 0, 0, 1, 1, 1], [0, 0, 1, 2, 2, 3], [0, 1, 2, 3, 4, 5]],
+        [0.1, 0.2, 0.15, 0.25, 0.1, 0.2],
+    )
+    final = np.random.default_rng(seed).standard_normal((6, m))
+    values = np.stack([filtration.condition(final, level) for level in range(4)])
+    return MartingaleSequence(filtration=filtration, m=m, values=values)
+
+
+@pytest.fixture
+def eval_inputs(tmp_path):
+    """Seeded inputs of every witness kind: (path, witness) by kind."""
+    rng = np.random.default_rng(21)
+    f = HypercubeFunction.from_values(rng.standard_normal((8, 3)))
+    family = FunctionFamily(
+        tuple(HypercubeFunction.from_values(rng.standard_normal((8, 3))) for _ in range(3))
+    )
+    vectors = rng.standard_normal((4, 3))
+    M = tree_martingale(3, seed=22)
+    payloads = {
+        "function": (f.to_json_dict(), f),
+        "family": (family.to_json_dict(), family),
+        "vectors": ({"vectors": vectors.tolist()}, vectors),
+        "martingale": (M.to_json_dict(), M),
+    }
+    inputs = {}
+    for kind, (payload, witness) in payloads.items():
+        path = tmp_path / f"{kind}.json"
+        write_json(path, payload)
+        inputs[kind] = (path, witness)
+    return inputs
+
+
+def library_values(name, witness, p, space, plan):
+    """(lhs, rhs, ratio) of a functional through the library functions; None where none computes it."""
+    if INPUT_KIND[name] == "martingale":
+        increment = martingale_lp_norm(witness.increment(), p, space, witness.filtration.probabilities)
+    values = {
+        "pisier": lambda f: (pisier_lhs(f, p, space), pisier_rhs(f, p, space, plan), None),
+        "theorem1": lambda g: (theorem1_lhs(g, p, space), theorem1_rhs(g, p, space, plan), None),
+        "corollary2": lambda g: (
+            corollary2_lhs(g, p, space), corollary2_rhs(g, p, space, plan), None
+        ),
+        "stein": lambda g: (stein_lhs(g, p, space, plan), stein_rhs(g, p, space, plan), None),
+        "hn-remark": lambda g: (hn_remark_lhs(g, p, space), hn_remark_rhs(g, p, space, plan), None),
+        "k-convexity": lambda f: (
+            lp_norm(rademacher_projection(f), p, space),
+            lp_norm(f, p, space),
+            k_convexity_ratio(f, p, space),
+        ),
+        "rademacher-type": lambda v: (None, None, rademacher_type_ratio(v, p, space)),
+        "umd": lambda M: (None, increment, umd_ratio(M, p, space)),
+        "umd-plus": lambda M: (None, increment, umd_plus_ratio(M, p, space, plan)),
+        "umd-minus": lambda M: (increment, None, umd_minus_ratio(M, p, space, plan)),
+        "martingale-type": lambda M: (increment, None, martingale_type_ratio(M, p, space)),
+    }
+    return values[name](witness)
+
+
+def run_eval(name, path, *flags):
+    return main(["--command", "eval", "--functional", name, "--in", str(path), *flags])
 
 
 class TestVerifyCommand:
@@ -194,6 +302,76 @@ class TestEvalCommand:
         code = main(["--command", "eval", "--functional", "pisier", "--in", str(path)])
         capsys.readouterr()
         assert code == 2
+
+
+class TestEvalThroughTheLibrary:
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    def test_sides_equal_the_library_functions(self, name, eval_inputs, capsys):
+        path, witness = eval_inputs[INPUT_KIND[name]]
+        assert run_eval(name, path, "--p", "1.5", "--q", "3", "--mode", "exact") == 0
+        report = json.loads(capsys.readouterr().out)
+        plan = RademacherAveragePlan(mode="exact", seed=7)
+        expected = library_values(name, witness, 1.5, NormSpace(3, 3.0), plan)
+        for key, value in zip(("lhs", "rhs", "ratio"), expected):
+            if value is not None:
+                assert report[key] == value, key
+
+    # Per functional: p values just outside its range, and one inside it.
+    P_PROBES = {
+        "pisier": ((0.99, math.inf), 1.0),
+        "theorem1": ((1.0, math.inf), 1.01),
+        "corollary2": ((1.0, math.inf), 1.01),
+        "stein": ((1.0, math.inf), 1.01),
+        "hn-remark": ((1.0, math.inf), 1.01),
+        "k-convexity": ((0.99, 1.0, math.inf), 1.01),
+        "rademacher-type": ((1.0, 2.01), 2.0),
+        "umd": ((1.0, math.inf), 1.01),
+        "umd-plus": ((0.99, 1.0, math.inf), 1.01),
+        "umd-minus": ((0.99, 1.0, math.inf), 1.01),
+        "martingale-type": ((1.0, 2.01), 2.0),
+    }
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    def test_p_range(self, name, eval_inputs, capsys):
+        path, _ = eval_inputs[INPUT_KIND[name]]
+        outside, inside = self.P_PROBES[name]
+        for p in outside:
+            assert run_eval(name, path, "--p", str(p)) == 2, p
+        assert run_eval(name, path, "--p", str(inside)) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name", ["umd", "umd-plus", "umd-minus", "martingale-type"])
+    def test_constant_input_prints_a_degenerate_report(self, name, tmp_path, capsys):
+        path = tmp_path / "const.json"
+        write_json(path, {"n": 2, "m": 1, "values": [[5.0]] * 4})
+        assert run_eval(name, path) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["degenerate"] is True and report["ratio"] is None
+
+    def test_rademacher_type_reports_exact_enumeration(self, eval_inputs, capsys):
+        path, _ = eval_inputs["vectors"]
+        assert run_eval("rademacher-type", path, "--p", "2", "--mode", "mc") == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "exact"
+
+    @pytest.mark.parametrize(
+        "name,payload",
+        [
+            ("theorem1", {"functions": 5}),
+            ("pisier", [1, 2]),
+            ("umd", [1, 2]),
+            ("rademacher-type", {"vectors": [1, 2, 3]}),
+            ("rademacher-type", {"vectors": []}),
+            ("rademacher-type", {"vectors": 5}),
+            ("stein", []),
+            ("umd-plus", {"values": 5}),
+        ],
+    )
+    def test_malformed_input_is_a_one_line_input_error(self, name, payload, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        write_json(path, payload)
+        assert run_eval(name, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 class TestEstimateCommand:

@@ -180,16 +180,19 @@ class TestCertificates:
         with pytest.raises(CertificateMismatchError, match="reproduce"):
             reevaluate_certificate(bad)
 
+    def test_rademacher_type_recheck_reports_exact_enumeration(self):
+        cfg = SearchConfig(
+            functional="rademacher-type", n=11, m=1, p=2.0, q=1.0, restarts=1, iterations=1,
+            probes=2,
+        )
+        assert cfg.plan().mode == "monte-carlo"
+        assert reevaluate_certificate(maximize_ratio(cfg)).mode == "exact"
+
     def test_scale_invariance_of_stored_witness(self):
         cert = self.make_cert()
-        cfg = cert.config
-        from walshcube.estimators import _lookup  # white-box: reuse the registry
-
-        _, evaluate, _, unflatten = _lookup(cfg)
+        objective = SearchObjective(cert.config)
         flat = cert.witness_array().reshape(-1)
-        lhs1, rhs1 = evaluate(unflatten(flat, cfg), cfg, cfg.plan())
-        lhs2, rhs2 = evaluate(unflatten(flat * 37.0, cfg), cfg, cfg.plan())
-        assert lhs2 / rhs2 == pytest.approx(lhs1 / rhs1, rel=1e-12)
+        assert objective(flat * 37.0)[0] == pytest.approx(objective(flat)[0], rel=1e-12)
 
 
 def _gradient_gap(name, n, q, plan_mode="exact"):

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from walshcube.estimators import functional_report
 from walshcube.hypercube import HypercubeFunction, walsh_forward_naive, subset_sizes
 from walshcube.inequalities import (
     FactoredProductFunction,
     InequalityReport,
     corollary2_lhs,
-    corollary2_report,
-    derivative_family,
     hn_extract_component,
     hn_remark_lhs,
-    hn_remark_report,
     hn_remark_rhs,
     k_convexity_ratio,
     pisier_envelope,
@@ -24,7 +22,6 @@ from walshcube.inequalities import (
     pisier_rhs,
     rademacher_type_ratio,
     stein_lhs,
-    stein_report,
     stein_rhs,
     theorem1_lhs,
     theorem1_rhs,
@@ -137,7 +134,8 @@ class TestPisierFunctionals:
         # The stacked fast path and the explicit derivative family agree.
         f = random_function(5, 3, seed=77)
         space = NormSpace(3, 1.5)
-        via_family = rademacher_average(derivative_family(f), 2.5, space, EXACT)
+        derivatives = FunctionFamily(tuple(partial_derivative(f, i) for i in range(1, f.n + 1)))
+        via_family = rademacher_average(derivatives, 2.5, space, EXACT)
         assert pisier_rhs(f, 2.5, space, EXACT) == pytest.approx(via_family, rel=1e-14)
 
 
@@ -207,7 +205,7 @@ class TestCorollary2Functionals:
         space = NormSpace(1, 2.0)
         deviation = verify_symmetrization_identity(family)
         assert deviation <= 1e-9
-        report = corollary2_report(family, 2.0, space, EXACT)
+        report = functional_report("corollary2", family, 2.0, space, EXACT)
         assert not report.degenerate
 
 
@@ -290,7 +288,7 @@ class TestSteinFunctionals:
 
     def test_report_labels_filtration_lower_bound(self):
         family = random_family(3, 1, seed=16)
-        report = stein_report(family, 2.0, NormSpace(1, 2.0), EXACT)
+        report = functional_report("stein", family, 2.0, NormSpace(1, 2.0), EXACT)
         assert report.name == "stein"
         assert report.ratio is not None
 
@@ -372,7 +370,7 @@ class TestProductExtraction:
         space = NormSpace(2, 2.0)
         for seed in range(50):
             comps = random_family(4, 2, seed=100 + seed)
-            report = hn_remark_report(comps, 2.0, space, EXACT)
+            report = functional_report("hn-remark", comps, 2.0, space, EXACT)
             assert report.ratio <= 1 + 1e-12
 
 

@@ -135,6 +135,14 @@ class TestMartingaleSequence:
         assert_allclose(M.values[-1], f.values)
         assert_allclose(M.values[0], np.tile(f.mean(), (64, 1)))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dyadic_construction_passes_the_validating_constructor(self, n):
+        f = random_function(n, 3, seed=40 + n)
+        for g in (f, 137.5 * f):
+            M = make_dyadic_martingale(g)
+            checked = MartingaleSequence(filtration=M.filtration, m=M.m, values=M.values)
+            assert np.array_equal(checked.values, M.values)
+
     def test_dyadic_differences_match_operator_route(self):
         f = random_function(5, 2, seed=5)
         M = make_dyadic_martingale(f)

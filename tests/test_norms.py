@@ -1,4 +1,4 @@
-"""Measurement layer: ell_q targets, L_p norms, Rademacher averages, pairing."""
+"""Measurement layer: ell_q targets, L_p norms, Rademacher averages."""
 
 import math
 
@@ -11,13 +11,12 @@ from walshcube.norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
-    duality_pairing,
     lp_norm,
     rademacher_average,
     sample_sign_masks,
 )
 
-from _naive import lp_norm_sum, rademacher_average_enumerated
+from _naive import ell_q_norms_by_axis_reduce, lp_norm_sum, rademacher_average_enumerated
 
 
 def random_function(n, m, seed=0):
@@ -41,10 +40,20 @@ class TestNormSpace:
         assert NormSpace(3, math.inf).dual_index == 1.0
         assert NormSpace(3, 2.0).dual_index == 2.0
         assert NormSpace(3, 1.5).dual_index == pytest.approx(3.0)
+        assert NormSpace(3, 1.0).dual() == NormSpace(3, math.inf)
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             NormSpace(2, 0.5)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 9, 16, 33])
+    def test_norms_equal_the_axis_reduce_in_every_bit(self, m, q):
+        rng = np.random.default_rng([m, 5])
+        space = NormSpace(m, q)
+        for shape in ((64, m), (5, 16, m)):
+            table = rng.standard_normal(shape)
+            assert np.array_equal(space.norms(table), ell_q_norms_by_axis_reduce(table, q))
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 4.0, math.inf])
     def test_norm_axioms_on_samples(self, q):
@@ -203,38 +212,3 @@ class TestRademacherAverageMonteCarlo:
         assert np.array_equal(full, sample_sign_masks(7, 100, 6))
         assert not np.array_equal(full, sample_sign_masks(8, 100, 6))
         assert full.min() >= 0 and full.max() < 64
-
-
-class TestDualityPairing:
-    def test_self_pairing_is_squared_l2(self):
-        f = random_function(5, 3, seed=15)
-        space = NormSpace(3, 2.0)
-        assert duality_pairing(f, f) == pytest.approx(lp_norm(f, 2.0, space) ** 2, rel=1e-12)
-
-    def test_constants_pair_to_dot_product(self):
-        c = np.array([1.0, 2.0])
-        d = np.array([-3.0, 0.5])
-        f = HypercubeFunction.constant(4, c)
-        g = HypercubeFunction.constant(4, d)
-        assert duality_pairing(f, g) == pytest.approx(float(c @ d))
-
-    def test_bilinear(self):
-        f = random_function(4, 2, seed=16)
-        g = random_function(4, 2, seed=17)
-        h = random_function(4, 2, seed=18)
-        lhs = duality_pairing(2.0 * f + g, h)
-        rhs = 2.0 * duality_pairing(f, h) + duality_pairing(g, h)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 1.5)])
-    def test_hoelder_bound(self, p, q):
-        f = random_function(5, 2, seed=19)
-        g = random_function(5, 2, seed=20)
-        x = NormSpace(2, q)
-        p_star = p / (p - 1.0)
-        bound = lp_norm(f, p, x) * lp_norm(g, p_star, x.dual())
-        assert abs(duality_pairing(f, g)) <= bound + 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            duality_pairing(random_function(3, 1), random_function(3, 2))
