@@ -13,7 +13,11 @@ the dyadic martingale of its function, and `eval` reads a martingale file
 or a plain function.
 
 The search maximizes log(lhs/rhs) by gradient ascent with a halving line
-search.  Each gradient is adjoint, on raw arrays: the functionals compose
+search.  It works on batches: the probes and restart points are drawn and
+evaluated a batch of rows at a time, and the restarts climb in lockstep,
+each row making the decisions it would make alone.  Values and gradients
+come from one raw-array pass over the batch, which gives every row the
+bits it gets alone.  Each gradient is adjoint: the functionals compose
 self-adjoint linear maps on the cube (d_i, E_i, centring, Delta^-1, Rad,
 martingale differences) with pointwise ell_q norms, L_p means and sign
 averages or a maximum, so one backward pass costs about one evaluation,
@@ -29,10 +33,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -67,6 +73,7 @@ from .norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _Side,
     lp_norm_gradient,
     signed_combination_average_gradient,
 )
@@ -100,6 +107,12 @@ __all__ = [
 ]
 
 _MIN_LINE_STEP = 1e-10
+_MAX_MISSES = 1000  # consecutive degenerate draws before a search gives up
+# A batch holds at least one row and otherwise at most this many sign-pattern
+# combination entries: rows times 2^min(n, 10) patterns times the witness
+# size.  So no budget sizes an allocation, and the kernels' temporaries stay
+# small enough for the cache; larger batches ran slower per row.
+_BATCH_ENTRIES = 1 << 15
 
 
 class CertificateMismatchError(ValueError):
@@ -161,10 +174,26 @@ class SearchConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SearchConfig":
+        names = [f.name for f in fields(cls)]
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        _check_keys(data, "certificate config", required, allowed=names)
         data = dict(data)
         if data.get("q") in ("inf", "Infinity"):
             data["q"] = math.inf
         return cls(**data)
+
+
+def _check_keys(data, what: str, required, allowed=None) -> None:
+    """A one-line input error unless `data` is an object with every `required`
+    key and, when `allowed` is given, no other key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} lacks the key {key!r}")
+    unknown = [key for key in data if allowed is not None and key not in allowed]
+    if unknown:
+        raise ValueError(f"{what} has the unknown key {unknown[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -193,18 +222,32 @@ def _json_list(data, key: str) -> list:
     return data[key]
 
 
+@contextmanager
+def _reading(what: str):
+    """Turn a missing or wrongly typed field nested in a JSON input into an input error."""
+    try:
+        yield
+    except KeyError as err:
+        raise ValueError(f"{what} input lacks the field {err}") from err
+    except TypeError as err:
+        raise ValueError(f"malformed {what} input: {err}") from err
+
+
 def _load_function(data) -> HypercubeFunction:
     _json_list(data, "values")
-    return HypercubeFunction.from_json_dict(data)
+    with _reading("function"):
+        return HypercubeFunction.from_json_dict(data)
 
 
 def _load_family(data) -> FunctionFamily:
     _json_list(data, "functions")
-    return FunctionFamily.from_json_dict(data)
+    with _reading("family"):
+        return FunctionFamily.from_json_dict(data)
 
 
 def _load_vectors(data) -> np.ndarray:
-    vectors = np.asarray(_json_list(data, "vectors"), dtype=np.float64)
+    with _reading("vectors"):
+        vectors = np.asarray(_json_list(data, "vectors"), dtype=np.float64)
     if vectors.ndim != 2 or vectors.size == 0:
         raise ValueError(f"'vectors' must be a non-empty (k, m) table, got shape {vectors.shape}")
     if not np.isfinite(vectors).all():
@@ -216,7 +259,8 @@ def _load_martingale(data) -> MartingaleSequence:
     """A martingale file, or a plain function read as its dyadic martingale."""
     if isinstance(data, dict) and "filtration" in data:
         _json_list(data, "values")
-        return MartingaleSequence.from_json_dict(data)
+        with _reading("martingale"):
+            return MartingaleSequence.from_json_dict(data)
     return make_dyadic_martingale(_load_function(data))
 
 
@@ -278,10 +322,11 @@ class Functional:
     """One two-sided functional, defined once for every command.
 
     `sides(witness, p, space, plan) -> (lhs, rhs)` is its value.
-    `gradient(raw, config, plan) -> ((lhs, d lhs), (rhs, d rhs))`
-    differentiates both sides on the raw witness array for the search; it
-    never supplies a certified value.  With `exact_signs` the sign averages
-    enumerate every sign vector, whatever plan is asked for.
+    `gradient(raw, config, plan) -> (lhs, rhs)` gives both sides per row of
+    a (B, *shape) stack of raw witness arrays for the search, as `_Side`s:
+    a value per row, and its gradient with respect to the stack only when
+    asked.  It never supplies a certified value.  With `exact_signs` the
+    sign averages enumerate every sign vector, whatever plan is asked for.
     """
 
     kind: WitnessKind
@@ -315,46 +360,52 @@ def _hn_remark_sides(family, p, space, plan):
     return hn_remark_lhs(family, p, space), hn_remark_rhs(family, p, space, plan)
 
 
-# Analytic gradients.  Each takes the raw witness array and returns
-# ((lhs, d lhs), (rhs, d rhs)), computing both sides again on raw arrays;
-# the linear maps are self-adjoint, so each backward step applies the
-# forward map (or, from a stack to one table, its member-wise sum).
+# Analytic gradients.  Each takes a (B, *shape) stack of raw witness arrays
+# and returns its two sides as `_Side`s: both sides per row, computed again
+# on raw arrays, each with its gradient with respect to the stack when
+# asked.  A single witness is a batch of one.  The linear maps are
+# self-adjoint, so each backward step applies the forward map (or, from a
+# stack to one table, its member-wise sum).
 
 
 def _centred_norm_gradient(f, config):
-    """|| f - mean f ||_{L_p} and its gradient (centring is a symmetric projection)."""
-    value, g = lp_norm_gradient(f - f.mean(axis=0), config.p, config.space())
-    return value, g - g.mean(axis=0)
+    """|| f - mean f ||_{L_p} (centring is a symmetric projection)."""
+    side = lp_norm_gradient(f - f.mean(axis=-2, keepdims=True), config.p, config.space())
+    return side.map(lambda g: g - g.mean(axis=-2, keepdims=True))
 
 
 def _grad_pisier(f, config, plan):
     n, p, space = config.n, config.p, config.space()
-    rhs, g = signed_combination_average_gradient(_derivative_each(_repeat(f, n), n), p, space, plan)
-    return _centred_norm_gradient(f, config), (rhs, _derivative_each(g, n).sum(axis=0))
+    rhs = signed_combination_average_gradient(_derivative_each(_repeat(f, n), n), p, space, plan)
+    lhs = _centred_norm_gradient(f, config)
+    return lhs, rhs.map(lambda g: _derivative_each(g, n).sum(axis=-3))
 
 
 def _grad_derivative_average(family, config, plan):
     """The shared right side of theorem1 and corollary2: sign average of d_i f_i."""
     n = config.n
-    rhs, g = signed_combination_average_gradient(
+    side = signed_combination_average_gradient(
         _derivative_each(family, n), config.p, config.space(), plan
     )
-    return rhs, _derivative_each(g, n)
+    return side.map(lambda g: _derivative_each(g, n))
 
 
 def _grad_inverse_laplacian_sum(family, config):
-    """|| sum_i Delta^-1 d_i f_i ||_{L_p} and its gradient."""
+    """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
     n = config.n
     multiplier = _laplacian_multiplier(n, -1.0)
-    total = _walsh_multiply(_derivative_each(family, n).sum(axis=0), n, multiplier)
-    value, g = lp_norm_gradient(total, config.p, config.space())
-    return value, _derivative_each(_repeat(_walsh_multiply(g, n, multiplier), n), n)
+    total = _walsh_multiply(_derivative_each(family, n).sum(axis=-3), n, multiplier)
+    side = lp_norm_gradient(total, config.p, config.space())
+    return side.map(lambda g: _derivative_each(_repeat(_walsh_multiply(g, n, multiplier), n), n))
 
 
 def _grad_theorem1(family, config, plan):
     n = config.n
-    lhs, g = lp_norm_gradient(_difference_each(family, n).sum(axis=0), config.p, config.space())
-    return (lhs, _difference_each(_repeat(g, n), n)), _grad_derivative_average(family, config, plan)
+    lhs = lp_norm_gradient(_difference_each(family, n).sum(axis=-3), config.p, config.space())
+    return (
+        lhs.map(lambda g: _difference_each(_repeat(g, n), n)),
+        _grad_derivative_average(family, config, plan),
+    )
 
 
 def _grad_corollary2(family, config, plan):
@@ -366,8 +417,11 @@ def _grad_corollary2(family, config, plan):
 
 def _grad_stein(family, config, plan):
     n, p, space = config.n, config.p, config.space()
-    lhs, g = signed_combination_average_gradient(_condition_each(family, n), p, space, plan)
-    return (lhs, _condition_each(g, n)), signed_combination_average_gradient(family, p, space, plan)
+    lhs = signed_combination_average_gradient(_condition_each(family, n), p, space, plan)
+    return (
+        lhs.map(lambda g: _condition_each(g, n)),
+        signed_combination_average_gradient(family, p, space, plan),
+    )
 
 
 def _grad_hn_remark(family, config, plan):
@@ -378,35 +432,38 @@ def _grad_hn_remark(family, config, plan):
 def _grad_k_convexity(f, config, plan):
     n, p, space = config.n, config.p, config.space()
     multiplier = _degree_one_multiplier(n)
-    lhs, g = lp_norm_gradient(_walsh_multiply(f, n, multiplier), p, space)
-    return (lhs, _walsh_multiply(g, n, multiplier)), lp_norm_gradient(f, p, space)
+    lhs = lp_norm_gradient(_walsh_multiply(f, n, multiplier), p, space)
+    return lhs.map(lambda g: _walsh_multiply(g, n, multiplier)), lp_norm_gradient(f, p, space)
 
 
 def _grad_rademacher_type(vectors, config, plan):
     s, space = config.p, config.space()
-    lhs, g = signed_combination_average_gradient(vectors[:, None, :], s, space, plan)
+    lhs = signed_combination_average_gradient(vectors[..., None, :], s, space, plan)
     # The ell_s sum of norms is an L_s norm with unit point weights.
-    rhs = lp_norm_gradient(vectors, s, space, np.ones(len(vectors)))
-    return (lhs, g[:, 0, :]), rhs
+    rhs = lp_norm_gradient(vectors, s, space, np.ones(vectors.shape[-2]))
+    return lhs.map(lambda g: g[..., 0, :]), rhs
 
 
 def _dyadic_setup(f, config):
     """The dyadic martingale differences of f and the uniform point measure."""
-    return _difference_each(_repeat(f, config.n), config.n), np.full(len(f), 1.0 / len(f))
+    points = f.shape[-2]
+    return _difference_each(_repeat(f, config.n), config.n), np.full(points, 1.0 / points)
 
 
 def _grad_umd(f, config, plan):
     diffs, probs = _dyadic_setup(f, config)
-    lhs, g = umd_maximum_gradient(diffs, config.p, config.space(), probs)
-    return (lhs, _difference_each(g, config.n).sum(axis=0)), _centred_norm_gradient(f, config)
+    lhs = umd_maximum_gradient(diffs, config.p, config.space(), probs)
+    return lhs.map(lambda g: _difference_each(g, config.n).sum(axis=-3)), _centred_norm_gradient(
+        f, config
+    )
 
 
 def _grad_transform_average(f, config, plan):
     diffs, probs = _dyadic_setup(f, config)
-    value, g = signed_combination_average_gradient(
+    side = signed_combination_average_gradient(
         diffs, config.p, config.space(), plan, weights=probs
     )
-    return value, _difference_each(g, config.n).sum(axis=0)
+    return side.map(lambda g: _difference_each(g, config.n).sum(axis=-3))
 
 
 def _grad_umd_plus(f, config, plan):
@@ -421,9 +478,12 @@ def _grad_martingale_type(f, config, plan):
     diffs, probs = _dyadic_setup(f, config)
     n, m = config.n, config.m
     # sum_i || d_i ||_{L_s}^s is one L_s sum over all (step, point) pairs.
-    rhs, g = lp_norm_gradient(diffs.reshape(-1, m), config.p, config.space(), np.tile(probs, n))
-    rhs_gradient = _difference_each(g.reshape(diffs.shape), n).sum(axis=0)
-    return _centred_norm_gradient(f, config), (rhs, rhs_gradient)
+    rhs = lp_norm_gradient(
+        diffs.reshape(*diffs.shape[:-3], -1, m), config.p, config.space(), np.tile(probs, n)
+    )
+    return _centred_norm_gradient(f, config), rhs.map(
+        lambda g: _difference_each(g.reshape(diffs.shape), n).sum(axis=-3)
+    )
 
 
 _OPEN = PRange(1.0, math.inf)
@@ -505,6 +565,7 @@ class RatioCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatioCertificate":
+        _check_keys(data, "certificate", [f.name for f in fields(cls)])
         return cls(
             functional=data["functional"],
             witness_kind=data["witness_kind"],
@@ -547,15 +608,13 @@ def _certificate_digest(functional: str, witness_kind: str, witness, config: Sea
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class _NonFiniteValue(Exception):
-    pass
-
-
 class SearchObjective:
     """The ratio of one table functional at a fixed config, on flat vectors.
 
-    Calling it evaluates both sides through the functional's `sides`;
-    `gradient` differentiates log(lhs/rhs) analytically.
+    `sides` evaluates one witness through the functional's `sides`, for
+    certificates.  Calling the objective and `gradient` evaluate a (B, dim)
+    batch of flat vectors on raw arrays, through the functional's gradient;
+    they flag degenerate and non-finite rows one by one.
     """
 
     def __init__(self, config: SearchConfig) -> None:
@@ -563,6 +622,7 @@ class SearchObjective:
         self.kind = self.entry.kind.name
         self.shape = self.entry.kind.shape(config.n, config.m)
         self.dimension = math.prod(self.shape)
+        self.batch_rows = max(1, _BATCH_ENTRIES // (self.dimension << min(config.n, 10)))
         self.config = config
         self.space = config.space()
         self.plan = self.entry.plan(config.plan())
@@ -572,124 +632,169 @@ class SearchObjective:
         witness = self.entry.kind.build(flat.reshape(self.shape))
         return self.entry.sides(witness, self.config.p, self.space, self.plan)
 
-    def __call__(self, flat: np.ndarray):
-        """Returns (ratio, lhs, rhs); ratio is None for a degenerate rhs."""
-        lhs, rhs = self.sides(flat)
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
-            raise _NonFiniteValue
-        if rhs < DEGENERATE_EPS:
-            return None, lhs, rhs
-        return lhs / rhs, lhs, rhs
+    def raw_sides(self, batch: np.ndarray) -> tuple[_Side, _Side]:
+        """(lhs, rhs) of a (B, dim) batch on raw arrays: values per row, and
+        (B, *shape) gradients when asked."""
+        return self.entry.gradient(batch.reshape((-1,) + self.shape), self.config, self.plan)
 
-    def gradient(self, flat: np.ndarray) -> np.ndarray:
-        """The gradient of log(lhs/rhs) at `flat`, as a flat vector.
+    def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(ratio, finite) per row of a (B, dim) batch, without gradients.
 
-        Raises `_NonFiniteValue` when the ratio is not positive or the
-        gradient is not finite.
+        `finite` is False where lhs or rhs is not finite; `ratio` is lhs/rhs,
+        and nan where the row is not finite or rhs is degenerate.
         """
-        (lhs, dlhs), (rhs, drhs) = self.entry.gradient(
-            flat.reshape(self.shape), self.config, self.plan
-        )
-        if not (lhs > 0.0 and rhs > 0.0):
-            raise _NonFiniteValue
-        gradient = (dlhs / lhs - drhs / rhs).reshape(-1)
-        if not np.all(np.isfinite(gradient)):
-            raise _NonFiniteValue
-        return gradient
+        return _ratios(*(side.value for side in self.raw_sides(batch)))
+
+    def gradient(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ratio, gradient, usable) per row of a (B, dim) batch.
+
+        `ratio` is as the call gives it, from the same pass; `gradient` holds
+        the gradients of log(lhs/rhs) as (B, dim) rows, and `usable` says
+        where one holds: the ratio is positive and the gradient finite.
+        """
+        lhs, rhs = self.raw_sides(batch)
+        dlhs, drhs = lhs.gradient(), rhs.gradient()
+        lhs, rhs = lhs.value, rhs.value
+        column = (-1,) + (1,) * len(self.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gradient = dlhs / lhs.reshape(column) - drhs / rhs.reshape(column)
+        gradient = gradient.reshape(len(batch), -1)
+        usable = (lhs > 0.0) & (rhs > 0.0) & np.isfinite(gradient).all(axis=1)
+        return _ratios(lhs, rhs)[0], gradient, usable
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(x * x)))
+def _ratios(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lhs/rhs per row (nan where a side is not finite or rhs is degenerate), and finiteness."""
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    ratio = np.full(len(lhs), np.nan)
+    np.divide(lhs, rhs, out=ratio, where=finite & (rhs >= DEGENERATE_EPS))
+    return ratio, finite
 
 
-def _ascend(objective: SearchObjective, x0: np.ndarray, config: SearchConfig):
-    """Gradient ascent on log(ratio) with backtracking halving line search.
+def _rms(x: np.ndarray) -> np.ndarray:
+    """The root-mean-square scale of each row, as a column."""
+    return np.sqrt(np.mean(x * x, axis=-1, keepdims=True))
 
-    The gradient is the objective's analytic one.  Iterates are
-    renormalized to unit root-mean-square scale (the ratio is scale
-    invariant), so the line search's steps are relative in every
-    coordinate.
+
+def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig):
+    """Gradient ascent on log(ratio) with a backtracking halving line search,
+    run in lockstep from every row of `starts`.
+
+    Each row keeps its own state (point, ratio, trial step) and makes the
+    decisions it would make alone; a round evaluates only the rows still
+    climbing, one gradient batch and then one value batch per halving.
+    Iterates are renormalized to unit root-mean-square scale (the ratio is
+    scale invariant), so the line search's steps are relative in every
+    coordinate.  Returns the final points and their ratios, nan for a row
+    discarded on a degenerate or non-finite value or gradient.
     """
-    x = x0 / _rms(x0)
-    ratio, lhs, rhs = objective(x)
-    if ratio is None:
-        raise _NonFiniteValue
-    trial_step = 0.5
+    x = starts / _rms(starts)
+    ratio, _ = objective(x)
+    kept = ~np.isnan(ratio)
+    climbing = kept.copy()
+    trial_step = np.full(len(x), 0.5)
     for _ in range(config.iterations):
-        gradient = objective.gradient(x)
-        norm = float(np.linalg.norm(gradient))
-        if norm == 0.0:
+        rows = np.flatnonzero(climbing)
+        if rows.size == 0:
             break
-        direction = gradient / norm
-        t = trial_step
-        accepted = None
-        while t >= _MIN_LINE_STEP:
-            candidate = x + t * direction
-            cand_ratio, cand_lhs, cand_rhs = objective(candidate)
-            if cand_ratio is not None and cand_ratio > ratio:
-                accepted = (candidate, cand_ratio, cand_lhs, cand_rhs)
-                break
-            t *= 0.5
-        if accepted is None:
-            break
-        candidate, cand_ratio, cand_lhs, cand_rhs = accepted
-        improvement = (cand_ratio - ratio) / ratio
-        x = candidate / _rms(candidate)
-        ratio, lhs, rhs = cand_ratio, cand_lhs, cand_rhs
-        trial_step = min(2.0 * t, 1.0)
-        if improvement < config.tol:
-            break
-    # Re-evaluate at the stored (renormalized) point so the certificate is exact.
-    ratio, lhs, rhs = objective(x)
-    if ratio is None:
-        raise _NonFiniteValue
-    return x, ratio, lhs, rhs
+        _, gradient, usable = objective.gradient(x[rows])
+        kept[rows[~usable]] = False
+        norm = np.sqrt(np.vecdot(gradient, gradient))
+        moving = usable & (norm > 0.0)
+        climbing[rows[~moving]] = False
+        rows, gradient, norm = rows[moving], gradient[moving], norm[moving]
+        direction = gradient / norm[:, None]
+        t = trial_step[rows]
+        searching = t >= _MIN_LINE_STEP
+        accepted = np.zeros(len(rows), dtype=bool)
+        candidates = np.empty_like(direction)
+        cand_ratio = np.empty(len(rows))
+        while searching.any():
+            live = np.flatnonzero(searching)
+            trial = x[rows[live]] + t[live, None] * direction[live]
+            value, finite = objective(trial)
+            kept[rows[live[~finite]]] = False
+            better = finite & (value > ratio[rows[live]])
+            won = live[better]
+            accepted[won], candidates[won], cand_ratio[won] = True, trial[better], value[better]
+            searching[live[~finite | better]] = False
+            lost = live[finite & ~better]
+            t[lost] *= 0.5
+            searching[lost] = t[lost] >= _MIN_LINE_STEP
+        climbing[rows[~accepted]] = False
+        rows, t = rows[accepted], t[accepted]
+        cand_ratio = cand_ratio[accepted]
+        improvement = (cand_ratio - ratio[rows]) / ratio[rows]
+        x[rows] = candidates[accepted] / _rms(candidates[accepted])
+        ratio[rows] = cand_ratio
+        trial_step[rows] = np.minimum(2.0 * t, 1.0)
+        climbing[rows[improvement < config.tol]] = False
+    # Evaluate again at the stored (renormalized) points.
+    rows = np.flatnonzero(kept)
+    ratio[:] = np.nan
+    if rows.size:
+        ratio[rows] = objective(x[rows])[0]
+    return x, ratio
+
+
+def _nondegenerate_draws(objective: SearchObjective, rng, count: int):
+    """Yield the first `count` nondegenerate standard normal draws with their ratios.
+
+    Rows are drawn a batch at a time but never more than are still needed,
+    so the stream of draws is that of one draw per row.  A run of 1000
+    degenerate or non-finite draws raises `SearchFailedError`.
+    """
+    misses = 0
+    while count > 0:
+        batch = rng.standard_normal((min(count, objective.batch_rows), objective.dimension))
+        ratios, _ = objective(batch)
+        for x, ratio in zip(batch, ratios):
+            if math.isnan(ratio):
+                misses += 1
+                if misses == _MAX_MISSES:
+                    config = objective.config
+                    raise SearchFailedError(
+                        f"could not draw a nondegenerate input for {config.functional!r} "
+                        f"with shape (n={config.n}, m={config.m})"
+                    )
+                continue
+            misses = 0
+            count -= 1
+            yield x, ratio
 
 
 def maximize_ratio(config: SearchConfig) -> RatioCertificate:
     """Run probes plus restarts and certify the best witnessed ratio.
 
-    The returned ratio is at least the best pure-probe ratio of the run;
-    ties between candidates resolve to the earliest one, so identical
-    configurations yield byte-identical certificates.
+    Probes and restart points are drawn and evaluated in batches; the
+    restarts climb in lockstep, in groups of at most one batch.  The
+    returned ratio is at least the best pure-probe ratio of the run; ties
+    between candidates resolve to the earliest one, so identical
+    configurations yield byte-identical certificates.  Candidates are
+    compared on raw-array values; lhs, rhs and ratio of the certificate
+    come from `sides` at the stored witness.
     """
     objective = SearchObjective(config)
-    kind, dimension = objective.kind, objective.dimension
+    kind = objective.kind
     rng = np.random.default_rng(config.seed)
+    draws = _nondegenerate_draws(objective, rng, config.probes + config.restarts)
 
-    def draw_nondegenerate() -> tuple[np.ndarray, float, float, float]:
-        for _ in range(1000):
-            x = rng.standard_normal(dimension)
-            try:
-                ratio, lhs, rhs = objective(x)
-            except _NonFiniteValue:
-                continue
-            if ratio is not None:
-                return x, ratio, lhs, rhs
-        raise SearchFailedError(
-            f"could not draw a nondegenerate input for {config.functional!r} "
-            f"with shape (n={config.n}, m={config.m})"
-        )
-
-    best = None  # (ratio, x, lhs, rhs); first strictly better candidate wins
-    for _ in range(config.probes):
-        x, ratio, lhs, rhs = draw_nondegenerate()
-        if best is None or ratio > best[0]:
-            best = (ratio, x, lhs, rhs)
+    best_ratio, best_x = -math.inf, None  # the first strictly better candidate wins
+    for x, ratio in itertools.islice(draws, config.probes):
+        if ratio > best_ratio:
+            best_ratio, best_x = ratio, x
 
     discarded = 0
-    for _ in range(config.restarts):
-        x0, _, _, _ = draw_nondegenerate()
-        try:
-            x, ratio, lhs, rhs = _ascend(objective, x0, config)
-        except _NonFiniteValue:
-            discarded += 1
-            continue
-        if ratio > best[0]:
-            best = (ratio, x, lhs, rhs)
+    while starts := [x for x, _ in itertools.islice(draws, objective.batch_rows)]:
+        finals, ratios = _ascend(objective, np.array(starts), config)
+        for x, ratio in zip(finals, ratios):
+            if math.isnan(ratio):
+                discarded += 1
+            elif ratio > best_ratio:
+                best_ratio, best_x = ratio, x
 
-    ratio, x, lhs, rhs = best
-    witness = _freeze(x.reshape(objective.shape).tolist())
+    lhs, rhs = objective.sides(best_x)
+    witness = _freeze(best_x.reshape(objective.shape).tolist())
     digest = _certificate_digest(config.functional, kind, witness, config)
     return RatioCertificate(
         functional=config.functional,
@@ -697,7 +802,7 @@ def maximize_ratio(config: SearchConfig) -> RatioCertificate:
         witness=witness,
         lhs=lhs,
         rhs=rhs,
-        ratio=ratio,
+        ratio=lhs / rhs,
         config=config,
         discarded_restarts=discarded,
         digest=digest,

@@ -255,18 +255,21 @@ def character_matrix(n: int) -> np.ndarray:
 
 
 def _fwht(table: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard butterfly along axis 0.
+    """Unnormalized fast Walsh-Hadamard butterfly along axis -2.
 
     Computes out[s] = sum_k table[k] * (-1)^popcount(k & s) in O(n 2^n)
-    per column.  Pure numpy reshapes; the reduction order is fixed by the
-    stage structure, so results are deterministic.
+    per column, for a (2^n, m) table or a (..., 2^n, m) stack of them.
+    Pure numpy reshapes; the reduction order is fixed by the stage
+    structure, so results are deterministic and the same for every table
+    of a stack as for that table alone.
     """
-    rows = table.shape[0]
-    source = np.array(table, dtype=np.float64).reshape(rows, -1)
+    rows, columns = table.shape[-2:]
+    # A stack is one tall table: no butterfly block crosses a table boundary.
+    source = np.array(table, dtype=np.float64).reshape(-1, columns)
     target = np.empty_like(source)  # stages alternate between two buffers
     h = 1
     while h < rows:
-        blocks = source.reshape(-1, 2, h, source.shape[1])
+        blocks = source.reshape(-1, 2, h, columns)
         halves = target.reshape(blocks.shape)
         np.add(blocks[:, 0], blocks[:, 1], out=halves[:, 0])
         np.subtract(blocks[:, 0], blocks[:, 1], out=halves[:, 1])

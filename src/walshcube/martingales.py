@@ -23,6 +23,7 @@ from .norms import (
     NormSpace,
     RademacherAveragePlan,
     _checked_ratio,
+    _Side,
     _pattern_powers,
     lp_norm_gradient,
     signed_combination_average,
@@ -296,7 +297,7 @@ def _umd_sides(M, p, space, plan):
     if M.steps > 20:
         raise ValueError("exhaustive sign search is limited to 20 steps")
     powered, _ = _largest_transform(M.differences(), p, space, M.filtration.probabilities)
-    return powered ** (1.0 / p), _increment_norm(M, p, space)
+    return float(powered) ** (1.0 / p), _increment_norm(M, p, space)
 
 
 def _umd_plus_sides(M, p, space, plan):
@@ -339,29 +340,43 @@ def umd_ratio(
 
 def _largest_transform(
     diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The largest mean p-th power of || sum_i delta_i d_i ||_q over all 2^n
-    sign patterns, with the first pattern (ascending bitmask) that reaches it."""
-    masks = np.arange(1 << diffs.shape[0], dtype=np.int64)
-    best, best_signs = -math.inf, None
+    sign patterns, with the first pattern (ascending bitmask) that reaches it.
+
+    `diffs` is (..., n, size, m); leading axes are a batch, and each row
+    gets its own maximum and pattern.
+    """
+    masks = np.arange(1 << diffs.shape[-3], dtype=np.int64)
+    best = best_signs = None
     for signs, powered in _pattern_powers(diffs, p, space.q, masks, probs):
-        k = int(np.argmax(powered))
-        if powered[k] > best:
-            best, best_signs = float(powered[k]), signs[k]
+        top, k = powered.max(axis=-1), powered.argmax(axis=-1)
+        if best is None:
+            best, best_signs = top, signs[k]
+        else:  # a later chunk wins only where it is strictly larger
+            better = top > best
+            best = np.where(better, top, best)
+            best_signs = np.where(better[..., None], signs[k], best_signs)
     return best, best_signs
 
 
 def umd_maximum_gradient(
     diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """max over delta of || sum_i delta_i d_i ||_{L_p} and its gradient in `diffs`.
+) -> _Side:
+    """max over delta of || sum_i delta_i d_i ||_{L_p}, with its gradient in `diffs`.
 
-    Differentiated through the first pattern reaching the maximum, the
+    `diffs` is (..., n, size, m) with leading batch axes.  Each row is
+    differentiated through the first pattern reaching its maximum, the
     pattern `umd_ratio` reports.
     """
     _, signs = _largest_transform(diffs, p, space, probs)
-    value, cotangent = lp_norm_gradient(np.tensordot(signs, diffs, axes=(0, 0)), p, space, probs)
-    return value, signs[:, None, None] * cotangent
+    *lead, steps, size, m = diffs.shape
+    transform = (signs[..., None, :] @ diffs.reshape(*lead, steps, size * m)).reshape(
+        *lead, size, m
+    )
+    return lp_norm_gradient(transform, p, space, probs).map(
+        lambda g: signs[..., None, None] * g[..., None, :, :]
+    )
 
 
 def umd_plus_ratio(

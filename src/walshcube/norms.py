@@ -10,6 +10,7 @@ exact enumeration or by a deterministic counter-based Monte Carlo.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,7 @@ class RademacherAveragePlan:
         return cls(mode=mode, samples=samples, seed=seed, exact_threshold=exact_threshold)
 
 
+_MAX_SAMPLED_MEMBERS = 63
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -178,8 +180,13 @@ def sample_sign_masks(seed: int, count: int, n: int) -> np.ndarray:
     """Deterministic sign-vector bitmasks keyed on (seed, sample index).
 
     Sample j depends only on (seed, j), so any parallel or serial
-    evaluation order reproduces the same draw.
+    evaluation order reproduces the same draw.  A mask is a signed 64-bit
+    integer, so at most 63 members can be signed.
     """
+    if n > _MAX_SAMPLED_MEMBERS:
+        raise ValueError(
+            f"Monte Carlo sign masks are limited to {_MAX_SAMPLED_MEMBERS} members, got {n}"
+        )
     idx = np.arange(1, count + 1, dtype=np.uint64)
     state = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN) & _MASK64
     return (_mix64(state) & np.uint64((1 << n) - 1)).astype(np.int64)
@@ -205,28 +212,88 @@ def lp_norm(f: HypercubeFunction, p: float, space: NormSpace) -> float:
     return float(np.mean(pointwise**p) ** (1.0 / p))
 
 
+class _Side:
+    """One side of a functional on a batch of raw arrays: its value per row
+    and, when asked, its gradient with respect to the batch.
+
+    `sweep(with_gradient) -> (value, gradient or None)` computes it; a sweep
+    for the gradient yields the value in the same pass, with the same bits
+    as a sweep for the value alone.  Each is computed at most once.
+
+    Every row of a batch gets the bits it gets alone: per-row scalars go
+    through `np.vecdot` (a row's dot product) and `np.float_power` (the C
+    library's power), as a scalar `@` and `**` do, because numpy's
+    vectorized `matmul` and `power` may round the last bit differently.
+    """
+
+    def __init__(self, sweep: Callable[[bool], tuple]) -> None:
+        self._sweep = sweep
+        self._value = self._gradient = None
+
+    @property
+    def value(self) -> np.ndarray:
+        if self._value is None:
+            self._value, _ = self._sweep(False)
+        return self._value
+
+    def gradient(self) -> np.ndarray:
+        if self._gradient is None:
+            self._value, self._gradient = self._sweep(True)
+        return self._gradient
+
+    def map(self, backward: Callable[[np.ndarray], np.ndarray]) -> "_Side":
+        """The same side seen from an earlier input: `backward` maps its gradient there."""
+
+        def sweep(with_gradient: bool):
+            # The gradient first: its sweep gives the value too.
+            gradient = backward(self.gradient()) if with_gradient else None
+            return self.value, gradient
+
+        return _Side(sweep)
+
+
 def lp_norm_gradient(
     table: np.ndarray, p: float, space: NormSpace, weights: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
-    """(sum_k w_k ||t_k||_q^p)^(1/p) for a raw (points, m) table, and its gradient.
+) -> _Side:
+    """(sum_k w_k ||t_k||_q^p)^(1/p) for raw (..., points, m) tables, with its gradient.
 
-    The point weights default to the uniform 1/points.  At the kinks the
-    gradient takes sign(t) (q = 1) and the coordinate that `argmax` picks
-    (q = inf); a zero row contributes nothing.
+    Leading axes are a batch: the value has their shape and the gradient
+    the shape of `table`.  The point weights default to the uniform
+    1/points.  At the kinks the gradient takes sign(t) (q = 1) and the
+    coordinate that `argmax` picks (q = inf); a zero row contributes nothing.
     """
     p = _check_p_finite(p)
     if weights is None:
-        weights = np.full(table.shape[0], 1.0 / table.shape[0])
-    pointwise, derivative = _norms_with_derivative(table, space.q)
-    value = float((pointwise**p @ weights) ** (1.0 / p))
-    cotangent = (weights * pointwise ** (p - 1.0))[:, None] * derivative
-    if value > 0.0:
-        cotangent *= value ** (1.0 - p)
-    return value, cotangent
+        weights = np.full(table.shape[-2], 1.0 / table.shape[-2])
+
+    def sweep(with_gradient: bool):
+        if with_gradient:
+            pointwise, derivative = _norms_with_derivative(table, space.q)
+        else:
+            pointwise = _norms_of_absolute(np.abs(table), space.q)
+        value = np.float_power(np.vecdot(pointwise**p, weights), 1.0 / p)
+        if not with_gradient:
+            return value, None
+        cotangent = (weights * pointwise ** (p - 1.0))[..., None] * derivative
+        cotangent *= _root_factor(value, p)[..., None, None]
+        return value, cotangent
+
+    return _Side(sweep)
+
+
+def _root_factor(value: np.ndarray, p: float, divisor: float = 1.0) -> np.ndarray:
+    """value^(1 - p) / divisor where value > 0 and 1 elsewhere: the chain-rule
+    factor of a p-th root."""
+    positive = value > 0.0
+    factor = np.float_power(value, 1.0 - p, out=np.ones_like(value), where=positive)
+    return np.divide(factor, divisor, out=factor, where=positive)
 
 
 def _norms_with_derivative(table: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """ell_q norms along the last axis and their derivative with respect to `table`."""
+    """ell_q norms along the last axis and their derivative with respect to `table`.
+
+    The norms have the bits `_norms_of_absolute` gives them.
+    """
     a = np.abs(table)
     signs = np.sign(table)
     if math.isinf(q):
@@ -260,24 +327,35 @@ def _sign_blocks(count: int, masks: np.ndarray):
         yield sign_matrix(count, masks[start : start + _CHUNK])
 
 
+def _pattern_norms(tables: np.ndarray, q: float, masks: np.ndarray):
+    """Per sign pattern and point, || sum_i delta_i t_i ||_q.
+
+    Yields (signs, pointwise) per chunk of `_sign_blocks` for stacked
+    (..., count, points, m) tables; leading axes are a batch.
+    """
+    *lead, count, _, m = tables.shape
+    flat = np.ascontiguousarray(tables.reshape(*lead, count, -1))
+    # One combination buffer for the whole run; repeated fresh allocations
+    # of the combination table dominate the cost otherwise.
+    buffer = np.empty((*lead, min(_CHUNK, len(masks)), flat.shape[-1]))
+    for signs in _sign_blocks(count, masks):
+        view = buffer[..., : len(signs), :]
+        np.matmul(signs, flat, out=view)
+        np.abs(view, out=view)
+        yield signs, _norms_of_absolute(view.reshape(*lead, len(signs), -1, m), q)
+
+
 def _pattern_powers(tables: np.ndarray, p: float, q: float, masks: np.ndarray, weights=None):
     """Per sign pattern, the point mean of || sum_i delta_i t_i ||_q^p.
 
-    Yields (signs, powered) per chunk of `_sign_blocks`; the mean is
-    uniform unless `weights` gives point probabilities.  Shared by the sign
+    Yields (signs, powered) per chunk of `_sign_blocks`, `powered` with one
+    row per leading (batch) axis of `tables`; the mean is uniform unless
+    `weights` gives point probabilities.  Shared by the sign
     averages (mean over patterns) and the umd maximum (max over patterns).
     """
-    count, _, m = tables.shape
-    flat = np.ascontiguousarray(tables.reshape(count, -1))
-    # One combination buffer for the whole run; repeated fresh allocations
-    # of the combination table dominate the cost otherwise.
-    buffer = np.empty((min(_CHUNK, len(masks)), flat.shape[1]))
-    for signs in _sign_blocks(count, masks):
-        view = buffer[: len(signs)]
-        np.matmul(signs, flat, out=view)
-        np.abs(view, out=view)
-        pointwise = _norms_of_absolute(view.reshape(len(signs), -1, m), q) ** p
-        yield signs, (pointwise.mean(axis=1) if weights is None else pointwise @ weights)
+    for signs, pointwise in _pattern_norms(tables, q, masks):
+        powered = pointwise**p
+        yield signs, (powered.mean(axis=-1) if weights is None else powered @ weights)
 
 
 def signed_combination_average(
@@ -310,31 +388,58 @@ def signed_combination_average_gradient(
     space: NormSpace,
     plan: RademacherAveragePlan,
     weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """`signed_combination_average` and its gradient with respect to `tables`.
+) -> _Side:
+    """`signed_combination_average` for (..., count, points, m) tables, with its gradient.
 
-    Visits the same sign patterns in the same chunks as the value; the
+    Leading axes are a batch.  A value alone costs one pass over the sign
+    patterns, like `signed_combination_average`; the gradient takes one
+    pass for both, visiting the same patterns in the same chunks, and the
     backward step of a chunk is signs.T @ (pointwise cotangents).
     """
-    count, points, m = tables.shape
     p = _check_p_finite(p)
     if weights is None:
-        weights = np.full(points, 1.0 / points)
-    masks = _sign_masks(count, plan)
-    flat = tables.reshape(count, -1)
-    accumulated = 0.0
-    gradient = np.zeros_like(flat)
+        weights = np.full(tables.shape[-2], 1.0 / tables.shape[-2])
+    masks = _sign_masks(tables.shape[-3], plan)
+
+    def sweep(with_gradient: bool):
+        gradient = None
+        if with_gradient:
+            gradient = np.zeros(tables.shape[:-2] + (tables.shape[-2] * tables.shape[-1],))
+        total = _sign_sweep(tables, p, space.q, masks, weights, gradient)
+        value = np.float_power(total / float(len(masks)), 1.0 / p)
+        if with_gradient:
+            gradient *= _root_factor(value, p, float(len(masks)))[..., None, None]
+            gradient = gradient.reshape(tables.shape)
+        return value, gradient
+
+    return _Side(sweep)
+
+
+def _sign_sweep(tables, p, q, masks, weights, gradient=None) -> np.ndarray:
+    """Per batch row, the sum over the masks' patterns of the point-weighted
+    || sum_i delta_i t_i ||_q^p; adds its unscaled gradient into `gradient`
+    (shaped (..., count, points * m)) when one is given."""
+    *lead, count, points, m = tables.shape
+    accumulated = np.zeros(lead)
+    if gradient is None:
+        for _, pointwise in _pattern_norms(tables, q, masks):
+            accumulated += _weighted_powers(pointwise, p, weights)[0]
+        return accumulated
+    flat = tables.reshape(*lead, count, points * m)
     for signs in _sign_blocks(count, masks):
-        combos = (signs @ flat).reshape(len(signs), points, m)
-        pointwise, derivative = _norms_with_derivative(combos, space.q)
-        raised = pointwise ** (p - 1.0) * weights
-        accumulated += float(np.sum(raised * pointwise))
-        gradient += signs.T @ (raised[..., None] * derivative).reshape(len(signs), -1)
-    mean = accumulated / float(len(masks))
-    value = mean ** (1.0 / p)
-    if value > 0.0:
-        gradient *= value ** (1.0 - p) / float(len(masks))
-    return value, gradient.reshape(tables.shape)
+        combos = (signs @ flat).reshape(*lead, len(signs), points, m)
+        pointwise, derivative = _norms_with_derivative(combos, q)
+        total, raised = _weighted_powers(pointwise, p, weights)
+        accumulated += total
+        gradient += signs.T @ (raised[..., None] * derivative).reshape(*lead, len(signs), -1)
+    return accumulated
+
+
+def _weighted_powers(pointwise, p, weights):
+    """Per batch row, the sum of w ||.||^p over patterns and points, and the
+    factors w ||.||^(p-1) that scale its gradient."""
+    raised = pointwise ** (p - 1.0) * weights
+    return np.sum((raised * pointwise).reshape(*raised.shape[:-2], -1), axis=-1), raised
 
 
 def _norms_of_absolute(table: np.ndarray, q: float) -> np.ndarray:

@@ -156,31 +156,45 @@ def martingale_difference(f: HypercubeFunction, i: int) -> HypercubeFunction:
     return conditional_expectation(f, i) - conditional_expectation(f, i - 1)
 
 
-# Raw-array forms on (2^n, m) tables and (n, 2^n, m) stacks, for the
-# analytic gradients of the functionals.  Each map is a symmetric matrix on
-# R^(2^n) acting on every column (member by member on a stack), so its
-# backward pass applies the same map to the cotangent.
+# Raw-array forms on (..., 2^n, m) tables and (..., n, 2^n, m) stacks, for
+# the analytic gradients of the functionals; leading axes are a batch, and
+# every batch row gets the bits it would get alone.  Each map is a
+# symmetric matrix on R^(2^n) acting on every column (member by member on a
+# stack), so its backward pass applies the same map to the cotangent.
+
+
+@lru_cache(maxsize=None)
+def _member_flips(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays that pick g_i(eps with coordinate i flipped) from a stack, all i at once."""
+    members = np.arange(n)[:, None]
+    flips = np.arange(1 << n)[None, :] ^ (1 << members)
+    members.setflags(write=False)
+    flips.setflags(write=False)
+    return members, flips
 
 
 def _derivative_each(stack: np.ndarray, n: int) -> np.ndarray:
-    """(d_1 g_1, ..., d_n g_n) for a stacked (n, 2^n, m) table."""
-    return np.stack([0.5 * (g - g[_flip_indices(n, i)]) for i, g in enumerate(stack, start=1)])
+    """(d_1 g_1, ..., d_n g_n) for a stacked (..., n, 2^n, m) table, in one gather."""
+    members, flips = _member_flips(n)
+    return 0.5 * (stack - stack[..., members, flips, :])
 
 
 def _condition(values: np.ndarray, n: int, level: int) -> np.ndarray:
-    """E_level f: the mean over the trailing n - level coordinates."""
+    """E_level f: the mean over the trailing n - level coordinates of (..., 2^n, m) tables."""
     if level == n:
         return values
     block = 1 << level
     tail = 1 << (n - level)
     # add.reduce then divide is what `mean` computes, without its Python wrapper.
-    averaged = np.add.reduce(values.reshape(tail, block, values.shape[1]), axis=0) / tail
-    return averaged[None].repeat(tail, axis=0).reshape(1 << n, -1)
+    averaged = np.add.reduce(values.reshape(-1, tail, block, values.shape[-1]), axis=1) / tail
+    return averaged[:, None].repeat(tail, axis=1).reshape(values.shape)
 
 
 def _condition_each(stack: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
-    """(E_{1-shift} g_1, ..., E_{n-shift} g_n) for a stacked (n, 2^n, m) table."""
-    return np.stack([_condition(g, n, i - shift) for i, g in enumerate(stack, start=1)])
+    """(E_{1-shift} g_1, ..., E_{n-shift} g_n) for a stacked (..., n, 2^n, m) table."""
+    return np.stack(
+        [_condition(stack[..., i - 1, :, :], n, i - shift) for i in range(1, n + 1)], axis=-3
+    )
 
 
 def _difference_each(stack: np.ndarray, n: int) -> np.ndarray:
@@ -189,8 +203,9 @@ def _difference_each(stack: np.ndarray, n: int) -> np.ndarray:
 
 
 def _repeat(values: np.ndarray, n: int) -> np.ndarray:
-    """n read-only copies of one table as a stack, so one-to-n maps reuse the `_each` forms."""
-    return np.broadcast_to(values, (n,) + values.shape)
+    """n read-only copies of each (..., 2^n, m) table as a stack, so one-to-n maps
+    reuse the `_each` forms."""
+    return np.broadcast_to(values[..., None, :, :], values.shape[:-2] + (n,) + values.shape[-2:])
 
 
 def _walsh_multiply(values: np.ndarray, n: int, multiplier: np.ndarray) -> np.ndarray:

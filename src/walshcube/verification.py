@@ -1,8 +1,9 @@
 """The runnable identity suite behind the `verify` command.
 
 Each check compares two independently computed quantities (an operator
-identity, a spectral action, an equality case, or the search's analytic
-gradient against a central difference) and reports its largest deviation
+identity, a spectral action, an equality case, the search's analytic
+gradient against a central difference, or its batched evaluation against
+`sides` and against one row at a time) and reports its largest deviation
 against the stated tolerance.  The `corrupt` hook injects a
 1e-3 fault into the named check so that pipelines can prove the suite
 actually fails when an operator regresses.
@@ -323,8 +324,11 @@ def run_verification_suite(
                 worst_tree = max(worst_tree, (after - before) / max(before, 1e-30))
     record("tree-contraction", max(worst_tree, 0.0), 1e-12)
 
-    # Analytic search gradients against a central difference along one direction.
-    worst_gradient = 0.0
+    # Analytic search gradients against a central difference along one
+    # direction.  The batched raw-array pass at the same three points must
+    # give the ratios of `sides` there and, at the first point, the gradient
+    # of that row alone; the tests compare every row of larger batches.
+    worst_gradient, worst_batched = 0.0, 0.0
     h = 1e-6
     for name in FUNCTIONAL_NAMES:
         p = 1.5 if name.endswith("-type") else 2.5
@@ -333,11 +337,19 @@ def run_verification_suite(
         )
         x = rng.standard_normal(objective.dimension)
         v = rng.standard_normal(objective.dimension)
-        analytic = float(objective.gradient(x) @ v)
-        up, down = objective(x + h * v)[0], objective(x - h * v)[0]
-        numeric = (math.log(up) - math.log(down)) / (2.0 * h)
+        batch = np.stack([x, x + h * v, x - h * v])
+        exact = np.array([lhs / rhs for lhs, rhs in map(objective.sides, batch)])
+        _, alone, _ = objective.gradient(batch[:1])
+        analytic = float(alone[0] @ v)
+        numeric = (math.log(exact[1]) - math.log(exact[2])) / (2.0 * h)
         worst_gradient = max(worst_gradient, _relative_gap(analytic, numeric))
+
+        ratios, gradients, _ = objective.gradient(batch)
+        value_gap = float(np.max(np.abs(ratios - exact) / exact))
+        same_row = np.array_equal(gradients[0], alone[0])
+        worst_batched = max(worst_batched, value_gap if same_row else math.inf)
     record("gradient-vs-finite-difference", worst_gradient, 1e-6)
+    record("batched-vs-single", worst_batched, 1e-12)
 
     return results
 
@@ -366,4 +378,5 @@ CHECK_NAMES = (
     "ratio-scale-invariance",
     "tree-contraction",
     "gradient-vs-finite-difference",
+    "batched-vs-single",
 )

@@ -125,3 +125,125 @@ def ell_q_norms_by_axis_reduce(table: np.ndarray, q: float) -> np.ndarray:
     if q == 2.0:
         return np.sqrt((a * a).sum(axis=-1))
     return (a**q).sum(axis=-1) ** (1.0 / q)
+
+
+class _NonFiniteValue(Exception):
+    pass
+
+
+def maximize_ratio_sequential(config):
+    """The extremal search one draw, one restart and one candidate at a time.
+
+    The library's search before it evaluated batches, kept as its oracle:
+    every value comes from `SearchObjective.sides`, every gradient from a
+    batch of one row, and each restart climbs to its end before the next
+    one starts.  Same-seed certificates of the batched search must equal
+    this one's byte for byte.
+    """
+    from walshcube.estimators import (
+        RatioCertificate,
+        SearchFailedError,
+        SearchObjective,
+        _certificate_digest,
+        _freeze,
+    )
+    from walshcube.norms import DEGENERATE_EPS
+
+    objective = SearchObjective(config)
+    rng = np.random.default_rng(config.seed)
+
+    def value(x):
+        lhs, rhs = objective.sides(x)
+        if not (np.isfinite(lhs) and np.isfinite(rhs)):
+            raise _NonFiniteValue
+        if rhs < DEGENERATE_EPS:
+            return None, lhs, rhs
+        return lhs / rhs, lhs, rhs
+
+    def gradient(x):
+        _, rows, usable = objective.gradient(x[None])
+        if not usable[0]:
+            raise _NonFiniteValue
+        return rows[0]
+
+    def rms(x):
+        return float(np.sqrt(np.mean(x * x)))
+
+    def ascend(x0):
+        x = x0 / rms(x0)
+        ratio, lhs, rhs = value(x)
+        if ratio is None:
+            raise _NonFiniteValue
+        trial_step = 0.5
+        for _ in range(config.iterations):
+            g = gradient(x)
+            norm = float(np.linalg.norm(g))
+            if norm == 0.0:
+                break
+            direction = g / norm
+            t = trial_step
+            accepted = None
+            while t >= 1e-10:
+                candidate = x + t * direction
+                cand_ratio, cand_lhs, cand_rhs = value(candidate)
+                if cand_ratio is not None and cand_ratio > ratio:
+                    accepted = (candidate, cand_ratio, cand_lhs, cand_rhs)
+                    break
+                t *= 0.5
+            if accepted is None:
+                break
+            candidate, cand_ratio, cand_lhs, cand_rhs = accepted
+            improvement = (cand_ratio - ratio) / ratio
+            x = candidate / rms(candidate)
+            ratio, lhs, rhs = cand_ratio, cand_lhs, cand_rhs
+            trial_step = min(2.0 * t, 1.0)
+            if improvement < config.tol:
+                break
+        ratio, lhs, rhs = value(x)
+        if ratio is None:
+            raise _NonFiniteValue
+        return x, ratio, lhs, rhs
+
+    def draw_nondegenerate():
+        for _ in range(1000):
+            x = rng.standard_normal(objective.dimension)
+            try:
+                ratio, lhs, rhs = value(x)
+            except _NonFiniteValue:
+                continue
+            if ratio is not None:
+                return x, ratio, lhs, rhs
+        raise SearchFailedError(
+            f"could not draw a nondegenerate input for {config.functional!r} "
+            f"with shape (n={config.n}, m={config.m})"
+        )
+
+    best = None
+    for _ in range(config.probes):
+        x, ratio, lhs, rhs = draw_nondegenerate()
+        if best is None or ratio > best[0]:
+            best = (ratio, x, lhs, rhs)
+    discarded = 0
+    for _ in range(config.restarts):
+        x0, _, _, _ = draw_nondegenerate()
+        try:
+            x, ratio, lhs, rhs = ascend(x0)
+        except _NonFiniteValue:
+            discarded += 1
+            continue
+        if ratio > best[0]:
+            best = (ratio, x, lhs, rhs)
+
+    ratio, x, lhs, rhs = best
+    witness = _freeze(x.reshape(objective.shape).tolist())
+    return RatioCertificate(
+        functional=config.functional,
+        witness_kind=objective.kind,
+        witness=witness,
+        lhs=lhs,
+        rhs=rhs,
+        ratio=ratio,
+        config=config,
+        discarded_restarts=discarded,
+        digest=_certificate_digest(config.functional, objective.kind, witness, config),
+    )

@@ -175,6 +175,16 @@ class TestVerifyCommand:
         assert code == 1
         assert "gradient-vs-finite-difference" in capsys.readouterr().err
 
+    def test_corrupted_batched_check_fails(self, tmp_path, capsys):
+        code = main(
+            [
+                "--command", "verify", "--n", "3", "--m", "1",
+                "--corrupt", "batched-vs-single", "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 1
+        assert "batched-vs-single" in capsys.readouterr().err
+
     def test_suite_runs_every_documented_check(self):
         results = run_verification_suite(n=3, m=1, seed=0, rounds=3)
         assert sorted(r.name for r in results) == sorted(CHECK_NAMES)
@@ -364,6 +374,11 @@ class TestEvalThroughTheLibrary:
             ("rademacher-type", {"vectors": 5}),
             ("stein", []),
             ("umd-plus", {"values": 5}),
+            ("umd", {"filtration": 5, "m": 1, "values": []}),
+            ("umd", {"filtration": {"kind": "tree"}, "m": 1, "values": []}),
+            ("pisier", {"values": [{}]}),
+            ("theorem1", {"functions": [[{}]]}),
+            ("rademacher-type", {"vectors": [[{}]]}),
         ],
     )
     def test_malformed_input_is_a_one_line_input_error(self, name, payload, tmp_path, capsys):

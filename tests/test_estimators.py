@@ -3,11 +3,12 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _naive import central_difference_gradient
+from _naive import central_difference_gradient, maximize_ratio_sequential
 from walshcube.estimators import (
     FUNCTIONAL_NAMES,
     CertificateMismatchError,
@@ -137,6 +138,25 @@ class TestCertificates:
         report = reevaluate_certificate(cert)
         assert report.ratio == pytest.approx(cert.ratio, rel=1e-9)
 
+    def test_load_names_a_missing_or_unknown_key(self, tmp_path):
+        data = json.loads(self.make_cert().to_json())
+        path = tmp_path / "cert.json"
+        broken = [
+            ({k: v for k, v in data.items() if k != "digest"}, "lacks the key 'digest'"),
+            ({**data, "config": {**data["config"], "stride": 2}}, "unknown key 'stride'"),
+            (
+                {**data, "config": {k: v for k, v in data["config"].items() if k != "q"}},
+                "config lacks the key 'q'",
+            ),
+            ({**data, "config": 5}, "config must be a JSON object"),
+            ([data], "certificate must be a JSON object"),
+        ]
+        for payload, message in broken:
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=message) as error:
+                load_certificate(str(path))
+            assert "\n" not in str(error.value)
+
     def test_file_round_trip(self, tmp_path):
         cert = self.make_cert()
         path = tmp_path / "cert.json"
@@ -192,7 +212,8 @@ class TestCertificates:
         cert = self.make_cert()
         objective = SearchObjective(cert.config)
         flat = cert.witness_array().reshape(-1)
-        assert objective(flat * 37.0)[0] == pytest.approx(objective(flat)[0], rel=1e-12)
+        scaled, plain = objective(np.stack([flat * 37.0, flat]))[0]
+        assert scaled == pytest.approx(plain, rel=1e-12)
 
 
 def _gradient_gap(name, n, q, plan_mode="exact"):
@@ -204,10 +225,22 @@ def _gradient_gap(name, n, q, plan_mode="exact"):
         )
     )
     x = np.random.default_rng([n, 17]).standard_normal(objective.dimension)
-    numeric = central_difference_gradient(lambda y: math.log(objective(y)[0]), x, h=1e-6)
-    return float(np.max(np.abs(objective.gradient(x) - numeric))) / max(
+
+    def log_ratio(y):
+        lhs, rhs = objective.sides(y)
+        return math.log(lhs / rhs)
+
+    numeric = central_difference_gradient(log_ratio, x, h=1e-6)
+    return float(np.max(np.abs(_gradient(objective, x) - numeric))) / max(
         1.0, float(np.max(np.abs(numeric)))
     )
+
+
+def _gradient(objective, x):
+    """The gradient of log ratio at one flat point, as a batch of one."""
+    _, rows, usable = objective.gradient(x[None])
+    assert usable[0]
+    return rows[0]
 
 
 class TestAnalyticGradients:
@@ -232,27 +265,68 @@ class TestAnalyticGradients:
         # The ratio is homogeneous of degree zero, so <grad log ratio, x> = 0.
         objective = SearchObjective(SearchConfig(functional="corollary2", n=3, m=2, p=2.5, q=3.0))
         x = np.random.default_rng(3).standard_normal(objective.dimension)
-        assert abs(objective.gradient(x) @ x) <= 1e-10 * np.linalg.norm(x)
+        assert abs(_gradient(objective, x) @ x) <= 1e-10 * np.linalg.norm(x)
 
     def test_ascent_makes_few_objective_calls(self, monkeypatch):
         import walshcube.estimators as est
 
-        calls = []
-        original = est.SearchObjective.__call__
+        rows = []
+        original = est.SearchObjective.raw_sides
 
-        def counting(self, flat):
-            calls.append(1)
-            return original(self, flat)
+        def counting(self, batch):
+            rows.append(len(batch))
+            return original(self, batch)
 
-        monkeypatch.setattr(est.SearchObjective, "__call__", counting)
+        monkeypatch.setattr(est.SearchObjective, "raw_sides", counting)
         cfg = SearchConfig(
             functional="pisier", n=4, m=2, p=2.0, q=math.inf, restarts=2, iterations=15,
             probes=20, seed=1,
         )
         maximize_ratio(cfg)
-        # Probes, starts, line searches and final re-evaluations only: a
-        # finite-difference gradient alone would need 2 * 32 calls per step.
-        assert len(calls) <= 150
+        # Rows evaluated for probes, starts, gradients, line searches and
+        # final re-evaluations: a finite-difference gradient alone would need
+        # 2 * 32 rows per step.
+        assert sum(rows) <= 150
+
+
+def _oracle_config(name, q, **budget):
+    p = 1.5 if name.endswith("-type") else 2.5
+    budget = {"restarts": 3, "iterations": 10, "probes": 20, **budget}
+    return SearchConfig(functional=name, n=3, m=2, p=p, q=q, seed=1, **budget)
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    @pytest.mark.parametrize("q", [3.0, 1.0, math.inf])
+    def test_certificates_equal_the_sequential_oracle(self, name, q):
+        cfg = _oracle_config(name, q)
+        assert maximize_ratio(cfg).to_json() == maximize_ratio_sequential(cfg).to_json()
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_batched_rows_equal_single_rows(self, name, rows):
+        for q in (3.0, math.inf):
+            objective = SearchObjective(_oracle_config(name, q))
+            batch = np.random.default_rng([rows, 5]).standard_normal((rows, objective.dimension))
+            values = [side.value for side in objective.raw_sides(batch)]
+            gradients = [side.gradient() for side in objective.raw_sides(batch)]
+            for k, row in enumerate(batch):
+                alone = objective.entry.gradient(
+                    row.reshape(objective.shape), objective.config, objective.plan
+                )
+                for side, value, gradient in zip(alone, values, gradients):
+                    assert side.value == value[k]
+                    assert np.array_equal(side.gradient(), gradient[k])
+
+    def test_probes_and_restarts_above_the_row_cap(self):
+        cfg = replace(_oracle_config("corollary2", 3.0, probes=40, restarts=20, iterations=3), n=4)
+        assert cfg.probes > SearchObjective(cfg).batch_rows
+        assert cfg.restarts > SearchObjective(cfg).batch_rows
+        assert maximize_ratio(cfg).to_json() == maximize_ratio_sequential(cfg).to_json()
+
+    def test_one_draw_of_k_rows_is_k_draws_of_one(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(a.standard_normal((5, 7)), [b.standard_normal(7) for _ in range(5)])
 
 
 class TestScanDimension:
@@ -301,15 +375,30 @@ class TestSearchFailurePaths:
     def test_non_finite_restarts_are_discarded_and_counted(self, monkeypatch):
         import walshcube.estimators as est
 
-        def exploding_ascend(objective, x0, config):
-            raise est._NonFiniteValue
+        # The third evaluation of all three restarts is their first line
+        # search; the second restart's candidate there is made non-finite.
+        restart_batches = []
+        original = est.SearchObjective.raw_sides
 
-        monkeypatch.setattr(est, "_ascend", exploding_ascend)
+        def poisoned(self, batch):
+            lhs, rhs = original(self, batch)
+            if len(batch) == 3:
+                restart_batches.append(1)
+                if len(restart_batches) == 3:
+                    lhs.value[1] = np.inf
+            return lhs, rhs
+
+        monkeypatch.setattr(est.SearchObjective, "raw_sides", poisoned)
         cfg = SearchConfig(
-            functional="pisier", n=2, m=1, p=2.0, q=2.0, restarts=3,
+            functional="pisier", n=2, m=1, p=2.5, q=3.0, restarts=3,
             iterations=5, probes=25, seed=1,
         )
         cert = maximize_ratio(cfg)
-        assert cert.discarded_restarts == 3
-        # The result falls back to the best pure probe.
+        assert len(restart_batches) >= 3
+        assert cert.discarded_restarts == 1
+        # The other two restarts climbed on as they would alone, so the
+        # result is at most the oracle's, which keeps all three.
+        oracle = maximize_ratio_sequential(cfg)
+        assert oracle.discarded_restarts == 0
+        assert cert.ratio <= oracle.ratio
         assert cert.ratio > 0

@@ -14,6 +14,7 @@ from walshcube.norms import (
     lp_norm,
     rademacher_average,
     sample_sign_masks,
+    signed_combination_average,
 )
 
 from _naive import ell_q_norms_by_axis_reduce, lp_norm_sum, rademacher_average_enumerated
@@ -212,3 +213,13 @@ class TestRademacherAverageMonteCarlo:
         assert np.array_equal(full, sample_sign_masks(7, 100, 6))
         assert not np.array_equal(full, sample_sign_masks(8, 100, 6))
         assert full.min() >= 0 and full.max() < 64
+
+    def test_sampled_masks_are_limited_to_63_members(self):
+        masks = sample_sign_masks(1, 200, 63)
+        assert masks.min() >= 0 and masks.max() < 1 << 63
+        for members in (64, 70):
+            with pytest.raises(ValueError, match="limited to 63 members"):
+                sample_sign_masks(1, 4, members)
+        plan = RademacherAveragePlan(mode="monte-carlo", samples=4, seed=1)
+        with pytest.raises(ValueError, match="63"):
+            signed_combination_average(np.ones((64, 1, 1)), 2.0, NormSpace(1, 2.0), plan)
