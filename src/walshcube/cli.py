@@ -149,11 +149,11 @@ def cmd_eval(args) -> int:
     return EXIT_DEGENERATE if report.degenerate else EXIT_OK
 
 
-def cmd_estimate(args) -> int:
-    config = SearchConfig(
+def _search_config(args, n: int, m: int) -> SearchConfig:
+    return SearchConfig(
         functional=args.functional,
-        n=args.n,
-        m=args.m,
+        n=n,
+        m=m,
         p=args.p,
         q=args.q,
         restarts=args.restarts,
@@ -163,7 +163,10 @@ def cmd_estimate(args) -> int:
         plan_mode={"exact": "exact", "mc": "monte-carlo", None: "auto"}[args.mode],
         plan_samples=args.samples,
     )
-    certificate = maximize_ratio(config)
+
+
+def cmd_estimate(args) -> int:
+    certificate = maximize_ratio(_search_config(args, args.n, args.m))
     if args.output_path is not None:
         save_certificate(certificate, args.output_path)
         sys.stdout.write(
@@ -181,19 +184,7 @@ def cmd_scan(args) -> int:
     if n_lo > n_hi:
         raise ValueError(f"empty scan range {n_lo}..{n_hi}")
     m_for_n = (lambda n: 1 << n) if args.m == 0 else None
-    config = SearchConfig(
-        functional=args.functional,
-        n=n_lo,
-        m=args.m if args.m != 0 else 1,
-        p=args.p,
-        q=args.q,
-        restarts=args.restarts,
-        iterations=args.iters,
-        probes=args.probes,
-        seed=args.seed,
-        plan_mode={"exact": "exact", "mc": "monte-carlo", None: "auto"}[args.mode],
-        plan_samples=args.samples,
-    )
+    config = _search_config(args, n_lo, args.m if args.m != 0 else 1)
     out = args.output_path if args.output_path is not None else "scan.csv"
     certificates = scan_dimension(config, range(n_lo, n_hi + 1), m_for_n=m_for_n, csv_path=out)
     for cert in certificates:

@@ -17,16 +17,18 @@ search.  It works on batches: the probes and restart points are drawn and
 evaluated a batch of rows at a time, and the restarts climb in lockstep,
 each row making the decisions it would make alone.  Values and gradients
 come from one raw-array pass over the batch, which gives every row the
-bits it gets alone.  Each gradient is adjoint: the functionals compose
-self-adjoint linear maps on the cube (d_i, E_i, centring, Delta^-1, Rad,
-martingale differences) with pointwise ell_q norms, L_p means and sign
-averages or a maximum, so one backward pass costs about one evaluation,
+bits it gets alone; `sides` runs the same kernels and gives the same
+bits.  Each gradient is adjoint: the functionals compose self-adjoint
+linear maps on the cube (d_i, E_i, centring, Delta^-1, Rad, martingale
+differences) with pointwise ell_q norms, L_p means and sign averages or
+a maximum, so one backward pass costs about one evaluation,
 where central differences cost 2 * dim of them.  At the kinks (q = 1,
 q = inf, the umd maximum) it takes one subgradient.  The objective is
 homogeneous of degree zero, so iterates are renormalized to unit scale
 and any returned value is automatically a witnessed, re-checkable lower
 bound: the certificate stores the witness and enough configuration to
-reproduce both sides exactly, through `sides` alone.
+reproduce both sides exactly, through `sides`, with the bits of the value
+that the search maximized.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .hypercube import HypercubeFunction
+from .hypercube import MAX_DIMENSION, HypercubeFunction
 from .inequalities import (
     InequalityReport,
+    _inverse_laplacian_sum,
     _k_convexity_sides,
     _rademacher_type_sides,
     corollary2_lhs,
@@ -61,6 +64,7 @@ from .inequalities import (
 )
 from .martingales import (
     MartingaleSequence,
+    _increment_sum_gradient,
     _martingale_type_sides,
     _umd_minus_sides,
     _umd_plus_sides,
@@ -78,6 +82,7 @@ from .norms import (
     signed_combination_average_gradient,
 )
 from .operators import (
+    _condition,
     _condition_each,
     _degree_one_multiplier,
     _derivative_each,
@@ -147,6 +152,8 @@ class SearchConfig:
     plan_samples: int = 20000
 
     def __post_init__(self) -> None:
+        if not 1 <= self.n <= MAX_DIMENSION:
+            raise ValueError(f"dimension n must be in [1, {MAX_DIMENSION}], got {self.n}")
         if self.restarts < 1 or self.iterations < 1 or self.probes < 1:
             raise ValueError("restarts, iterations and probes must all be >= 1")
         if not (self.step > 0.0):
@@ -229,7 +236,7 @@ def _reading(what: str):
         yield
     except KeyError as err:
         raise ValueError(f"{what} input lacks the field {err}") from err
-    except TypeError as err:
+    except (TypeError, OverflowError) as err:
         raise ValueError(f"malformed {what} input: {err}") from err
 
 
@@ -369,9 +376,10 @@ def _hn_remark_sides(family, p, space, plan):
 
 
 def _centred_norm_gradient(f, config):
-    """|| f - mean f ||_{L_p} (centring is a symmetric projection)."""
-    side = lp_norm_gradient(f - f.mean(axis=-2, keepdims=True), config.p, config.space())
-    return side.map(lambda g: g - g.mean(axis=-2, keepdims=True))
+    """|| f - E_0 f ||_{L_p} (centring is a symmetric projection)."""
+    n = config.n
+    side = lp_norm_gradient(f - _condition(f, n, 0), config.p, config.space())
+    return side.map(lambda g: g - _condition(g, n, 0))
 
 
 def _grad_pisier(f, config, plan):
@@ -394,8 +402,7 @@ def _grad_inverse_laplacian_sum(family, config):
     """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
     n = config.n
     multiplier = _laplacian_multiplier(n, -1.0)
-    total = _walsh_multiply(_derivative_each(family, n).sum(axis=-3), n, multiplier)
-    side = lp_norm_gradient(total, config.p, config.space())
+    side = lp_norm_gradient(_inverse_laplacian_sum(family, n), config.p, config.space())
     return side.map(lambda g: _derivative_each(_repeat(_walsh_multiply(g, n, multiplier), n), n))
 
 
@@ -476,13 +483,9 @@ def _grad_umd_minus(f, config, plan):
 
 def _grad_martingale_type(f, config, plan):
     diffs, probs = _dyadic_setup(f, config)
-    n, m = config.n, config.m
-    # sum_i || d_i ||_{L_s}^s is one L_s sum over all (step, point) pairs.
-    rhs = lp_norm_gradient(
-        diffs.reshape(*diffs.shape[:-3], -1, m), config.p, config.space(), np.tile(probs, n)
-    )
+    rhs = _increment_sum_gradient(diffs, config.p, config.space(), probs)
     return _centred_norm_gradient(f, config), rhs.map(
-        lambda g: _difference_each(g.reshape(diffs.shape), n).sum(axis=-3)
+        lambda g: _difference_each(g.reshape(diffs.shape), config.n).sum(axis=-3)
     )
 
 
@@ -772,7 +775,7 @@ def maximize_ratio(config: SearchConfig) -> RatioCertificate:
     between candidates resolve to the earliest one, so identical
     configurations yield byte-identical certificates.  Candidates are
     compared on raw-array values; lhs, rhs and ratio of the certificate
-    come from `sides` at the stored witness.
+    come from `sides` at the stored witness, with the same bits.
     """
     objective = SearchObjective(config)
     kind = objective.kind
@@ -853,11 +856,10 @@ def scan_dimension(
     `m_for_n` optionally maps n to a target dimension (e.g. ``lambda n: 2**n``
     for max-norm targets that grow with the cube).
     """
-    certificates = []
-    for n in n_values:
-        m = config.m if m_for_n is None else int(m_for_n(n))
-        shaped = SearchConfig(**{**asdict(config), "n": int(n), "m": m})
-        certificates.append(maximize_ratio(shaped))
+    m_of = (lambda n: config.m) if m_for_n is None else m_for_n
+    # Every shape is checked before the first search runs.
+    configs = [replace(config, n=int(n), m=int(m_of(n))) for n in n_values]
+    certificates = [maximize_ratio(shaped) for shaped in configs]
     if csv_path is not None:
         with open(csv_path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)

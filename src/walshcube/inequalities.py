@@ -4,9 +4,12 @@ Each inequality is exposed as its two sides (`*_lhs`, `*_rhs`) or as a
 ratio (`k_convexity_ratio`, `rademacher_type_ratio`).  The functional table
 in `estimators` evaluates every functional through one `sides` function,
 which calls these, and `estimators.functional_report` turns both sides into
-an `InequalityReport`.  A witnessed ratio is a certified lower bound for the
-corresponding space constant; upper bounds are out of reach for any finite
-search and are never claimed.
+an `InequalityReport`.  Behind their boundary checks, these compose the
+raw-array operators and norm kernels that the search's gradients use, so a
+side computed here has the bits of the same side in the search.  A
+witnessed ratio is a certified lower bound for the corresponding space
+constant; upper bounds are out of reach for any finite search and are
+never claimed.
 
 Ratios with a denominator below 1e-14 are degenerate (constant inputs make
 every inequality 0 <= 0) and are reported through the `degenerate` flag
@@ -29,16 +32,21 @@ from .norms import (
     NormSpace,
     RademacherAveragePlan,
     _checked_ratio,
+    _lp_value,
     lp_norm,
     rademacher_average,
     signed_combination_average,
 )
 from .operators import (
     Permutation,
-    conditional_expectation,
+    _condition,
+    _condition_each,
+    _derivative_each,
+    _difference_each,
+    _laplacian_multiplier,
+    _walsh_multiply,
     derivative_stack,
     fractional_laplacian,
-    martingale_difference,
     partial_derivative,
     rademacher_projection,
 )
@@ -187,7 +195,7 @@ def pisier_lhs(f: HypercubeFunction, p: float, space: NormSpace) -> float:
     p = float(p)
     if not (p >= 1.0) or math.isinf(p):
         raise ValueError(f"the deviation functional requires p in [1, inf), got {p}")
-    return lp_norm(f - conditional_expectation(f, 0), p, space)
+    return _lp_value(f.values - _condition(f.values, f.n, 0), p, space)
 
 
 def pisier_rhs(
@@ -197,8 +205,6 @@ def pisier_rhs(
     p = float(p)
     if not (p >= 1.0) or math.isinf(p):
         raise ValueError(f"the deviation functional requires p in [1, inf), got {p}")
-    if f.m != space.m:
-        raise ValueError(f"function into R^{f.m} measured in ell_q^{space.m}")
     return signed_combination_average(derivative_stack(f), p, space, plan)
 
 
@@ -220,10 +226,8 @@ def pisier_report(
 def theorem1_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i (E_i f_i - E_{i-1} f_i) ||_{L_p} for the coordinate filtration."""
     p = _check_open_p(p, "the martingale-difference functional")
-    total = np.zeros((1 << family.n, family.m))
-    for i, f in enumerate(family, start=1):
-        total += martingale_difference(f, i).values
-    return lp_norm(HypercubeFunction.from_values(total), p, space)
+    total = _difference_each(family.stacked(), family.n).sum(axis=-3)
+    return _lp_value(total, p, space)
 
 
 def theorem1_rhs(
@@ -231,21 +235,20 @@ def theorem1_rhs(
 ) -> float:
     """Sign-averaged norm of sum_i delta_i d_i f_i."""
     p = _check_open_p(p, "the martingale-difference functional")
-    if family.m != space.m:
-        raise ValueError(f"family into R^{family.m} measured in ell_q^{space.m}")
-    derivatives = np.stack(
-        [partial_derivative(f, i).values for i, f in enumerate(family, start=1)]
-    )
-    return signed_combination_average(derivatives, p, space, plan)
+    return signed_combination_average(_derivative_each(family.stacked(), family.n), p, space, plan)
 
 
 def corollary2_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
     p = _check_open_p(p, "the inverse-Laplacian functional")
-    total = np.zeros((1 << family.n, family.m))
-    for i, f in enumerate(family, start=1):
-        total += fractional_laplacian(partial_derivative(f, i), -1.0).values
-    return lp_norm(HypercubeFunction.from_values(total), p, space)
+    return _lp_value(_inverse_laplacian_sum(family.stacked(), family.n), p, space)
+
+
+def _inverse_laplacian_sum(stack: np.ndarray, n: int) -> np.ndarray:
+    """sum_i Delta^-1 d_i g_i for a stacked (..., n, 2^n, m) table: one Walsh
+    multiplier applied to the summed derivatives."""
+    summed = _derivative_each(stack, n).sum(axis=-3)
+    return _walsh_multiply(summed, n, _laplacian_multiplier(n, -1.0))
 
 
 def corollary2_rhs(
@@ -260,10 +263,8 @@ def stein_lhs(
 ) -> float:
     """Sign-averaged norm of sum_i delta_i E_i f_i over the coordinate filtration."""
     p = _check_open_p(p, "the conditional-expectation functional")
-    projected = FunctionFamily(
-        tuple(conditional_expectation(f, i) for i, f in enumerate(family, start=1))
-    )
-    return rademacher_average(projected, p, space, plan)
+    projected = _condition_each(family.stacked(), family.n)
+    return signed_combination_average(projected, p, space, plan)
 
 
 def stein_rhs(
@@ -434,7 +435,8 @@ def _rademacher_type_sides(
     """(the sign-averaged || sum_i delta_i x_i ||^s to the power 1/s,
     the ell_s sum of || x_i ||) for a (k, m) table of vectors."""
     numerator = signed_combination_average(vectors[:, None, :], s, space, plan)
-    return numerator, float(np.sum(space.norms(vectors) ** s) ** (1.0 / s))
+    # The ell_s sum of norms is an L_s norm with unit point weights.
+    return numerator, _lp_value(vectors, s, space, np.ones(len(vectors)))
 
 
 def rademacher_type_ratio(vectors: np.ndarray, s: float, space: NormSpace) -> float:

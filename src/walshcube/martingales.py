@@ -23,8 +23,9 @@ from .norms import (
     NormSpace,
     RademacherAveragePlan,
     _checked_ratio,
+    _lp_value,
+    _pattern_norms,
     _Side,
-    _pattern_powers,
     lp_norm_gradient,
     signed_combination_average,
 )
@@ -161,11 +162,22 @@ class FiniteFiltration:
         kind = data["kind"]
         if kind == "dyadic-hypercube" and "levels" not in data:
             return cls.dyadic(int(data["n"]))
-        return cls(
+        filtration = cls(
             kind=kind,
             n=int(data["n"]),
             probabilities=np.asarray(data["probabilities"], dtype=np.float64),
             levels=tuple(np.asarray(lvl, dtype=np.int64) for lvl in data["levels"]),
+        )
+        if kind != "dyadic-hypercube":
+            return filtration
+        # Built only at the size just read, so the comparison allocates no more.
+        dyadic = filtration.size == 1 << filtration.n and cls.dyadic(filtration.n)
+        same = dyadic and np.array_equal(filtration.probabilities, dyadic.probabilities)
+        if same and all(map(np.array_equal, filtration.levels, dyadic.levels)):
+            return dyadic
+        raise ValueError(
+            "a dyadic-hypercube filtration must have the levels and probabilities "
+            "of the coordinate filtration; use kind 'tree' otherwise"
         )
 
 
@@ -257,13 +269,7 @@ def martingale_lp_norm(
     table: np.ndarray, p: float, space: NormSpace, probabilities: np.ndarray
 ) -> float:
     """L_p norm of a (size, m) table under the filtration's point measure."""
-    pointwise = space.norms(table)
-    p = float(p)
-    if math.isinf(p):
-        return float(pointwise.max())
-    if p < 1.0:
-        raise ValueError(f"L_p norm needs p >= 1 or p = inf, got {p}")
-    return float((pointwise**p @ probabilities) ** (1.0 / p))
+    return _lp_value(table, p, space, probabilities)
 
 
 def _check_transform_p(p: float) -> float:
@@ -296,8 +302,8 @@ def _umd_sides(M, p, space, plan):
     """(max over delta of || sum_i delta_i d_i ||_{L_p}, || M_n - M_0 ||_{L_p})."""
     if M.steps > 20:
         raise ValueError("exhaustive sign search is limited to 20 steps")
-    powered, _ = _largest_transform(M.differences(), p, space, M.filtration.probabilities)
-    return float(powered) ** (1.0 / p), _increment_norm(M, p, space)
+    lhs = umd_maximum_gradient(M.differences(), p, space, M.filtration.probabilities)
+    return float(lhs.value), _increment_norm(M, p, space)
 
 
 def _umd_plus_sides(M, p, space, plan):
@@ -310,9 +316,16 @@ def _umd_minus_sides(M, p, space, plan):
 
 def _martingale_type_sides(M, s, space, plan):
     """(|| M_n - M_0 ||_{L_s}, the ell_s sum of the increments' L_s norms)."""
-    probs = M.filtration.probabilities
-    total = sum(martingale_lp_norm(d, s, space, probs) ** s for d in M.differences())
-    return _increment_norm(M, s, space), float(total ** (1.0 / s))
+    increment = _increment_norm(M, s, space)
+    total = _increment_sum_gradient(M.differences(), s, space, M.filtration.probabilities)
+    return increment, float(total.value)
+
+
+def _increment_sum_gradient(diffs, s, space, probs) -> _Side:
+    """(sum_i || d_i ||_{L_s}^s)^(1/s) for (..., n, size, m) increments, with its
+    gradient: one L_s sum over all (step, point) pairs."""
+    pairs = diffs.reshape(*diffs.shape[:-3], -1, diffs.shape[-1])
+    return lp_norm_gradient(pairs, s, space, np.tile(probs, diffs.shape[-3]))
 
 
 def umd_ratio(
@@ -340,16 +353,19 @@ def umd_ratio(
 
 def _largest_transform(
     diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The largest mean p-th power of || sum_i delta_i d_i ||_q over all 2^n
-    sign patterns, with the first pattern (ascending bitmask) that reaches it.
+) -> np.ndarray:
+    """The signs of the first pattern (ascending bitmask) whose transform
+    || sum_i delta_i d_i ||_{L_p} is the largest over all 2^n sign patterns.
 
     `diffs` is (..., n, size, m); leading axes are a batch, and each row
-    gets its own maximum and pattern.
+    gets its own pattern.
     """
     masks = np.arange(1 << diffs.shape[-3], dtype=np.int64)
     best = best_signs = None
-    for signs, powered in _pattern_powers(diffs, p, space.q, masks, probs):
+    for signs, pointwise, _ in _pattern_norms(diffs, space.q, masks):
+        # Only ranks the patterns.  Many tie by symmetry, and the rounding of
+        # this reduction picks among them, so it fixes the search's witnesses.
+        powered = pointwise**p @ probs
         top, k = powered.max(axis=-1), powered.argmax(axis=-1)
         if best is None:
             best, best_signs = top, signs[k]
@@ -357,7 +373,7 @@ def _largest_transform(
             better = top > best
             best = np.where(better, top, best)
             best_signs = np.where(better[..., None], signs[k], best_signs)
-    return best, best_signs
+    return best_signs
 
 
 def umd_maximum_gradient(
@@ -369,7 +385,7 @@ def umd_maximum_gradient(
     differentiated through the first pattern reaching its maximum, the
     pattern `umd_ratio` reports.
     """
-    _, signs = _largest_transform(diffs, p, space, probs)
+    signs = _largest_transform(diffs, p, space, probs)
     *lead, steps, size, m = diffs.shape
     transform = (signs[..., None, :] @ diffs.reshape(*lead, steps, size * m)).reshape(
         *lead, size, m

@@ -201,20 +201,31 @@ def _check_p_finite(p: float) -> float:
 
 def lp_norm(f: HypercubeFunction, p: float, space: NormSpace) -> float:
     """(mean over the cube of ||f(eps)||_X^p)^(1/p); max over the cube for p = inf."""
-    if f.m != space.m:
-        raise ValueError(f"function into R^{f.m} measured in ell_q^{space.m}")
-    pointwise = space.norms(f.values)
+    return _lp_value(f.values, p, space)
+
+
+def _lp_value(table: np.ndarray, p: float, space: NormSpace, weights=None) -> float:
+    """The L_p norm of a (points, m) table under point `weights` (uniform by
+    default): the value of `lp_norm_gradient` for finite p, the largest
+    pointwise norm for p = inf."""
+    if table.shape[-1] != space.m:
+        raise ValueError(f"vectors of length {table.shape[-1]} in ell_q^{space.m}")
     p = float(p)
     if math.isinf(p):
-        return float(pointwise.max())
+        return float(space.norms(table).max())
     if p < 1.0:
         raise ValueError(f"L_p norm needs p >= 1 or p = inf, got {p}")
-    return float(np.mean(pointwise**p) ** (1.0 / p))
+    return float(lp_norm_gradient(table, p, space, weights).value)
 
 
 class _Side:
     """One side of a functional on a batch of raw arrays: its value per row
     and, when asked, its gradient with respect to the batch.
+
+    The package's L_p norms and sign averages are computed only this way:
+    `lp_norm`, `martingale_lp_norm` and `signed_combination_average`
+    return the `value` of a batch of one, so a library call, `eval`, a
+    certificate and each row of the search's batches get the same bits.
 
     `sweep(with_gradient) -> (value, gradient or None)` computes it; a sweep
     for the gradient yields the value in the same pass, with the same bits
@@ -327,35 +338,28 @@ def _sign_blocks(count: int, masks: np.ndarray):
         yield sign_matrix(count, masks[start : start + _CHUNK])
 
 
-def _pattern_norms(tables: np.ndarray, q: float, masks: np.ndarray):
-    """Per sign pattern and point, || sum_i delta_i t_i ||_q.
+def _pattern_norms(tables: np.ndarray, q: float, masks: np.ndarray, with_derivative=False):
+    """Per sign pattern and point, || sum_i delta_i t_i ||_q: the one loop over
+    sign patterns, for the sign averages, their gradient and the umd maximum.
 
-    Yields (signs, pointwise) per chunk of `_sign_blocks` for stacked
-    (..., count, points, m) tables; leading axes are a batch.
+    Yields (signs, pointwise, derivative) per chunk of `_sign_blocks` for
+    stacked (..., count, points, m) tables; leading axes are a batch.
+    `derivative`, the norms' gradient with respect to the combinations, is
+    None unless asked for; the norms have the same bits either way.
     """
-    *lead, count, _, m = tables.shape
-    flat = np.ascontiguousarray(tables.reshape(*lead, count, -1))
-    # One combination buffer for the whole run; repeated fresh allocations
+    *lead, count, points, m = tables.shape
+    flat = np.ascontiguousarray(tables.reshape(*lead, count, points * m))
+    # One combination buffer per call; repeated fresh allocations
     # of the combination table dominate the cost otherwise.
-    buffer = np.empty((*lead, min(_CHUNK, len(masks)), flat.shape[-1]))
+    buffer = np.empty((*lead, min(_CHUNK, len(masks)), points * m))
     for signs in _sign_blocks(count, masks):
         view = buffer[..., : len(signs), :]
         np.matmul(signs, flat, out=view)
-        np.abs(view, out=view)
-        yield signs, _norms_of_absolute(view.reshape(*lead, len(signs), -1, m), q)
-
-
-def _pattern_powers(tables: np.ndarray, p: float, q: float, masks: np.ndarray, weights=None):
-    """Per sign pattern, the point mean of || sum_i delta_i t_i ||_q^p.
-
-    Yields (signs, powered) per chunk of `_sign_blocks`, `powered` with one
-    row per leading (batch) axis of `tables`; the mean is uniform unless
-    `weights` gives point probabilities.  Shared by the sign
-    averages (mean over patterns) and the umd maximum (max over patterns).
-    """
-    for signs, pointwise in _pattern_norms(tables, q, masks):
-        powered = pointwise**p
-        yield signs, (powered.mean(axis=-1) if weights is None else powered @ weights)
+        combos = view.reshape(*lead, len(signs), points, m)
+        if with_derivative:
+            yield signs, *_norms_with_derivative(combos, q)
+        else:
+            yield signs, _norms_of_absolute(np.abs(combos, out=combos), q), None
 
 
 def signed_combination_average(
@@ -371,15 +375,9 @@ def signed_combination_average(
     unless `weights` gives probabilities.  Shared by the cube-side
     Rademacher averages and the martingale transform averages.
     """
-    count, _, m = tables.shape
-    if m != space.m:
-        raise ValueError(f"tables into R^{m} measured in ell_q^{space.m}")
-    p = _check_p_finite(p)
-    masks = _sign_masks(count, plan)
-    accumulated = 0.0
-    for _, powered in _pattern_powers(tables, p, space.q, masks, weights):
-        accumulated += float(powered.sum())
-    return (accumulated / float(len(masks))) ** (1.0 / p)
+    if tables.shape[-1] != space.m:
+        raise ValueError(f"tables into R^{tables.shape[-1]} measured in ell_q^{space.m}")
+    return float(signed_combination_average_gradient(tables, p, space, plan, weights).value)
 
 
 def signed_combination_average_gradient(
@@ -392,9 +390,9 @@ def signed_combination_average_gradient(
     """`signed_combination_average` for (..., count, points, m) tables, with its gradient.
 
     Leading axes are a batch.  A value alone costs one pass over the sign
-    patterns, like `signed_combination_average`; the gradient takes one
-    pass for both, visiting the same patterns in the same chunks, and the
-    backward step of a chunk is signs.T @ (pointwise cotangents).
+    patterns; the gradient takes one pass for both, visiting the same
+    patterns in the same chunks, and the backward step of a chunk is
+    signs.T @ (pointwise cotangents).
     """
     p = _check_p_finite(p)
     if weights is None:
@@ -402,10 +400,15 @@ def signed_combination_average_gradient(
     masks = _sign_masks(tables.shape[-3], plan)
 
     def sweep(with_gradient: bool):
-        gradient = None
-        if with_gradient:
-            gradient = np.zeros(tables.shape[:-2] + (tables.shape[-2] * tables.shape[-1],))
-        total = _sign_sweep(tables, p, space.q, masks, weights, gradient)
+        *lead, count, points, m = tables.shape
+        total = np.zeros(lead)
+        gradient = np.zeros((*lead, count, points * m)) if with_gradient else None
+        for signs, pointwise, derivative in _pattern_norms(tables, space.q, masks, with_gradient):
+            summed, raised = _weighted_powers(pointwise, p, weights, with_gradient)
+            total += summed
+            if with_gradient:
+                cotangent = raised[..., None] * derivative
+                gradient += signs.T @ cotangent.reshape(*lead, len(signs), -1)
         value = np.float_power(total / float(len(masks)), 1.0 / p)
         if with_gradient:
             gradient *= _root_factor(value, p, float(len(masks)))[..., None, None]
@@ -415,31 +418,14 @@ def signed_combination_average_gradient(
     return _Side(sweep)
 
 
-def _sign_sweep(tables, p, q, masks, weights, gradient=None) -> np.ndarray:
-    """Per batch row, the sum over the masks' patterns of the point-weighted
-    || sum_i delta_i t_i ||_q^p; adds its unscaled gradient into `gradient`
-    (shaped (..., count, points * m)) when one is given."""
-    *lead, count, points, m = tables.shape
-    accumulated = np.zeros(lead)
-    if gradient is None:
-        for _, pointwise in _pattern_norms(tables, q, masks):
-            accumulated += _weighted_powers(pointwise, p, weights)[0]
-        return accumulated
-    flat = tables.reshape(*lead, count, points * m)
-    for signs in _sign_blocks(count, masks):
-        combos = (signs @ flat).reshape(*lead, len(signs), points, m)
-        pointwise, derivative = _norms_with_derivative(combos, q)
-        total, raised = _weighted_powers(pointwise, p, weights)
-        accumulated += total
-        gradient += signs.T @ (raised[..., None] * derivative).reshape(*lead, len(signs), -1)
-    return accumulated
-
-
-def _weighted_powers(pointwise, p, weights):
-    """Per batch row, the sum of w ||.||^p over patterns and points, and the
-    factors w ||.||^(p-1) that scale its gradient."""
-    raised = pointwise ** (p - 1.0) * weights
-    return np.sum((raised * pointwise).reshape(*raised.shape[:-2], -1), axis=-1), raised
+def _weighted_powers(pointwise, p, weights, keep_raised: bool):
+    """Per batch row, the sum of w ||.||^p over patterns and points and, when
+    `keep_raised`, the factors w ||.||^(p-1) that scale its gradient
+    (otherwise their buffer holds the summed terms)."""
+    raised = pointwise ** (p - 1.0)
+    raised *= weights
+    terms = raised * pointwise if keep_raised else np.multiply(raised, pointwise, out=raised)
+    return terms.reshape(*terms.shape[:-2], -1).sum(axis=-1), raised
 
 
 def _norms_of_absolute(table: np.ndarray, q: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,7 +390,64 @@ class TestEvalThroughTheLibrary:
         assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+class TestDyadicFiltrationFiles:
+    def martingale_file(self, tmp_path, probabilities, levels):
+        path = tmp_path / "M.json"
+        filtration = {
+            "kind": "dyadic-hypercube", "n": 2, "probabilities": probabilities, "levels": levels
+        }
+        values = [[[0.0]] * 4, [[1.0], [-1.0], [1.0], [-1.0]], [[2.0], [-2.0], [0.0], [0.0]]]
+        write_json(path, {"filtration": filtration, "m": 1, "values": values})
+        return path
+
+    def test_mislabelled_tree_is_an_input_error(self, tmp_path, capsys):
+        # A legal tree, but not the coordinate filtration its kind claims.
+        levels = [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]]
+        path = self.martingale_file(tmp_path, [0.1, 0.2, 0.3, 0.4], levels)
+        assert run_eval("umd-plus", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "dyadic-hypercube" in err
+
+    def test_non_uniform_probabilities_are_an_input_error(self, tmp_path, capsys):
+        levels = FiniteFiltration.dyadic(2).to_json_dict()["levels"]
+        path = self.martingale_file(tmp_path, [0.1, 0.2, 0.3, 0.4], levels)
+        assert run_eval("umd-plus", path) == 2
+        capsys.readouterr()
+
+    def test_the_coordinate_filtration_written_out_is_accepted(self, tmp_path, capsys):
+        spec = FiniteFiltration.dyadic(2).to_json_dict()
+        path = self.martingale_file(tmp_path, spec["probabilities"], spec["levels"])
+        assert run_eval("umd-plus", path) == 0
+        capsys.readouterr()
+
+
 class TestEstimateCommand:
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("estimate", ["--n", "0"]),
+            ("estimate", ["--n", "-1"]),
+            ("estimate", ["--n", "21"]),
+            ("scan", ["--n", "0"]),
+            ("scan", ["--n", "21"]),
+            ("scan", ["--n-min", "0", "--n", "1"]),
+        ],
+    )
+    def test_dimension_out_of_range_exits_before_allocating(self, command, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["--command", command, *flags, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert peak < 1 << 20
+        assert not out.exists()
+
     def test_certificate_file_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"

@@ -1,6 +1,7 @@
 """Extremal search: probes, ascent, certificates, re-evaluation, scans."""
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -32,6 +33,11 @@ class TestSearchConfig:
             SearchConfig(functional="pisier", n=2, m=1, p=2.0, q=2.0, restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(functional="pisier", n=2, m=1, p=2.0, q=2.0, tol=0.0)
+
+    @pytest.mark.parametrize("n", [-1, 0, 21, 30])
+    def test_dimension_range(self, n):
+        with pytest.raises(ValueError, match=r"dimension n must be in \[1, 20\]"):
+            SearchConfig(functional="pisier", n=n, m=1, p=2.0, q=2.0)
 
     def test_p_range(self):
         with pytest.raises(ValueError, match="p in"):
@@ -317,6 +323,24 @@ class TestBatchedSearch:
                 for side, value, gradient in zip(alone, values, gradients):
                     assert side.value == value[k]
                     assert np.array_equal(side.gradient(), gradient[k])
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    def test_sides_have_the_bits_of_batched_rows(self, name):
+        # `sides` (the library route, for certificates and `eval`) and the
+        # search's raw batches run the same kernels, so they agree exactly.
+        p = 1.5 if name.endswith("-type") else 2.5
+        for q, n, m, mode in itertools.product(
+            (1.0, 1.5, 2.0, 3.0, math.inf), (1, 2, 3, 4), (1, 2, 3), ("exact", "monte-carlo")
+        ):
+            cfg = SearchConfig(
+                functional=name, n=n, m=m, p=p, q=q, seed=3, plan_mode=mode, plan_samples=37
+            )
+            objective = SearchObjective(cfg)
+            batch = np.random.default_rng([n, m, 11]).standard_normal((4, objective.dimension))
+            four = [side.value for side in objective.raw_sides(batch)]
+            for k, row in enumerate(batch):
+                one = [side.value[0] for side in objective.raw_sides(row[None])]
+                assert objective.sides(row) == (four[0][k], four[1][k]) == tuple(one)
 
     def test_probes_and_restarts_above_the_row_cap(self):
         cfg = replace(_oracle_config("corollary2", 3.0, probes=40, restarts=20, iterations=3), n=4)

@@ -1,0 +1,75 @@
+"""Fuzzed `eval` inputs: whatever the JSON, `eval` exits 0, 2 or 3 and prints no traceback."""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from walshcube.cli import main
+from walshcube.estimators import FUNCTIONAL_NAMES
+
+FIELDS = [
+    "values", "functions", "vectors", "filtration", "kind", "n", "m", "levels", "probabilities"
+]
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
+)
+ANY_JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(FIELDS), st.text(max_size=3)), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+# Nested lists of numbers, non-finite ones included, in any (often wrong) shape.
+TABLES = st.recursive(
+    st.one_of(st.floats(), st.integers(-3, 3)),
+    lambda inner: st.lists(inner, max_size=5),
+    max_leaves=40,
+)
+# Declared sizes: small ones (a dyadic filtration of n steps holds (n + 1) 2^n
+# ids, so larger in-range ones would only cost memory), out-of-range ones and
+# values that are not integers at all.
+SIZES = st.one_of(
+    st.integers(-2, 6), st.integers(min_value=21), st.floats(), st.text(max_size=3), st.none()
+)
+FILTRATIONS = st.one_of(
+    ANY_JSON,
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["dyadic-hypercube", "tree", "other"]), "n": SIZES},
+        optional={"levels": TABLES, "probabilities": TABLES},
+    ),
+)
+PAYLOADS = st.one_of(
+    ANY_JSON,
+    st.fixed_dictionaries({"values": TABLES}, optional={"n": SIZES, "m": SIZES}),
+    st.fixed_dictionaries({"functions": st.lists(TABLES, max_size=4)}),
+    st.fixed_dictionaries({"vectors": TABLES}),
+    st.fixed_dictionaries({"filtration": FILTRATIONS, "m": SIZES, "values": TABLES}),
+)
+
+
+@pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(payload=PAYLOADS)
+def test_malformed_input_exits_cleanly(name, payload, tmp_path):
+    path = os.path.join(tmp_path, "input.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--command", "eval", "--functional", name, "--in", path])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1

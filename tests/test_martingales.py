@@ -111,6 +111,21 @@ class TestFiniteFiltration:
         for a, b in zip(back.levels, filtration.levels):
             assert np.array_equal(a, b)
 
+    def test_json_dyadic_kind_must_be_the_coordinate_filtration(self):
+        spec = FiniteFiltration.dyadic(2).to_json_dict()
+        assert FiniteFiltration.from_json_dict(spec) is FiniteFiltration.dyadic(2)
+        for key, value in (
+            ("probabilities", [0.1, 0.2, 0.3, 0.4]),
+            ("levels", [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]]),
+        ):
+            with pytest.raises(ValueError, match="coordinate filtration"):
+                FiniteFiltration.from_json_dict({**spec, key: value})
+        # A legal three-point tree that calls itself dyadic.
+        small = {**spec, "probabilities": [0.5, 0.25, 0.25]}
+        small["levels"] = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
+        with pytest.raises(ValueError, match="coordinate filtration"):
+            FiniteFiltration.from_json_dict(small)
+
 
 class TestMartingaleSequence:
     def test_rejects_non_measurable_values(self):
