@@ -27,10 +27,6 @@ from .hypercube import (
     walsh_forward_naive,
     walsh_inverse_naive,
     evaluate_walsh_character,
-    load_function,
-    save_function,
-    load_spectrum,
-    save_spectrum,
 )
 from .operators import (
     Permutation,
@@ -53,7 +49,6 @@ from .norms import (
 )
 from .inequalities import (
     InequalityReport,
-    FactoredProductFunction,
     pisier_lhs,
     pisier_rhs,
     pisier_report,
@@ -65,7 +60,6 @@ from .inequalities import (
     stein_lhs,
     stein_rhs,
     verify_symmetrization_identity,
-    hn_extract_component,
     hn_remark_lhs,
     hn_remark_rhs,
     k_convexity_ratio,
@@ -80,8 +74,6 @@ from .martingales import (
     umd_plus_ratio,
     umd_minus_ratio,
     martingale_type_ratio,
-    load_martingale,
-    save_martingale,
 )
 from .estimators import (
     FUNCTIONAL_NAMES,

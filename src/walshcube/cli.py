@@ -16,7 +16,6 @@ result.  All output is written once at the end of the run.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys

@@ -2,15 +2,17 @@
 
 Each of the 11 two-sided functionals has one entry in the table: the kind
 of witness it reads, the exponents p it accepts, `sides(witness, p, space,
-plan) -> (lhs, rhs)` and an analytic gradient.  `sides` is the only
-definition of a functional's value: `eval` (through `functional_report`),
-`estimate` and `scan` (through `SearchObjective`) and certificate re-checks
-all call it, and `functional_entry` checks the name and p range for all of
-them.  The p ranges are [1, inf) for pisier, (1, 2] for the type exponent
-of rademacher-type and martingale-type, and (1, inf) for the rest.  The
-four martingale functionals read a `MartingaleSequence`: the search builds
-the dyadic martingale of its function, and `eval` reads a martingale file
-or a plain function.
+plan) -> (lhs, rhs)` and an analytic gradient.  `sides` gives the
+certified value: `eval` (through `functional_report`), the certificates of
+`estimate` and `scan` (through `SearchObjective`) and certificate
+re-checks all call it.  The gradient builders compute the same two sides
+on raw batches for the search, and `verify`'s `batched-vs-single` check
+confirms that both agree bit for bit.  `functional_entry` checks the name
+and p range for all of them.  The p ranges are [1, inf) for pisier, (1, 2]
+for the type exponent of rademacher-type and martingale-type, and (1, inf)
+for the rest.  The four martingale functionals read a
+`MartingaleSequence`: the search builds the dyadic martingale of its
+function, and `eval` reads a martingale file or a plain function.
 
 The search maximizes log(lhs/rhs) by gradient ascent with a halving line
 search.  It works on batches: the probes and restart points are drawn and
@@ -118,6 +120,9 @@ _MAX_MISSES = 1000  # consecutive degenerate draws before a search gives up
 # size.  So no budget sizes an allocation, and the kernels' temporaries stay
 # small enough for the cache; larger batches ran slower per row.
 _BATCH_ENTRIES = 1 << 15
+# The most entries a searched witness may hold: 2^n m for a function, n 2^n m
+# for a family.  A scalar function at MAX_DIMENSION just fits.
+_MAX_WITNESS_ENTRIES = 1 << 20
 
 
 class CertificateMismatchError(ValueError):
@@ -154,6 +159,13 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_DIMENSION:
             raise ValueError(f"dimension n must be in [1, {MAX_DIMENSION}], got {self.n}")
+        entry = _FUNCTIONALS.get(self.functional)
+        size = math.prod(entry.kind.shape(self.n, self.m)) if entry else 0
+        if size > _MAX_WITNESS_ENTRIES:
+            raise ValueError(
+                f"a {self.functional} witness at n={self.n}, m={self.m} holds {size} entries;"
+                f" the search allows at most {_MAX_WITNESS_ENTRIES}"
+            )
         if self.restarts < 1 or self.iterations < 1 or self.probes < 1:
             raise ValueError("restarts, iterations and probes must all be >= 1")
         if not (self.step > 0.0):
@@ -528,12 +540,21 @@ def functional_entry(name: str, p: float) -> Functional:
 def functional_report(
     name: str, witness, p: float, space: NormSpace, plan: RademacherAveragePlan
 ) -> InequalityReport:
-    """Both sides of functional `name` at `witness`, with the plan they ran with."""
+    """Both sides of functional `name` at `witness`, with the plan they ran with.
+
+    A side or ratio that overflows to inf or NaN is an input error, never a report.
+    """
     entry = functional_entry(name, p)
     plan = entry.plan(plan)
-    lhs, rhs = entry.sides(witness, p, space, plan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = entry.sides(witness, p, space, plan)
     n, m = entry.kind.dims(witness)
-    return InequalityReport.build(name, lhs, rhs, n, m, float(p), space.q, plan)
+    report = InequalityReport.build(name, lhs, rhs, n, m, float(p), space.q, plan)
+    if not all(math.isfinite(value) for value in (lhs, rhs, report.ratio or 0.0)):
+        raise ValueError(
+            f"{name} is not finite at this input (lhs {lhs}, rhs {rhs}, ratio {report.ratio})"
+        )
+    return report
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ inverse direction carries no factor.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +40,6 @@ __all__ = [
     "sign_vector",
     "sign_matrix",
     "subset_sizes",
-    "load_function",
-    "save_function",
-    "load_spectrum",
-    "save_spectrum",
 ]
 
 
@@ -304,25 +299,3 @@ def walsh_inverse_naive(s: WalshSpectrum) -> HypercubeFunction:
     """Reference O(4^n) evaluation of a Walsh series."""
     w = character_matrix(s.n)
     return HypercubeFunction(n=s.n, m=s.m, values=w @ s.coefficients)
-
-
-def load_function(path: str) -> HypercubeFunction:
-    with open(path, "r", encoding="utf-8") as handle:
-        return HypercubeFunction.from_json_dict(json.load(handle))
-
-
-def save_function(f: HypercubeFunction, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(f.to_json_dict(), handle)
-        handle.write("\n")
-
-
-def load_spectrum(path: str) -> WalshSpectrum:
-    with open(path, "r", encoding="utf-8") as handle:
-        return WalshSpectrum.from_json_dict(json.load(handle))
-
-
-def save_spectrum(s: WalshSpectrum, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(s.to_json_dict(), handle)
-        handle.write("\n")

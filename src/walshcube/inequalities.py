@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, WalshSpectrum, sign_matrix, walsh_forward, walsh_inverse
+from .hypercube import HypercubeFunction, _fwht
 from .norms import (
     DEGENERATE_EPS,
     FunctionFamily,
@@ -38,7 +38,6 @@ from .norms import (
     signed_combination_average,
 )
 from .operators import (
-    Permutation,
     _condition,
     _condition_each,
     _derivative_each,
@@ -46,14 +45,11 @@ from .operators import (
     _laplacian_multiplier,
     _walsh_multiply,
     derivative_stack,
-    fractional_laplacian,
-    partial_derivative,
     rademacher_projection,
 )
 
 __all__ = [
     "InequalityReport",
-    "FactoredProductFunction",
     "pisier_lhs",
     "pisier_rhs",
     "pisier_report",
@@ -64,7 +60,6 @@ __all__ = [
     "stein_lhs",
     "stein_rhs",
     "verify_symmetrization_identity",
-    "hn_extract_component",
     "hn_remark_lhs",
     "hn_remark_rhs",
     "k_convexity_ratio",
@@ -275,135 +270,40 @@ def stein_rhs(
     return rademacher_average(family, p, space, plan)
 
 
-def verify_symmetrization_identity(
-    family: FunctionFamily,
-    permutation_samples: int | None = None,
-    seed: int = 0,
-) -> float:
+def verify_symmetrization_identity(family: FunctionFamily) -> float:
     """Max pointwise gap between the permutation average and the inverse-Laplacian sum.
 
-    Averages sum_i E_i^pi d_{pi(i)} f_{pi(i)} over permutations pi (all n!
-    of them for n <= 8, otherwise `permutation_samples` uniform draws) and
-    compares with sum_i Delta^-1 d_i f_i.
+    Averages sum_i E_i^pi d_{pi(i)} f_{pi(i)} over all n! permutations pi
+    (n <= 8) and compares with sum_i Delta^-1 d_i f_i.
 
-    The permuted projections are applied through their Walsh-restriction
-    rule on precomputed derivative spectra, with a single inverse
-    transform of the accumulated sum; by linearity this matches applying
-    `conditional_expectation_permuted` term by term.
+    E_level^pi keeps exactly the Walsh coefficients A inside the prefix set
+    {pi(1), ..., pi(level)}.  So the average weights coefficient A of
+    d_i f_i by the number of (pi, level) pairs with pi(level) = i whose
+    prefix set contains A, over n!.  These counts come from one pass over
+    the (n!, n) permutation table: a bincount of every (member, prefix set)
+    pair, then each prefix set's count added into all of its subsets, one
+    coordinate bit at a time.  One inverse transform of the weighted
+    derivative spectra gives the average.  The enumeration never uses the
+    1/|A| multiplier it checks.
     """
-    n, m = family.n, family.m
-    derivatives = [partial_derivative(f, i) for i, f in enumerate(family, start=1)]
-
-    if permutation_samples is None:
-        if n > 8:
-            raise ValueError(
-                "full permutation enumeration is limited to n <= 8; "
-                "pass permutation_samples for larger n"
-            )
-        perms = itertools.permutations(range(1, n + 1))
-        count = math.factorial(n)
-    else:
-        if permutation_samples < 1:
-            raise ValueError("permutation sample count must be >= 1")
-        rng = np.random.default_rng(seed)
-        perms = (
-            tuple(int(v) + 1 for v in rng.permutation(n)) for _ in range(permutation_samples)
-        )
-        count = permutation_samples
-
-    spectra = [walsh_forward(d).coefficients for d in derivatives]
-    masks = np.arange(1 << n)
-    accumulated = np.zeros((1 << n, m))
-    for image in perms:
-        pi = Permutation(n=n, image=tuple(image))
-        for level in range(1, n + 1):
-            keep = (masks & ~pi.prefix_mask(level)) == 0
-            accumulated[keep] += spectra[pi(level) - 1][keep]
-    averaged = walsh_inverse(
-        WalshSpectrum(n=n, m=m, coefficients=accumulated / count)
-    ).values
-
-    target = np.zeros((1 << n, m))
-    for d in derivatives:
-        target += fractional_laplacian(d, -1.0).values
-    return float(np.max(np.abs(averaged - target)))
-
-
-@dataclass(frozen=True)
-class FactoredProductFunction:
-    """F(eps, delta) = G_0(eps) + sum_j delta_j G_j(eps) on C_n x C_n.
-
-    The factored form is how product-space inputs are held at any size;
-    a dense (2^n, 2^n, m) table indexed (eps, delta) is accepted up to
-    n = 8 by the extraction below.
-    """
-
-    base: HypercubeFunction
-    components: tuple[HypercubeFunction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        n, m = self.base.n, self.base.m
-        if len(self.components) != n:
-            raise ValueError(f"need exactly n={n} delta-components, got {len(self.components)}")
-        for g in self.components:
-            if (g.n, g.m) != (n, m):
-                raise ValueError("all components must share the base shape")
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    def to_dense(self) -> np.ndarray:
-        """The full (2^n, 2^n, m) table; refuses n > 8."""
-        n = self.n
-        if n > 8:
-            raise ValueError("dense product tables are limited to n <= 8")
-        signs = sign_matrix(n, np.arange(1 << n))  # (delta index, j)
-        stacked = np.stack([g.values for g in self.components])  # (j, eps, m)
-        dense = np.einsum("dj,jem->edm", signs, stacked)
-        dense += self.base.values[:, None, :]
-        return dense
-
-
-def hn_extract_component(
-    product: FactoredProductFunction | np.ndarray, i: int
-) -> HypercubeFunction:
-    """F_i(eps) = 2^-n sum_delta delta_i F(eps, delta).
-
-    For a factored input this is the i-th component exactly; a dense table
-    (eps index, delta index, coordinates) is averaged directly.
-    """
-    if isinstance(product, FactoredProductFunction):
-        if not 1 <= i <= product.n:
-            raise ValueError(f"component {i} out of range 1..{product.n}")
-        return product.components[i - 1]
-
-    dense = np.asarray(product, dtype=np.float64)
-    if dense.ndim == 2:
-        dense = dense[:, :, None]
-    if dense.ndim != 3 or dense.shape[0] != dense.shape[1]:
-        raise ValueError("dense product input must have shape (2^n, 2^n, m)")
-    rows = dense.shape[0]
-    n = rows.bit_length() - 1
-    if rows != 1 << n:
-        raise ValueError("dense product input must have 2^n rows")
+    n = family.n
     if n > 8:
-        raise ValueError("dense product extraction is limited to n <= 8")
-    if not 1 <= i <= n:
-        raise ValueError(f"component {i} out of range 1..{n}")
-    delta_signs = 1.0 - 2.0 * ((np.arange(rows) >> (i - 1)) & 1).astype(np.float64)
-    values = np.einsum("d,edm->em", delta_signs, dense) / rows
-    return HypercubeFunction.from_values(values)
+        raise ValueError("full permutation enumeration is limited to n <= 8")
+    perms = np.array(list(itertools.permutations(range(n))))  # (n!, n), 0-based
+    prefixes = np.bitwise_or.accumulate(1 << perms, axis=1)
+    counts = np.bincount((perms << n | prefixes).ravel(), minlength=n << n).reshape(n, 1 << n)
+    for bit in range(n):  # counts[i, S] += counts[i, S | bit] for S without bit
+        halves = counts.reshape(n, -1, 2, 1 << bit)
+        halves[:, :, 0] += halves[:, :, 1]
+    stack = family.stacked()
+    spectra = _fwht(_derivative_each(stack, n)) / (1 << n)
+    averaged = _fwht((counts[..., None] * spectra).sum(axis=0) / len(perms))
+    return float(np.max(np.abs(averaged - _inverse_laplacian_sum(stack, n))))
 
 
 def hn_remark_lhs(components: FunctionFamily, p: float, space: NormSpace) -> float:
-    """|| sum_i Delta^-1 d_i F_i ||_{L_p} for extracted components F_i: the
-    left side of corollary2, taken on the components."""
+    """|| sum_i Delta^-1 d_i F_i ||_{L_p}: the left side of corollary2,
+    taken on the components F_i."""
     return corollary2_lhs(components, p, space)
 
 
@@ -411,7 +311,7 @@ def hn_remark_rhs(
     components: FunctionFamily, p: float, space: NormSpace, plan: RademacherAveragePlan
 ) -> float:
     """Sign-averaged norm of sum_i delta_i F_i (no derivatives on the right)."""
-    p = _check_open_p(p, "the product-extraction functional")
+    p = _check_open_p(p, "the hn-remark functional")
     return rademacher_average(components, p, space, plan)
 
 

@@ -11,7 +11,6 @@ restriction stays visible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,8 +40,6 @@ __all__ = [
     "umd_plus_ratio",
     "umd_minus_ratio",
     "martingale_type_ratio",
-    "load_martingale",
-    "save_martingale",
 ]
 
 MARTINGALE_TOL = 1e-12
@@ -250,10 +247,21 @@ class MartingaleSequence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MartingaleSequence":
+        spec, values = data["filtration"], np.asarray(data["values"], dtype=np.float64)
+        if spec["kind"] == "dyadic-hypercube" and "levels" not in spec:
+            # The filtration is built at its declared size, so the values'
+            # shape is checked against that size first.  A matching first
+            # axis bounds n by the input's length before 2^n is formed.
+            n = int(spec["n"])
+            if not (values.ndim >= 2 and values.shape[0] == n + 1 and values.shape[1] == 1 << n):
+                raise ValueError(
+                    f"a dyadic-hypercube filtration of {n} steps needs values of leading "
+                    f"shape ({n} + 1, 2^{n}), got {values.shape}"
+                )
         return cls(
-            filtration=FiniteFiltration.from_json_dict(data["filtration"]),
+            filtration=FiniteFiltration.from_json_dict(spec),
             m=int(data["m"]),
-            values=np.asarray(data["values"], dtype=np.float64),
+            values=values,
         )
 
 
@@ -423,14 +431,3 @@ def martingale_type_ratio(M: MartingaleSequence, s: float, space: NormSpace) -> 
     return _checked_ratio(
         *_martingale_type_sides(M, s, space, None), "constant martingale has no type ratio"
     )
-
-
-def load_martingale(path: str) -> MartingaleSequence:
-    with open(path, "r", encoding="utf-8") as handle:
-        return MartingaleSequence.from_json_dict(json.load(handle))
-
-
-def save_martingale(M: MartingaleSequence, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(M.to_json_dict(), handle)
-        handle.write("\n")

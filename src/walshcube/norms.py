@@ -32,6 +32,8 @@ __all__ = [
 
 DEGENERATE_EPS = 1e-14
 
+EXACT_THRESHOLD = 10  # the most members `RademacherAveragePlan.auto` enumerates exactly
+
 _CHUNK = 1024  # sign vectors per block; fixed so reduction order never varies
 
 
@@ -41,7 +43,7 @@ class DegenerateInputError(ValueError):
 
 @dataclass(frozen=True)
 class NormSpace:
-    """The target space ell_q^m with its Hoelder-conjugate index.
+    """The target space ell_q^m.
 
     q may be any real in [1, inf]; use ``math.inf`` for the max norm.
     """
@@ -57,18 +59,6 @@ class NormSpace:
             raise ValueError(f"norm index q must satisfy q >= 1, got {q}")
         object.__setattr__(self, "q", q)
 
-    @property
-    def dual_index(self) -> float:
-        """q* with 1/q + 1/q* = 1 (q* = inf when q = 1 and vice versa)."""
-        if self.q == 1.0:
-            return math.inf
-        if math.isinf(self.q):
-            return 1.0
-        return self.q / (self.q - 1.0)
-
-    def dual(self) -> "NormSpace":
-        return NormSpace(m=self.m, q=self.dual_index)
-
     def norm(self, vector: np.ndarray) -> float:
         return float(self.norms(np.asarray(vector, dtype=np.float64)[None, :])[0])
 
@@ -77,9 +67,6 @@ class NormSpace:
         if table.shape[-1] != self.m:
             raise ValueError(f"vectors of length {table.shape[-1]} in ell_q^{self.m}")
         return _norms_of_absolute(np.abs(table), self.q)
-
-    def label(self) -> str:
-        return f"l{self.q:g}^{self.m}"
 
 
 @dataclass(frozen=True)
@@ -143,14 +130,13 @@ class RademacherAveragePlan:
     """How sign averages are evaluated: exact enumeration or Monte Carlo.
 
     Exact enumeration costs ~ count * 2^count sign vectors and is the
-    default up to `exact_threshold`; beyond it, `samples` deterministic
-    draws keyed on (seed, sample index) are used.
+    default up to `EXACT_THRESHOLD` members; beyond it, `samples`
+    deterministic draws keyed on (seed, sample index) are used.
     """
 
     mode: str = "exact"
     samples: int = 20000
     seed: int = 0
-    exact_threshold: int = 10
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "monte-carlo"):
@@ -159,9 +145,9 @@ class RademacherAveragePlan:
             raise ValueError("sample count must be >= 1")
 
     @classmethod
-    def auto(cls, count: int, samples: int = 20000, seed: int = 0, exact_threshold: int = 10):
-        mode = "exact" if count <= exact_threshold else "monte-carlo"
-        return cls(mode=mode, samples=samples, seed=seed, exact_threshold=exact_threshold)
+    def auto(cls, count: int, samples: int = 20000, seed: int = 0):
+        mode = "exact" if count <= EXACT_THRESHOLD else "monte-carlo"
+        return cls(mode=mode, samples=samples, seed=seed)
 
 
 _MAX_SAMPLED_MEMBERS = 63

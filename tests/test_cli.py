@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -314,6 +317,24 @@ class TestEvalCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_overflowing_sides_are_an_input_error(self, tmp_path):
+        # Finite entries whose squares overflow: lhs and rhs are inf, their ratio NaN.
+        path = tmp_path / "huge.json"
+        write_json(path, {"n": 1, "m": 2, "values": [[1e200, 1e200], [-1e200, 3.0]]})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "walshcube.cli", "--command", "eval", "--functional",
+             "pisier", "--p", "2", "--q", "2", "--in", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("input error: ") and done.stderr.count("\n") == 1
+        assert "not finite" in done.stderr
+
 
 class TestEvalThroughTheLibrary:
     @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
@@ -421,6 +442,22 @@ class TestDyadicFiltrationFiles:
         assert run_eval("umd-plus", path) == 0
         capsys.readouterr()
 
+    def test_declared_size_is_checked_before_the_filtration_is_built(self, tmp_path, capsys):
+        # 82 bytes declaring 18 steps: the coordinate filtration alone would take 46 MB.
+        path = tmp_path / "M.json"
+        write_json(path, {"filtration": {"kind": "dyadic-hypercube", "n": 18}, "m": 1,
+                          "values": [[[0.0]]]})
+        tracemalloc.start()
+        try:
+            code = run_eval("umd", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert peak < 1 << 20
+
 
 class TestEstimateCommand:
     @pytest.mark.parametrize(
@@ -429,6 +466,7 @@ class TestEstimateCommand:
             ("estimate", ["--n", "0"]),
             ("estimate", ["--n", "-1"]),
             ("estimate", ["--n", "21"]),
+            ("estimate", ["--n", "20", "--m", "1048576"]),
             ("scan", ["--n", "0"]),
             ("scan", ["--n", "21"]),
             ("scan", ["--n-min", "0", "--n", "1"]),

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 
 import pytest
@@ -33,11 +34,11 @@ TABLES = st.recursive(
     lambda inner: st.lists(inner, max_size=5),
     max_leaves=40,
 )
-# Declared sizes: small ones (a dyadic filtration of n steps holds (n + 1) 2^n
-# ids, so larger in-range ones would only cost memory), out-of-range ones and
-# values that are not integers at all.
+# Declared sizes: every in-range n and a little beyond it (a declared size is
+# checked against the tables before anything is built at that size), any
+# larger integer, and values that are not integers at all.
 SIZES = st.one_of(
-    st.integers(-2, 6), st.integers(min_value=21), st.floats(), st.text(max_size=3), st.none()
+    st.integers(-2, 22), st.integers(min_value=23), st.floats(), st.text(max_size=3), st.none()
 )
 FILTRATIONS = st.one_of(
     ANY_JSON,
@@ -71,5 +72,8 @@ def test_malformed_input_exits_cleanly(name, payload, tmp_path):
         code = main(["--command", "eval", "--functional", name, "--in", path])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        report = json.loads(out.getvalue())
+        assert all(math.isfinite(report[key]) for key in ("lhs", "rhs", "ratio"))
     if code == 2:
         assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1

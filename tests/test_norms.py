@@ -36,13 +36,6 @@ def random_family(n, m, seed=0):
 
 
 class TestNormSpace:
-    def test_dual_indices(self):
-        assert NormSpace(3, 1.0).dual_index == math.inf
-        assert NormSpace(3, math.inf).dual_index == 1.0
-        assert NormSpace(3, 2.0).dual_index == 2.0
-        assert NormSpace(3, 1.5).dual_index == pytest.approx(3.0)
-        assert NormSpace(3, 1.0).dual() == NormSpace(3, math.inf)
-
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             NormSpace(2, 0.5)
