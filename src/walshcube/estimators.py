@@ -1,29 +1,29 @@
 """The functional table and the random-restart ascent for extremal witnesses.
 
-Each of the 11 two-sided functionals has one entry in the table: the kind
-of witness it reads, the exponents p it accepts, `sides(witness, p, space,
-plan) -> (lhs, rhs)` and an analytic gradient.  `sides` gives the
-certified value: `eval` (through `functional_report`), the certificates of
-`estimate` and `scan` (through `SearchObjective`) and certificate
-re-checks all call it.  The gradient builders compute the same two sides
-on raw batches for the search, and `verify`'s `batched-vs-single` check
-confirms that both agree bit for bit.  `functional_entry` checks the name
-and p range for all of them.  The p ranges are [1, inf) for pisier, (1, 2]
-for the type exponent of rademacher-type and martingale-type, and (1, inf)
-for the rest.  The four martingale functionals read a
-`MartingaleSequence`: the search builds the dyadic martingale of its
-function, and `eval` reads a martingale file or a plain function.
+Each of the 11 two-sided functionals is defined once, by a raw builder
+beside its library form: the cube functionals in `inequalities`, the
+martingale functionals in `martingales`.  Its table entry adds the kind of
+witness it reads and the exponents p it accepts (the range constants of
+`norms`, which the library functions check too).  The search climbs the
+builder on batches; `sides` gives the certified value for `eval` (through
+`functional_report`), the certificates of `estimate` and `scan` and
+certificate re-checks: the builder's values on the one witness, or, for
+the five functionals with a public lhs/rhs pair (pisier, theorem1,
+corollary2, stein, hn-remark), that pair, which runs the same kernels.
+`verify`'s `batched-vs-single` check confirms that both agree bit for
+bit.  The four martingale functionals read a `MartingaleSequence`: the
+search builds the dyadic martingale of its function, and `eval` reads a
+martingale file or a plain function.
 
 The search maximizes log(lhs/rhs) by gradient ascent with a halving line
 search.  It works on batches: the probes and restart points are drawn and
 evaluated a batch of rows at a time, and the restarts climb in lockstep,
 each row making the decisions it would make alone.  Values and gradients
 come from one raw-array pass over the batch, which gives every row the
-bits it gets alone; `sides` runs the same kernels and gives the same
-bits.  Each gradient is adjoint: the functionals compose self-adjoint
-linear maps on the cube (d_i, E_i, centring, Delta^-1, Rad, martingale
-differences) with pointwise ell_q norms, L_p means and sign averages or
-a maximum, so one backward pass costs about one evaluation,
+bits it gets alone.  Each gradient is adjoint: the functionals compose
+self-adjoint linear maps on the cube (d_i, E_i, centring, Delta^-1, Rad,
+martingale differences) with pointwise ell_q norms, L_p means and sign
+averages or a maximum, so one backward pass costs about one evaluation,
 where central differences cost 2 * dim of them.  At the kinks (q = 1,
 q = inf, the umd maximum) it takes one subgradient.  The objective is
 homogeneous of degree zero, so iterates are renormalized to unit scale
@@ -49,9 +49,14 @@ import numpy as np
 from .hypercube import MAX_DIMENSION, HypercubeFunction
 from .inequalities import (
     InequalityReport,
-    _inverse_laplacian_sum,
-    _k_convexity_sides,
-    _rademacher_type_sides,
+    _corollary2_build,
+    _hn_remark_build,
+    _k_convexity_build,
+    _pisier_build,
+    _rademacher_type_build,
+    _stein_build,
+    _theorem1_build,
+    _vector_table,
     corollary2_lhs,
     corollary2_rhs,
     hn_remark_lhs,
@@ -66,38 +71,29 @@ from .inequalities import (
 )
 from .martingales import (
     MartingaleSequence,
-    _increment_sum_gradient,
-    _martingale_type_sides,
-    _umd_minus_sides,
-    _umd_plus_sides,
-    _umd_sides,
+    _Increments,
+    _martingale_type_build,
+    _umd_build,
+    _umd_minus_build,
+    _umd_plus_build,
     make_dyadic_martingale,
-    umd_maximum_gradient,
 )
 from .norms import (
     DEGENERATE_EPS,
+    DEVIATION_P,
+    OPEN_P,
+    TYPE_P,
     FunctionFamily,
     NormSpace,
+    PRange,
     RademacherAveragePlan,
     _Side,
-    lp_norm_gradient,
-    signed_combination_average_gradient,
-)
-from .operators import (
-    _condition,
-    _condition_each,
-    _degree_one_multiplier,
-    _derivative_each,
-    _difference_each,
-    _laplacian_multiplier,
-    _repeat,
-    _walsh_multiply,
+    _values,
 )
 
 __all__ = [
     "Functional",
     "WitnessKind",
-    "PRange",
     "functional_entry",
     "functional_report",
     "SearchConfig",
@@ -172,8 +168,7 @@ class SearchConfig:
             raise ValueError("finite-difference step must be positive")
         if not (self.tol > 0.0):
             raise ValueError("convergence tolerance must be positive")
-        if not (1.0 < float(self.p) < math.inf):
-            raise ValueError(f"search requires p in (1, inf), got {self.p}")
+        OPEN_P.check(self.p, "search")
 
     def space(self) -> NormSpace:
         return NormSpace(m=self.m, q=self.q)
@@ -221,8 +216,9 @@ class WitnessKind:
 
     `name` is the certificate's `witness_kind`; `build` turns a raw array of
     `shape(n, m)` into the validated witness that `sides` reads; `load` does
-    the same for parsed JSON and raises `ValueError` on a malformed input;
-    `dims` gives a witness's (n, m) for its report.
+    the same for parsed JSON; both raise `ValueError` on a malformed input.
+    `dims` gives a witness's (n, m) for its report, and `raw` the array (or,
+    for a martingale, the view of increments) that the builders read.
     """
 
     name: str
@@ -230,6 +226,7 @@ class WitnessKind:
     build: Callable[[np.ndarray], object]
     load: Callable[[object], object]
     dims: Callable[[object], tuple[int, int]]
+    raw: Callable[[object], object]
 
 
 def _json_list(data, key: str) -> list:
@@ -266,12 +263,7 @@ def _load_family(data) -> FunctionFamily:
 
 def _load_vectors(data) -> np.ndarray:
     with _reading("vectors"):
-        vectors = np.asarray(_json_list(data, "vectors"), dtype=np.float64)
-    if vectors.ndim != 2 or vectors.size == 0:
-        raise ValueError(f"'vectors' must be a non-empty (k, m) table, got shape {vectors.shape}")
-    if not np.isfinite(vectors).all():
-        raise ValueError("'vectors' contains non-finite entries")
-    return vectors
+        return _vector_table(_json_list(data, "vectors"))
 
 
 def _load_martingale(data) -> MartingaleSequence:
@@ -295,6 +287,7 @@ _FUNCTION = WitnessKind(
     lambda table: HypercubeFunction.from_values(table),
     _load_function,
     lambda f: (f.n, f.m),
+    lambda f: f.values,
 )
 _FAMILY = WitnessKind(
     "family",
@@ -302,8 +295,11 @@ _FAMILY = WitnessKind(
     lambda stack: FunctionFamily(tuple(HypercubeFunction.from_values(t) for t in stack)),
     _load_family,
     lambda family: (family.n, family.m),
+    FunctionFamily.stacked,
 )
-_VECTORS = WitnessKind("vectors", lambda n, m: (n, m), lambda table: table, _load_vectors, np.shape)
+_VECTORS = WitnessKind(
+    "vectors", lambda n, m: (n, m), _vector_table, _load_vectors, np.shape, lambda v: v
+)
 # The martingale functionals search over functions, read as their dyadic
 # martingales, so their certificates name the witness kind "function".
 _MARTINGALE = WitnessKind(
@@ -312,51 +308,41 @@ _MARTINGALE = WitnessKind(
     lambda table: make_dyadic_martingale(HypercubeFunction.from_values(table)),
     _load_martingale,
     lambda M: (M.steps, M.m),
+    _Increments.of,
 )
-
-
-@dataclass(frozen=True)
-class PRange:
-    """An interval of exponents, open at each end unless that end is closed."""
-
-    low: float
-    high: float
-    low_closed: bool = False
-    high_closed: bool = False
-
-    def __contains__(self, p: float) -> bool:
-        above = self.low <= p if self.low_closed else self.low < p
-        below = p <= self.high if self.high_closed else p < self.high
-        return above and below
-
-    def __str__(self) -> str:
-        return (
-            f"{'[' if self.low_closed else '('}{self.low:g}, "
-            f"{self.high:g}{']' if self.high_closed else ')'}"
-        )
 
 
 @dataclass(frozen=True)
 class Functional:
     """One two-sided functional, defined once for every command.
 
-    `sides(witness, p, space, plan) -> (lhs, rhs)` is its value.
-    `gradient(raw, config, plan) -> (lhs, rhs)` gives both sides per row of
-    a (B, *shape) stack of raw witness arrays for the search, as `_Side`s:
-    a value per row, and its gradient with respect to the stack only when
-    asked.  It never supplies a certified value.  With `exact_signs` the
-    sign averages enumerate every sign vector, whatever plan is asked for.
+    `build(x, n, p, space, plan) -> (lhs, rhs)` is its definition: both
+    sides as `_Side`s on raw witness arrays x with leading batch axes, a
+    value per row and its gradient with respect to x when asked.  The
+    search climbs it on (B, *shape) batches.  `sides(witness, p, space,
+    plan) -> (lhs, rhs)` is the certified value, for `eval`, certificates
+    and re-checks: the builder's values on the one witness, or, where the
+    library has a public lhs/rhs `pair` (pisier, theorem1, corollary2,
+    stein, hn-remark), that pair, which runs the same kernels.  With
+    `exact_signs` the sign averages enumerate every sign vector, whatever
+    plan is asked for.
     """
 
     kind: WitnessKind
     p_range: PRange
-    sides: Callable
-    gradient: Callable
+    build: Callable
+    pair: Callable | None = None
     exact_signs: bool = False
 
     def plan(self, plan: RademacherAveragePlan) -> RademacherAveragePlan:
         """The plan `sides` runs with when `plan` is asked for."""
         return replace(plan, mode="exact") if self.exact_signs else plan
+
+    def sides(self, witness, p: float, space: NormSpace, plan) -> tuple[float, float]:
+        if self.pair is not None:
+            return self.pair(witness, p, space, plan)
+        n, _ = self.kind.dims(witness)
+        return _values(self.build(self.kind.raw(witness), n, p, space, plan))
 
 
 def _pisier_sides(f, p, space, plan):
@@ -379,149 +365,18 @@ def _hn_remark_sides(family, p, space, plan):
     return hn_remark_lhs(family, p, space), hn_remark_rhs(family, p, space, plan)
 
 
-# Analytic gradients.  Each takes a (B, *shape) stack of raw witness arrays
-# and returns its two sides as `_Side`s: both sides per row, computed again
-# on raw arrays, each with its gradient with respect to the stack when
-# asked.  A single witness is a batch of one.  The linear maps are
-# self-adjoint, so each backward step applies the forward map (or, from a
-# stack to one table, its member-wise sum).
-
-
-def _centred_norm_gradient(f, config):
-    """|| f - E_0 f ||_{L_p} (centring is a symmetric projection)."""
-    n = config.n
-    side = lp_norm_gradient(f - _condition(f, n, 0), config.p, config.space())
-    return side.map(lambda g: g - _condition(g, n, 0))
-
-
-def _grad_pisier(f, config, plan):
-    n, p, space = config.n, config.p, config.space()
-    rhs = signed_combination_average_gradient(_derivative_each(_repeat(f, n), n), p, space, plan)
-    lhs = _centred_norm_gradient(f, config)
-    return lhs, rhs.map(lambda g: _derivative_each(g, n).sum(axis=-3))
-
-
-def _grad_derivative_average(family, config, plan):
-    """The shared right side of theorem1 and corollary2: sign average of d_i f_i."""
-    n = config.n
-    side = signed_combination_average_gradient(
-        _derivative_each(family, n), config.p, config.space(), plan
-    )
-    return side.map(lambda g: _derivative_each(g, n))
-
-
-def _grad_inverse_laplacian_sum(family, config):
-    """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
-    n = config.n
-    multiplier = _laplacian_multiplier(n, -1.0)
-    side = lp_norm_gradient(_inverse_laplacian_sum(family, n), config.p, config.space())
-    return side.map(lambda g: _derivative_each(_repeat(_walsh_multiply(g, n, multiplier), n), n))
-
-
-def _grad_theorem1(family, config, plan):
-    n = config.n
-    lhs = lp_norm_gradient(_difference_each(family, n).sum(axis=-3), config.p, config.space())
-    return (
-        lhs.map(lambda g: _difference_each(_repeat(g, n), n)),
-        _grad_derivative_average(family, config, plan),
-    )
-
-
-def _grad_corollary2(family, config, plan):
-    return (
-        _grad_inverse_laplacian_sum(family, config),
-        _grad_derivative_average(family, config, plan),
-    )
-
-
-def _grad_stein(family, config, plan):
-    n, p, space = config.n, config.p, config.space()
-    lhs = signed_combination_average_gradient(_condition_each(family, n), p, space, plan)
-    return (
-        lhs.map(lambda g: _condition_each(g, n)),
-        signed_combination_average_gradient(family, p, space, plan),
-    )
-
-
-def _grad_hn_remark(family, config, plan):
-    rhs = signed_combination_average_gradient(family, config.p, config.space(), plan)
-    return _grad_inverse_laplacian_sum(family, config), rhs
-
-
-def _grad_k_convexity(f, config, plan):
-    n, p, space = config.n, config.p, config.space()
-    multiplier = _degree_one_multiplier(n)
-    lhs = lp_norm_gradient(_walsh_multiply(f, n, multiplier), p, space)
-    return lhs.map(lambda g: _walsh_multiply(g, n, multiplier)), lp_norm_gradient(f, p, space)
-
-
-def _grad_rademacher_type(vectors, config, plan):
-    s, space = config.p, config.space()
-    lhs = signed_combination_average_gradient(vectors[..., None, :], s, space, plan)
-    # The ell_s sum of norms is an L_s norm with unit point weights.
-    rhs = lp_norm_gradient(vectors, s, space, np.ones(vectors.shape[-2]))
-    return lhs.map(lambda g: g[..., 0, :]), rhs
-
-
-def _dyadic_setup(f, config):
-    """The dyadic martingale differences of f and the uniform point measure."""
-    points = f.shape[-2]
-    return _difference_each(_repeat(f, config.n), config.n), np.full(points, 1.0 / points)
-
-
-def _grad_umd(f, config, plan):
-    diffs, probs = _dyadic_setup(f, config)
-    lhs = umd_maximum_gradient(diffs, config.p, config.space(), probs)
-    return lhs.map(lambda g: _difference_each(g, config.n).sum(axis=-3)), _centred_norm_gradient(
-        f, config
-    )
-
-
-def _grad_transform_average(f, config, plan):
-    diffs, probs = _dyadic_setup(f, config)
-    side = signed_combination_average_gradient(
-        diffs, config.p, config.space(), plan, weights=probs
-    )
-    return side.map(lambda g: _difference_each(g, config.n).sum(axis=-3))
-
-
-def _grad_umd_plus(f, config, plan):
-    return _grad_transform_average(f, config, plan), _centred_norm_gradient(f, config)
-
-
-def _grad_umd_minus(f, config, plan):
-    return _centred_norm_gradient(f, config), _grad_transform_average(f, config, plan)
-
-
-def _grad_martingale_type(f, config, plan):
-    diffs, probs = _dyadic_setup(f, config)
-    rhs = _increment_sum_gradient(diffs, config.p, config.space(), probs)
-    return _centred_norm_gradient(f, config), rhs.map(
-        lambda g: _difference_each(g.reshape(diffs.shape), config.n).sum(axis=-3)
-    )
-
-
-_OPEN = PRange(1.0, math.inf)
-_TYPE_EXPONENT = PRange(1.0, 2.0, high_closed=True)
-
 _FUNCTIONALS = {
-    "pisier": Functional(
-        _FUNCTION, PRange(1.0, math.inf, low_closed=True), _pisier_sides, _grad_pisier
-    ),
-    "theorem1": Functional(_FAMILY, _OPEN, _theorem1_sides, _grad_theorem1),
-    "corollary2": Functional(_FAMILY, _OPEN, _corollary2_sides, _grad_corollary2),
-    "stein": Functional(_FAMILY, _OPEN, _stein_sides, _grad_stein),
-    "hn-remark": Functional(_FAMILY, _OPEN, _hn_remark_sides, _grad_hn_remark),
-    "k-convexity": Functional(_FUNCTION, _OPEN, _k_convexity_sides, _grad_k_convexity),
-    "rademacher-type": Functional(
-        _VECTORS, _TYPE_EXPONENT, _rademacher_type_sides, _grad_rademacher_type, exact_signs=True
-    ),
-    "umd": Functional(_MARTINGALE, _OPEN, _umd_sides, _grad_umd),
-    "umd-plus": Functional(_MARTINGALE, _OPEN, _umd_plus_sides, _grad_umd_plus),
-    "umd-minus": Functional(_MARTINGALE, _OPEN, _umd_minus_sides, _grad_umd_minus),
-    "martingale-type": Functional(
-        _MARTINGALE, _TYPE_EXPONENT, _martingale_type_sides, _grad_martingale_type
-    ),
+    "pisier": Functional(_FUNCTION, DEVIATION_P, _pisier_build, _pisier_sides),
+    "theorem1": Functional(_FAMILY, OPEN_P, _theorem1_build, _theorem1_sides),
+    "corollary2": Functional(_FAMILY, OPEN_P, _corollary2_build, _corollary2_sides),
+    "stein": Functional(_FAMILY, OPEN_P, _stein_build, _stein_sides),
+    "hn-remark": Functional(_FAMILY, OPEN_P, _hn_remark_build, _hn_remark_sides),
+    "k-convexity": Functional(_FUNCTION, OPEN_P, _k_convexity_build),
+    "rademacher-type": Functional(_VECTORS, TYPE_P, _rademacher_type_build, exact_signs=True),
+    "umd": Functional(_MARTINGALE, OPEN_P, _umd_build),
+    "umd-plus": Functional(_MARTINGALE, OPEN_P, _umd_plus_build),
+    "umd-minus": Functional(_MARTINGALE, OPEN_P, _umd_minus_build),
+    "martingale-type": Functional(_MARTINGALE, TYPE_P, _martingale_type_build),
 }
 
 FUNCTIONAL_NAMES = tuple(sorted(_FUNCTIONALS))
@@ -532,8 +387,7 @@ def functional_entry(name: str, p: float) -> Functional:
     entry = _FUNCTIONALS.get(name)
     if entry is None:
         raise ValueError(f"unknown functional {name!r}; choose one of {FUNCTIONAL_NAMES}")
-    if p not in entry.p_range:
-        raise ValueError(f"{name} requires p in {entry.p_range}, got {p}")
+    entry.p_range.check(p, name)
     return entry
 
 
@@ -590,17 +444,18 @@ class RatioCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatioCertificate":
         _check_keys(data, "certificate", [f.name for f in fields(cls)])
-        return cls(
-            functional=data["functional"],
-            witness_kind=data["witness_kind"],
-            witness=_freeze(data["witness"]),
-            lhs=float(data["lhs"]),
-            rhs=float(data["rhs"]),
-            ratio=float(data["ratio"]),
-            config=SearchConfig.from_json_dict(data["config"]),
-            discarded_restarts=int(data["discarded_restarts"]),
-            digest=data["digest"],
-        )
+        with _reading("certificate"):
+            return cls(
+                functional=data["functional"],
+                witness_kind=data["witness_kind"],
+                witness=_freeze(data["witness"]),
+                lhs=float(data["lhs"]),
+                rhs=float(data["rhs"]),
+                ratio=float(data["ratio"]),
+                config=SearchConfig.from_json_dict(data["config"]),
+                discarded_restarts=int(data["discarded_restarts"]),
+                digest=data["digest"],
+            )
 
     def witness_array(self) -> np.ndarray:
         return np.asarray(self.witness, dtype=np.float64)
@@ -637,7 +492,7 @@ class SearchObjective:
 
     `sides` evaluates one witness through the functional's `sides`, for
     certificates.  Calling the objective and `gradient` evaluate a (B, dim)
-    batch of flat vectors on raw arrays, through the functional's gradient;
+    batch of flat vectors on raw arrays, through the functional's builder;
     they flag degenerate and non-finite rows one by one.
     """
 
@@ -659,7 +514,8 @@ class SearchObjective:
     def raw_sides(self, batch: np.ndarray) -> tuple[_Side, _Side]:
         """(lhs, rhs) of a (B, dim) batch on raw arrays: values per row, and
         (B, *shape) gradients when asked."""
-        return self.entry.gradient(batch.reshape((-1,) + self.shape), self.config, self.plan)
+        x = batch.reshape((-1,) + self.shape)
+        return self.entry.build(x, self.config.n, self.config.p, self.space, self.plan)
 
     def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(ratio, finite) per row of a (B, dim) batch, without gradients.
@@ -848,12 +704,16 @@ def reevaluate_certificate(cert: RatioCertificate) -> InequalityReport:
     if flat.size != objective.dimension:
         raise CertificateMismatchError("witness size does not match the declared shape")
     lhs, rhs = objective.sides(flat)
+    # Written so that a NaN anywhere fails: every comparison with NaN is False.
     scale = max(abs(cert.lhs), abs(cert.rhs), 1e-30)
-    if abs(lhs - cert.lhs) > 1e-9 * scale or abs(rhs - cert.rhs) > 1e-9 * scale:
+    if not (abs(lhs - cert.lhs) <= 1e-9 * scale and abs(rhs - cert.rhs) <= 1e-9 * scale):
         raise CertificateMismatchError(
             f"stored values (lhs={cert.lhs}, rhs={cert.rhs}) do not reproduce "
             f"(lhs={lhs}, rhs={rhs})"
         )
+    ratio = lhs / rhs if rhs >= DEGENERATE_EPS else math.nan
+    if not (abs(cert.ratio - ratio) <= 1e-9 * abs(ratio)):
+        raise CertificateMismatchError(f"stored ratio {cert.ratio} is not lhs/rhs = {ratio}")
     return InequalityReport.build(
         cert.functional,
         lhs,

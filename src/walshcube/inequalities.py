@@ -1,15 +1,19 @@
 """Left/right functionals for the hypercube inequalities and proof identities.
 
-Each inequality is exposed as its two sides (`*_lhs`, `*_rhs`) or as a
-ratio (`k_convexity_ratio`, `rademacher_type_ratio`).  The functional table
-in `estimators` evaluates every functional through one `sides` function,
-which calls these, and `estimators.functional_report` turns both sides into
-an `InequalityReport`.  Behind their boundary checks, these compose the
-raw-array operators and norm kernels that the search's gradients use, so a
-side computed here has the bits of the same side in the search.  A
-witnessed ratio is a certified lower bound for the corresponding space
-constant; upper bounds are out of reach for any finite search and are
-never claimed.
+Each cube functional is defined here once, by its raw builder (the
+`_*_build` functions at the end): both sides on raw witness arrays with
+leading batch axes, with their gradients, for the search in `estimators`
+and for the certified value.  The library form sits beside it, as two
+sides (`*_lhs`, `*_rhs`) or as a ratio (`k_convexity_ratio`,
+`rademacher_type_ratio`).  The two ratios are the builder's values on one
+witness.  The five lhs/rhs pairs (pisier, theorem1, corollary2, stein,
+hn-remark) are still written out, and the functional table certifies
+these five through them; they compose the same raw-array operators and
+norm kernels, so a side computed here has the bits of the same side in
+the search.  Every library function checks p against the same range
+constants as the table.  A witnessed ratio is a certified lower bound for
+the corresponding space constant; upper bounds are out of reach for any
+finite search and are never claimed.
 
 Ratios with a denominator below 1e-14 are degenerate (constant inputs make
 every inequality 0 <= 0) and are reported through the `degenerate` flag
@@ -28,24 +32,30 @@ import numpy as np
 from .hypercube import HypercubeFunction, _fwht
 from .norms import (
     DEGENERATE_EPS,
+    DEVIATION_P,
+    OPEN_P,
+    TYPE_P,
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
     _checked_ratio,
     _lp_value,
-    lp_norm,
+    _values,
+    lp_norm_gradient,
     rademacher_average,
     signed_combination_average,
+    signed_combination_average_gradient,
 )
 from .operators import (
     _condition,
     _condition_each,
+    _degree_one_multiplier,
     _derivative_each,
     _difference_each,
     _laplacian_multiplier,
+    _repeat,
     _walsh_multiply,
     derivative_stack,
-    rademacher_projection,
 )
 
 __all__ = [
@@ -173,13 +183,6 @@ class InequalityReport:
         )
 
 
-def _check_open_p(p: float, name: str) -> float:
-    p = float(p)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"{name} requires p in (1, inf), got {p}")
-    return p
-
-
 def pisier_envelope(n: int) -> float:
     """The explicit deviation-vs-gradient constant 2 e log n (vacuous at n = 1)."""
     return 2.0 * math.e * math.log(n)
@@ -187,9 +190,7 @@ def pisier_envelope(n: int) -> float:
 
 def pisier_lhs(f: HypercubeFunction, p: float, space: NormSpace) -> float:
     """|| f - mean f ||_{L_p}."""
-    p = float(p)
-    if not (p >= 1.0) or math.isinf(p):
-        raise ValueError(f"the deviation functional requires p in [1, inf), got {p}")
+    p = DEVIATION_P.check(p, "the deviation functional")
     return _lp_value(f.values - _condition(f.values, f.n, 0), p, space)
 
 
@@ -197,9 +198,7 @@ def pisier_rhs(
     f: HypercubeFunction, p: float, space: NormSpace, plan: RademacherAveragePlan
 ) -> float:
     """Sign-averaged norm of sum_i delta_i d_i f."""
-    p = float(p)
-    if not (p >= 1.0) or math.isinf(p):
-        raise ValueError(f"the deviation functional requires p in [1, inf), got {p}")
+    p = DEVIATION_P.check(p, "the deviation functional")
     return signed_combination_average(derivative_stack(f), p, space, plan)
 
 
@@ -220,7 +219,7 @@ def pisier_report(
 
 def theorem1_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i (E_i f_i - E_{i-1} f_i) ||_{L_p} for the coordinate filtration."""
-    p = _check_open_p(p, "the martingale-difference functional")
+    p = OPEN_P.check(p, "the martingale-difference functional")
     total = _difference_each(family.stacked(), family.n).sum(axis=-3)
     return _lp_value(total, p, space)
 
@@ -229,13 +228,13 @@ def theorem1_rhs(
     family: FunctionFamily, p: float, space: NormSpace, plan: RademacherAveragePlan
 ) -> float:
     """Sign-averaged norm of sum_i delta_i d_i f_i."""
-    p = _check_open_p(p, "the martingale-difference functional")
+    p = OPEN_P.check(p, "the martingale-difference functional")
     return signed_combination_average(_derivative_each(family.stacked(), family.n), p, space, plan)
 
 
 def corollary2_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
-    p = _check_open_p(p, "the inverse-Laplacian functional")
+    p = OPEN_P.check(p, "the inverse-Laplacian functional")
     return _lp_value(_inverse_laplacian_sum(family.stacked(), family.n), p, space)
 
 
@@ -257,7 +256,7 @@ def stein_lhs(
     family: FunctionFamily, p: float, space: NormSpace, plan: RademacherAveragePlan
 ) -> float:
     """Sign-averaged norm of sum_i delta_i E_i f_i over the coordinate filtration."""
-    p = _check_open_p(p, "the conditional-expectation functional")
+    p = OPEN_P.check(p, "the conditional-expectation functional")
     projected = _condition_each(family.stacked(), family.n)
     return signed_combination_average(projected, p, space, plan)
 
@@ -266,7 +265,7 @@ def stein_rhs(
     family: FunctionFamily, p: float, space: NormSpace, plan: RademacherAveragePlan
 ) -> float:
     """Sign-averaged norm of sum_i delta_i f_i."""
-    p = _check_open_p(p, "the conditional-expectation functional")
+    p = OPEN_P.check(p, "the conditional-expectation functional")
     return rademacher_average(family, p, space, plan)
 
 
@@ -311,32 +310,26 @@ def hn_remark_rhs(
     components: FunctionFamily, p: float, space: NormSpace, plan: RademacherAveragePlan
 ) -> float:
     """Sign-averaged norm of sum_i delta_i F_i (no derivatives on the right)."""
-    p = _check_open_p(p, "the hn-remark functional")
+    p = OPEN_P.check(p, "the hn-remark functional")
     return rademacher_average(components, p, space, plan)
-
-
-def _k_convexity_sides(f: HypercubeFunction, r: float, space: NormSpace, plan) -> tuple:
-    """(|| Rad f ||_{L_r}, || f ||_{L_r})."""
-    return lp_norm(rademacher_projection(f), r, space), lp_norm(f, r, space)
 
 
 def k_convexity_ratio(f: HypercubeFunction, r: float, space: NormSpace) -> float:
     """|| Rad f ||_{L_r} / || f ||_{L_r}; witnessed values lower-bound the
     degree-one projection norm."""
-    r = _check_open_p(r, "the degree-one projection ratio")
-    return _checked_ratio(
-        *_k_convexity_sides(f, r, space, None), "zero function has no projection ratio"
-    )
+    r = OPEN_P.check(r, "the degree-one projection ratio")
+    sides = _values(_k_convexity_build(f.values, f.n, r, space, None))
+    return _checked_ratio(*sides, "zero function has no projection ratio")
 
 
-def _rademacher_type_sides(
-    vectors: np.ndarray, s: float, space: NormSpace, plan: RademacherAveragePlan
-) -> tuple:
-    """(the sign-averaged || sum_i delta_i x_i ||^s to the power 1/s,
-    the ell_s sum of || x_i ||) for a (k, m) table of vectors."""
-    numerator = signed_combination_average(vectors[:, None, :], s, space, plan)
-    # The ell_s sum of norms is an L_s norm with unit point weights.
-    return numerator, _lp_value(vectors, s, space, np.ones(len(vectors)))
+def _vector_table(vectors) -> np.ndarray:
+    """`vectors` as a non-empty, finite (k, m) float table; anything else is an input error."""
+    table = np.asarray(vectors, dtype=np.float64)
+    if table.ndim != 2 or table.size == 0:
+        raise ValueError(f"'vectors' must be a non-empty (k, m) table, got shape {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValueError("'vectors' contains non-finite entries")
+    return table
 
 
 def rademacher_type_ratio(vectors: np.ndarray, s: float, space: NormSpace) -> float:
@@ -344,13 +337,79 @@ def rademacher_type_ratio(vectors: np.ndarray, s: float, space: NormSpace) -> fl
 
     Exact enumeration over all sign vectors; at most 20 vectors.
     """
-    s = float(s)
-    if not (1.0 < s <= 2.0):
-        raise ValueError(f"type exponent s must lie in (1, 2], got {s}")
-    table = np.asarray(vectors, dtype=np.float64)
-    if table.ndim != 2:
-        raise ValueError("vectors must form a (k, m) table")
+    s = TYPE_P.check(s, "the Rademacher type ratio")
+    table = _vector_table(vectors)
     exact = RademacherAveragePlan(mode="exact")
-    return _checked_ratio(
-        *_rademacher_type_sides(table, s, space, exact), "all-zero vectors have no type ratio"
+    sides = _values(_rademacher_type_build(table, len(table), s, space, exact))
+    return _checked_ratio(*sides, "all-zero vectors have no type ratio")
+
+
+# Raw builders, `build(x, n, p, space, plan) -> (lhs, rhs)` as `_Side`s on
+# (..., *shape) witness arrays.  The linear maps are self-adjoint, so each
+# backward step applies the forward map (or, from a stack to one table, its
+# member-wise sum).
+
+
+def _pisier_build(f, n, p, space, plan):
+    rhs = signed_combination_average_gradient(_derivative_each(_repeat(f, n), n), p, space, plan)
+    lhs = lp_norm_gradient(f - _condition(f, n, 0), p, space)
+    return (
+        lhs.map(lambda g: g - _condition(g, n, 0)),
+        rhs.map(lambda g: _derivative_each(g, n).sum(axis=-3)),
     )
+
+
+def _derivative_average(family, n, p, space, plan):
+    """The shared right side of theorem1 and corollary2: sign average of d_i f_i."""
+    side = signed_combination_average_gradient(_derivative_each(family, n), p, space, plan)
+    return side.map(lambda g: _derivative_each(g, n))
+
+
+def _inverse_laplacian_norm(family, n, p, space):
+    """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
+    multiplier = _laplacian_multiplier(n, -1.0)
+    side = lp_norm_gradient(_inverse_laplacian_sum(family, n), p, space)
+    return side.map(lambda g: _derivative_each(_repeat(_walsh_multiply(g, n, multiplier), n), n))
+
+
+def _theorem1_build(family, n, p, space, plan):
+    lhs = lp_norm_gradient(_difference_each(family, n).sum(axis=-3), p, space)
+    return (
+        lhs.map(lambda g: _difference_each(_repeat(g, n), n)),
+        _derivative_average(family, n, p, space, plan),
+    )
+
+
+def _corollary2_build(family, n, p, space, plan):
+    return _inverse_laplacian_norm(family, n, p, space), _derivative_average(
+        family, n, p, space, plan
+    )
+
+
+def _stein_build(family, n, p, space, plan):
+    lhs = signed_combination_average_gradient(_condition_each(family, n), p, space, plan)
+    return (
+        lhs.map(lambda g: _condition_each(g, n)),
+        signed_combination_average_gradient(family, p, space, plan),
+    )
+
+
+def _hn_remark_build(family, n, p, space, plan):
+    rhs = signed_combination_average_gradient(family, p, space, plan)
+    return _inverse_laplacian_norm(family, n, p, space), rhs
+
+
+def _k_convexity_build(f, n, r, space, plan):
+    """(|| Rad f ||_{L_r}, || f ||_{L_r})."""
+    multiplier = _degree_one_multiplier(n)
+    lhs = lp_norm_gradient(_walsh_multiply(f, n, multiplier), r, space)
+    return lhs.map(lambda g: _walsh_multiply(g, n, multiplier)), lp_norm_gradient(f, r, space)
+
+
+def _rademacher_type_build(vectors, n, s, space, plan):
+    """(the sign-averaged || sum_i delta_i x_i ||^s to the power 1/s,
+    the ell_s sum of || x_i ||) for (..., k, m) tables of vectors."""
+    lhs = signed_combination_average_gradient(vectors[..., None, :], s, space, plan)
+    # The ell_s sum of norms is an L_s norm with unit point weights.
+    rhs = lp_norm_gradient(vectors, s, space, np.ones(vectors.shape[-2]))
+    return lhs.map(lambda g: g[..., 0, :]), rhs

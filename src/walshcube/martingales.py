@@ -7,11 +7,18 @@ are stored the same way: one cell-membership table per level plus a
 probability vector.  All estimated constants are witnessed lower bounds
 over this finite class; reports carry the filtration kind so the
 restriction stays visible.
+
+The four martingale functionals (umd, umd-plus, umd-minus,
+martingale-type) are defined here once, by raw builders that read one
+view of increments, `_Increments`: built from any `MartingaleSequence`
+for `eval` and the ratios below, or from raw functions, as their dyadic
+martingales, for the search.  The ratios are the builders' values on one
+martingale.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,16 +26,20 @@ import numpy as np
 
 from .hypercube import HypercubeFunction, SignAssignment
 from .norms import (
+    OPEN_P,
+    TYPE_P,
     NormSpace,
     RademacherAveragePlan,
     _checked_ratio,
     _lp_value,
     _pattern_norms,
     _Side,
+    _sign_masks,
+    _values,
     lp_norm_gradient,
-    signed_combination_average,
+    signed_combination_average_gradient,
 )
-from .operators import _condition
+from .operators import _condition, _difference_each, _repeat
 
 __all__ = [
     "FiniteFiltration",
@@ -280,60 +291,85 @@ def martingale_lp_norm(
     return _lp_value(table, p, space, probabilities)
 
 
-def _check_transform_p(p: float) -> float:
-    p = float(p)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"martingale transform ratios require p in (1, inf), got {p}")
-    return p
+@dataclass(frozen=True, eq=False)
+class _Increments:
+    """A martingale as the martingale functionals read it, on raw arrays.
+
+    `diffs` holds the increments d_i as (..., steps, size, m), `increment`
+    is M_n - M_0 as (..., size, m) and `probs` the point measure; leading
+    axes are a batch.  `diffs_back` and `increment_back` carry a gradient
+    with respect to `diffs` or `increment` back to the witness.
+    """
+
+    diffs: np.ndarray
+    increment: np.ndarray
+    probs: np.ndarray
+    diffs_back: Callable = lambda g: g
+    increment_back: Callable = lambda g: g
+
+    @classmethod
+    def of(cls, M: MartingaleSequence) -> "_Increments":
+        """Any martingale; gradients stay with respect to its increments."""
+        return cls(M.differences(), M.increment(), M.filtration.probabilities)
+
+    @classmethod
+    def dyadic(cls, f: np.ndarray, n: int) -> "_Increments":
+        """The dyadic martingales of raw (..., 2^n, m) tables f, with gradients
+        carried back to f (the maps d_i and centring are self-adjoint)."""
+        points = f.shape[-2]
+        return cls(
+            _difference_each(_repeat(f, n), n),
+            f - _condition(f, n, 0),
+            np.full(points, 1.0 / points),
+            lambda g: _difference_each(g, n).sum(axis=-3),
+            lambda g: g - _condition(g, n, 0),
+        )
+
+    @classmethod
+    def read(cls, x, n: int) -> "_Increments":
+        """`x` itself when it is a view already, else the dyadic martingales of raw tables x."""
+        return x if isinstance(x, cls) else cls.dyadic(x, n)
+
+    def increment_norm(self, p: float, space: NormSpace) -> _Side:
+        """|| M_n - M_0 ||_{L_p}."""
+        return lp_norm_gradient(self.increment, p, space, self.probs).map(self.increment_back)
+
+    def transform_average(self, p: float, space: NormSpace, plan) -> _Side:
+        """The sign-averaged || sum_i delta_i d_i ||_{L_p}."""
+        side = signed_combination_average_gradient(self.diffs, p, space, plan, weights=self.probs)
+        return side.map(self.diffs_back)
 
 
-# The two sides of each martingale functional, as its entry in the
-# estimators' functional table evaluates them; the ratios below add their
-# exponent and degeneracy checks.
+# Raw builders, `build(x, n, p, space, plan) -> (lhs, rhs)` as in
+# `inequalities`; x is an `_Increments` view or raw functions (the search).
 
 
-def _increment_norm(M: MartingaleSequence, p: float, space: NormSpace) -> float:
-    """|| M_n - M_0 ||_{L_p} under the filtration's point measure."""
-    return martingale_lp_norm(M.increment(), p, space, M.filtration.probabilities)
-
-
-def _transform_average(
-    M: MartingaleSequence, p: float, space: NormSpace, plan: RademacherAveragePlan
-) -> float:
-    """The sign-averaged || sum_i delta_i d_i ||_{L_p}."""
-    return signed_combination_average(
-        M.differences(), p, space, plan, weights=M.filtration.probabilities
-    )
-
-
-def _umd_sides(M, p, space, plan):
+def _umd_build(x, n, p, space, plan):
     """(max over delta of || sum_i delta_i d_i ||_{L_p}, || M_n - M_0 ||_{L_p})."""
-    if M.steps > 20:
-        raise ValueError("exhaustive sign search is limited to 20 steps")
-    lhs = umd_maximum_gradient(M.differences(), p, space, M.filtration.probabilities)
-    return float(lhs.value), _increment_norm(M, p, space)
+    v = _Increments.read(x, n)
+    lhs = umd_maximum_gradient(v.diffs, p, space, v.probs).map(v.diffs_back)
+    return lhs, v.increment_norm(p, space)
 
 
-def _umd_plus_sides(M, p, space, plan):
-    return _transform_average(M, p, space, plan), _increment_norm(M, p, space)
+def _umd_plus_build(x, n, p, space, plan):
+    v = _Increments.read(x, n)
+    return v.transform_average(p, space, plan), v.increment_norm(p, space)
 
 
-def _umd_minus_sides(M, p, space, plan):
-    return _increment_norm(M, p, space), _transform_average(M, p, space, plan)
+def _umd_minus_build(x, n, p, space, plan):
+    v = _Increments.read(x, n)
+    return v.increment_norm(p, space), v.transform_average(p, space, plan)
 
 
-def _martingale_type_sides(M, s, space, plan):
-    """(|| M_n - M_0 ||_{L_s}, the ell_s sum of the increments' L_s norms)."""
-    increment = _increment_norm(M, s, space)
-    total = _increment_sum_gradient(M.differences(), s, space, M.filtration.probabilities)
-    return increment, float(total.value)
-
-
-def _increment_sum_gradient(diffs, s, space, probs) -> _Side:
-    """(sum_i || d_i ||_{L_s}^s)^(1/s) for (..., n, size, m) increments, with its
-    gradient: one L_s sum over all (step, point) pairs."""
-    pairs = diffs.reshape(*diffs.shape[:-3], -1, diffs.shape[-1])
-    return lp_norm_gradient(pairs, s, space, np.tile(probs, diffs.shape[-3]))
+def _martingale_type_build(x, n, s, space, plan):
+    """(|| M_n - M_0 ||_{L_s}, (sum_i || d_i ||_{L_s}^s)^(1/s)): the second is
+    one L_s sum over all (step, point) pairs."""
+    v = _Increments.read(x, n)
+    *lead, steps, size, m = v.diffs.shape
+    total = lp_norm_gradient(
+        v.diffs.reshape(*lead, steps * size, m), s, space, np.tile(v.probs, steps)
+    )
+    return v.increment_norm(s, space), total.map(lambda g: v.diffs_back(g.reshape(v.diffs.shape)))
 
 
 def umd_ratio(
@@ -347,15 +383,16 @@ def umd_ratio(
     With `signs` given the single transform is evaluated; otherwise all
     2^n sign patterns are enumerated and the largest ratio returned.
     """
-    p = _check_transform_p(p)
+    p = OPEN_P.check(p, "the martingale transform ratio")
+    v = _Increments.of(M)
     if signs is None:
-        lhs, rhs = _umd_sides(M, p, space, None)
+        lhs, rhs = _values(_umd_build(v, M.steps, p, space, None))
     else:
         if signs.n != M.steps:
             raise ValueError(f"sign assignment on {signs.n} steps for a {M.steps}-step martingale")
-        transformed = np.tensordot(signs.signs(), M.differences(), axes=(0, 0))
-        lhs = martingale_lp_norm(transformed, p, space, M.filtration.probabilities)
-        rhs = _increment_norm(M, p, space)
+        transformed = np.tensordot(signs.signs(), v.diffs, axes=(0, 0))
+        lhs = martingale_lp_norm(transformed, p, space, v.probs)
+        rhs = martingale_lp_norm(v.increment, p, space, v.probs)
     return _checked_ratio(lhs, rhs, "constant martingale has no transform ratio")
 
 
@@ -366,9 +403,9 @@ def _largest_transform(
     || sum_i delta_i d_i ||_{L_p} is the largest over all 2^n sign patterns.
 
     `diffs` is (..., n, size, m); leading axes are a batch, and each row
-    gets its own pattern.
+    gets its own pattern.  Exact enumeration's member limit applies.
     """
-    masks = np.arange(1 << diffs.shape[-3], dtype=np.int64)
+    masks = _sign_masks(diffs.shape[-3], RademacherAveragePlan(mode="exact"))
     best = best_signs = None
     for signs, pointwise, _ in _pattern_norms(diffs, space.q, masks):
         # Only ranks the patterns.  Many tie by symmetry, and the rounding of
@@ -407,27 +444,22 @@ def umd_plus_ratio(
     M: MartingaleSequence, p: float, space: NormSpace, plan: RademacherAveragePlan
 ) -> float:
     """Sign-averaged transform norm over the final increment norm."""
-    p = _check_transform_p(p)
-    return _checked_ratio(
-        *_umd_plus_sides(M, p, space, plan), "constant martingale has no transform ratio"
-    )
+    p = OPEN_P.check(p, "the martingale transform ratio")
+    sides = _values(_umd_plus_build(_Increments.of(M), M.steps, p, space, plan))
+    return _checked_ratio(*sides, "constant martingale has no transform ratio")
 
 
 def umd_minus_ratio(
     M: MartingaleSequence, p: float, space: NormSpace, plan: RademacherAveragePlan
 ) -> float:
     """Final increment norm over the sign-averaged transform norm."""
-    p = _check_transform_p(p)
-    return _checked_ratio(
-        *_umd_minus_sides(M, p, space, plan), "sign-averaged transform norm is degenerate"
-    )
+    p = OPEN_P.check(p, "the martingale transform ratio")
+    sides = _values(_umd_minus_build(_Increments.of(M), M.steps, p, space, plan))
+    return _checked_ratio(*sides, "sign-averaged transform norm is degenerate")
 
 
 def martingale_type_ratio(M: MartingaleSequence, s: float, space: NormSpace) -> float:
     """|| M_n - M_0 ||_{L_s} over the ell_s sum of increment norms."""
-    s = float(s)
-    if not (1.0 < s <= 2.0):
-        raise ValueError(f"martingale type exponent s must lie in (1, 2], got {s}")
-    return _checked_ratio(
-        *_martingale_type_sides(M, s, space, None), "constant martingale has no type ratio"
-    )
+    s = TYPE_P.check(s, "the martingale type ratio")
+    sides = _values(_martingale_type_build(_Increments.of(M), M.steps, s, space, None))
+    return _checked_ratio(*sides, "constant martingale has no type ratio")

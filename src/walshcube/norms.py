@@ -21,6 +21,7 @@ __all__ = [
     "DegenerateInputError",
     "NormSpace",
     "FunctionFamily",
+    "PRange",
     "RademacherAveragePlan",
     "lp_norm",
     "lp_norm_gradient",
@@ -39,6 +40,39 @@ _CHUNK = 1024  # sign vectors per block; fixed so reduction order never varies
 
 class DegenerateInputError(ValueError):
     """A ratio denominator fell below the degeneracy threshold (1e-14)."""
+
+
+@dataclass(frozen=True)
+class PRange:
+    """An interval of exponents, open at each end unless that end is closed."""
+
+    low: float
+    high: float
+    low_closed: bool = False
+    high_closed: bool = False
+
+    def __str__(self) -> str:
+        return (
+            f"{'[' if self.low_closed else '('}{self.low:g}, "
+            f"{self.high:g}{']' if self.high_closed else ')'}"
+        )
+
+    def check(self, p: float, what: str) -> float:
+        """p as a float, or a one-line `ValueError` naming `what` when p is outside."""
+        p = float(p)
+        above = self.low <= p if self.low_closed else self.low < p
+        below = p <= self.high if self.high_closed else p < self.high
+        if not (above and below):
+            raise ValueError(f"{what} requires p in {self}, got {p}")
+        return p
+
+
+# The exponents each functional accepts, for the library functions and the
+# functional table alike: [1, inf) for pisier's deviation functional, (1, 2]
+# for the type exponents, and (1, inf) for the rest.
+DEVIATION_P = PRange(1.0, math.inf, low_closed=True)
+TYPE_P = PRange(1.0, 2.0, high_closed=True)
+OPEN_P = PRange(1.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -194,8 +228,6 @@ def _lp_value(table: np.ndarray, p: float, space: NormSpace, weights=None) -> fl
     """The L_p norm of a (points, m) table under point `weights` (uniform by
     default): the value of `lp_norm_gradient` for finite p, the largest
     pointwise norm for p = inf."""
-    if table.shape[-1] != space.m:
-        raise ValueError(f"vectors of length {table.shape[-1]} in ell_q^{space.m}")
     p = float(p)
     if math.isinf(p):
         return float(space.norms(table).max())
@@ -260,6 +292,8 @@ def lp_norm_gradient(
     coordinate that `argmax` picks (q = inf); a zero row contributes nothing.
     """
     p = _check_p_finite(p)
+    if table.shape[-1] != space.m:
+        raise ValueError(f"vectors of length {table.shape[-1]} in ell_q^{space.m}")
     if weights is None:
         weights = np.full(table.shape[-2], 1.0 / table.shape[-2])
 
@@ -361,8 +395,6 @@ def signed_combination_average(
     unless `weights` gives probabilities.  Shared by the cube-side
     Rademacher averages and the martingale transform averages.
     """
-    if tables.shape[-1] != space.m:
-        raise ValueError(f"tables into R^{tables.shape[-1]} measured in ell_q^{space.m}")
     return float(signed_combination_average_gradient(tables, p, space, plan, weights).value)
 
 
@@ -381,6 +413,8 @@ def signed_combination_average_gradient(
     signs.T @ (pointwise cotangents).
     """
     p = _check_p_finite(p)
+    if tables.shape[-1] != space.m:
+        raise ValueError(f"tables into R^{tables.shape[-1]} measured in ell_q^{space.m}")
     if weights is None:
         weights = np.full(tables.shape[-2], 1.0 / tables.shape[-2])
     masks = _sign_masks(tables.shape[-3], plan)
@@ -451,6 +485,11 @@ def rademacher_average(
 ) -> float:
     """(2^-n sum_delta || sum_i delta_i g_i ||_{L_p}^p)^(1/p) over delta in C_n."""
     return signed_combination_average(family.stacked(), p, space, plan)
+
+
+def _values(sides) -> tuple[float, ...]:
+    """The values of `_Side`s built on one witness (no batch axes), as floats."""
+    return tuple(float(side.value) for side in sides)
 
 
 def _checked_ratio(lhs: float, rhs: float, degenerate: str) -> float:

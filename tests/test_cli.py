@@ -363,13 +363,34 @@ class TestEvalThroughTheLibrary:
         "martingale-type": ((1.0, 2.01), 2.0),
     }
 
+    # Per functional: its library functions, each called as fn(witness, p, space, plan).
+    LIBRARY_FUNCTIONS = {
+        "pisier": (lambda f, p, space, plan: pisier_lhs(f, p, space), pisier_rhs),
+        "theorem1": (lambda g, p, space, plan: theorem1_lhs(g, p, space), theorem1_rhs),
+        "corollary2": (lambda g, p, space, plan: corollary2_lhs(g, p, space), corollary2_rhs),
+        "stein": (stein_lhs, stein_rhs),
+        "hn-remark": (lambda g, p, space, plan: hn_remark_lhs(g, p, space), hn_remark_rhs),
+        "k-convexity": (lambda f, p, space, plan: k_convexity_ratio(f, p, space),),
+        "rademacher-type": (lambda v, p, space, plan: rademacher_type_ratio(v, p, space),),
+        "umd": (lambda M, p, space, plan: umd_ratio(M, p, space),),
+        "umd-plus": (umd_plus_ratio,),
+        "umd-minus": (umd_minus_ratio,),
+        "martingale-type": (lambda M, p, space, plan: martingale_type_ratio(M, p, space),),
+    }
+
     @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
     def test_p_range(self, name, eval_inputs, capsys):
-        path, _ = eval_inputs[INPUT_KIND[name]]
+        path, witness = eval_inputs[INPUT_KIND[name]]
         outside, inside = self.P_PROBES[name]
+        space, plan = NormSpace(3, 2.0), RademacherAveragePlan(mode="exact")
         for p in outside:
             assert run_eval(name, path, "--p", str(p)) == 2, p
+            for library_function in self.LIBRARY_FUNCTIONS[name]:
+                with pytest.raises(ValueError, match="requires p in"):
+                    library_function(witness, p, space, plan)
         assert run_eval(name, path, "--p", str(inside)) == 0
+        for library_function in self.LIBRARY_FUNCTIONS[name]:
+            assert math.isfinite(library_function(witness, inside, space, plan))
         capsys.readouterr()
 
     @pytest.mark.parametrize("name", ["umd", "umd-plus", "umd-minus", "martingale-type"])
@@ -457,6 +478,31 @@ class TestDyadicFiltrationFiles:
         assert code == 2
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert peak < 1 << 20
+
+
+def test_umd_beyond_20_steps_fails_before_any_mask_is_built(tmp_path, capsys):
+    # Two points and 21 steps, of which only the first moves: the 2^21 sign
+    # patterns of exact enumeration would take a 16 MiB mask array.
+    filtration = FiniteFiltration.tree([[0, 0]] + [[0, 1]] * 21, [0.5, 0.5])
+    values = np.array([[[0.0], [0.0]]] + [[[1.0], [-1.0]]] * 21)
+    M = MartingaleSequence(filtration=filtration, m=1, values=values)
+    path = tmp_path / "M.json"
+    write_json(path, M.to_json_dict())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limited to 20"):
+            umd_ratio(M, 2.0, NormSpace(1, 2.0))
+        library_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code = run_eval("umd", path)
+        eval_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "limited to 20" in err
+    assert library_peak < 1 << 20 and eval_peak < 1 << 20
 
 
 class TestEstimateCommand:

@@ -16,6 +16,7 @@ from walshcube.estimators import (
     RatioCertificate,
     SearchConfig,
     SearchObjective,
+    _certificate_digest,
     load_certificate,
     maximize_ratio,
     reevaluate_certificate,
@@ -206,6 +207,41 @@ class TestCertificates:
         with pytest.raises(CertificateMismatchError, match="reproduce"):
             reevaluate_certificate(bad)
 
+    def test_edited_ratio_is_rejected(self):
+        # The digest covers the witness and the config, not the stored values.
+        cert = maximize_ratio(SearchConfig(functional="pisier", n=3, m=2, p=2.5, q=4.0, **FAST))
+        with pytest.raises(CertificateMismatchError, match="stored ratio"):
+            reevaluate_certificate(replace(cert, ratio=1e9))
+
+    def test_non_finite_claims_are_rejected(self):
+        cert = self.make_cert()
+        with pytest.raises(CertificateMismatchError, match="do not reproduce"):
+            reevaluate_certificate(replace(cert, lhs=math.nan, rhs=math.nan, ratio=math.nan))
+        with pytest.raises(CertificateMismatchError, match="stored ratio"):
+            reevaluate_certificate(replace(cert, ratio=math.nan))
+
+    def test_non_finite_vector_witness_is_an_input_error(self):
+        cfg = SearchConfig(
+            functional="rademacher-type", n=3, m=2, p=1.5, q=1.0, restarts=1, iterations=2,
+            probes=3,
+        )
+        cert = maximize_ratio(cfg)
+        witness = cert.witness_array()
+        witness[0, 0] = math.nan
+        frozen = tuple(tuple(row) for row in witness.tolist())
+        digest = _certificate_digest(cert.functional, cert.witness_kind, frozen, cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            reevaluate_certificate(replace(cert, witness=frozen, digest=digest))
+
+    def test_wrongly_typed_config_fields_are_input_errors(self, tmp_path):
+        data = json.loads(self.make_cert().to_json())
+        path = tmp_path / "cert.json"
+        for key, value in (("n", "3"), ("m", "2"), ("functional", ["x"])):
+            path.write_text(json.dumps({**data, "config": {**data["config"], key: value}}))
+            with pytest.raises(ValueError, match="malformed certificate") as error:
+                load_certificate(str(path))
+            assert "\n" not in str(error.value), key
+
     def test_rademacher_type_recheck_reports_exact_enumeration(self):
         cfg = SearchConfig(
             functional="rademacher-type", n=11, m=1, p=2.0, q=1.0, restarts=1, iterations=1,
@@ -317,8 +353,9 @@ class TestBatchedSearch:
             values = [side.value for side in objective.raw_sides(batch)]
             gradients = [side.gradient() for side in objective.raw_sides(batch)]
             for k, row in enumerate(batch):
-                alone = objective.entry.gradient(
-                    row.reshape(objective.shape), objective.config, objective.plan
+                config = objective.config
+                alone = objective.entry.build(
+                    row.reshape(objective.shape), config.n, config.p, objective.space, objective.plan
                 )
                 for side, value, gradient in zip(alone, values, gradients):
                     assert side.value == value[k]
