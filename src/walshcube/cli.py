@@ -26,6 +26,8 @@ import numpy as np
 from .estimators import (
     FUNCTIONAL_NAMES,
     SearchConfig,
+    _json_list,
+    _reading,
     functional_entry,
     functional_report,
     maximize_ratio,
@@ -274,15 +276,14 @@ def cmd_bench(args) -> int:
 
 def cmd_transform(args) -> int:
     data = _load_json(args.input_path)
-    if "values" in data:
-        f = HypercubeFunction.from_json_dict(data)
-        out = walsh_forward(f).to_json_dict()
-    elif "coefficients" in data:
-        s = WalshSpectrum.from_json_dict(data)
-        out = walsh_inverse(s).to_json_dict()
-    else:
-        raise ValueError("transform input must carry either 'values' or 'coefficients'")
-    _emit(json.dumps(out), args.output_path)
+    forward = isinstance(data, dict) and "values" in data
+    _json_list(data, "values" if forward else "coefficients")
+    with _reading("transform"), np.errstate(over="ignore", invalid="ignore"):
+        if forward:
+            out = walsh_forward(HypercubeFunction.from_json_dict(data))
+        else:
+            out = walsh_inverse(WalshSpectrum.from_json_dict(data))
+    _emit(json.dumps(out.to_json_dict()), args.output_path)
     return EXIT_OK
 
 

@@ -192,8 +192,10 @@ class SearchConfig:
         required = [f.name for f in fields(cls) if f.default is MISSING]
         _check_keys(data, "certificate config", required, allowed=names)
         data = dict(data)
-        if data.get("q") in ("inf", "Infinity"):
+        if data["q"] in ("inf", "Infinity"):
             data["q"] = math.inf
+        if isinstance(data["q"], bool) or not isinstance(data["q"], (int, float)):
+            raise ValueError(f"certificate config q must be a number or 'inf', got {data['q']!r}")
         return cls(**data)
 
 

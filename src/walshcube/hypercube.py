@@ -11,16 +11,20 @@ The fixed bit convention, shared by every module and file format:
 
 Under this convention the Walsh character is w_A(eps) = prod_{i in A} eps_i
 = (-1)^popcount(A & k), flipping coordinate i is XOR with 1 << (i-1), and
-the fast transform is the standard radix-2 butterfly.
+the fast transform is the radix-2 butterfly, run in Pease's constant-geometry
+order (see `_fwht`).
 
 Forward coefficients carry the averaging factor: fhat(A) is the mean of
 f(eps) * w_A(eps) over the cube, so fhat(empty set) is the mean of f.  The
 inverse direction carries no factor.
+
+Public constructors copy their table; the transforms and operators hand the
+arrays they compute to `_own`, which checks them and sets them read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,7 +54,11 @@ def _check_dimension(n: int) -> None:
 
 def _coerce_table(values: np.ndarray, what: str) -> tuple[int, int, np.ndarray]:
     """Validate a dense (2^n, m) table and return (n, m, read-only float64 copy)."""
-    table = np.array(values, dtype=np.float64, order="C")
+    return _check_table(np.array(values, dtype=np.float64, order="C"), what)
+
+
+def _check_table(table: np.ndarray, what: str) -> tuple[int, int, np.ndarray]:
+    """Validate a float64 table and return (n, m, the table set read-only)."""
     if table.ndim == 1:
         table = table[:, None]
     if table.ndim != 2:
@@ -68,6 +76,13 @@ def _coerce_table(values: np.ndarray, what: str) -> tuple[int, int, np.ndarray]:
     return n, m, table
 
 
+def _own(cls, table: np.ndarray):
+    """`cls(n, m, table)` for a float64 table the caller has just computed: same checks, no copy."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip((field.name for field in fields(cls)), _check_table(table, cls._what)))
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class HypercubeFunction:
     """A function f : C_n -> R^m stored as a dense table of 2^n rows.
@@ -80,9 +95,10 @@ class HypercubeFunction:
     n: int
     m: int
     values: np.ndarray
+    _what = "function"
 
     def __post_init__(self) -> None:
-        n, m, table = _coerce_table(self.values, "function")
+        n, m, table = _coerce_table(self.values, self._what)
         if n != self.n or m != self.m:
             raise ValueError(
                 f"declared shape (n={self.n}, m={self.m}) does not match "
@@ -92,8 +108,7 @@ class HypercubeFunction:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "HypercubeFunction":
-        n, m, table = _coerce_table(values, "function")
-        return cls(n=n, m=m, values=table)
+        return cls(*_coerce_table(values, cls._what))
 
     @classmethod
     def constant(cls, n: int, vector: np.ndarray) -> "HypercubeFunction":
@@ -116,19 +131,19 @@ class HypercubeFunction:
 
     def __add__(self, other: "HypercubeFunction") -> "HypercubeFunction":
         self._check_same_shape(other)
-        return HypercubeFunction.from_values(self.values + other.values)
+        return _own(HypercubeFunction, self.values + other.values)
 
     def __sub__(self, other: "HypercubeFunction") -> "HypercubeFunction":
         self._check_same_shape(other)
-        return HypercubeFunction.from_values(self.values - other.values)
+        return _own(HypercubeFunction, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "HypercubeFunction":
-        return HypercubeFunction.from_values(self.values * float(scalar))
+        return _own(HypercubeFunction, self.values * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "HypercubeFunction":
-        return HypercubeFunction.from_values(-self.values)
+        return _own(HypercubeFunction, -self.values)
 
     def _check_same_shape(self, other: "HypercubeFunction") -> None:
         if (self.n, self.m) != (other.n, other.m):
@@ -156,9 +171,10 @@ class WalshSpectrum:
     n: int
     m: int
     coefficients: np.ndarray
+    _what = "spectrum"
 
     def __post_init__(self) -> None:
-        n, m, table = _coerce_table(self.coefficients, "spectrum")
+        n, m, table = _coerce_table(self.coefficients, self._what)
         if n != self.n or m != self.m:
             raise ValueError(
                 f"declared shape (n={self.n}, m={self.m}) does not match "
@@ -168,8 +184,7 @@ class WalshSpectrum:
 
     @classmethod
     def from_coefficients(cls, coefficients: np.ndarray) -> "WalshSpectrum":
-        n, m, table = _coerce_table(coefficients, "spectrum")
-        return cls(n=n, m=m, coefficients=table)
+        return cls(*_coerce_table(coefficients, cls._what))
 
     def coefficient(self, subset: int) -> np.ndarray:
         if not 0 <= subset < (1 << self.n):
@@ -254,34 +269,36 @@ def _fwht(table: np.ndarray) -> np.ndarray:
 
     Computes out[s] = sum_k table[k] * (-1)^popcount(k & s) in O(n 2^n)
     per column, for a (2^n, m) table or a (..., 2^n, m) stack of them.
-    Pure numpy reshapes; the reduction order is fixed by the stage
-    structure, so results are deterministic and the same for every table
-    of a stack as for that table alone.
+    Pease's constant-geometry order: each column, transposed to a contiguous
+    row x, goes through n stages y[j] = x[2j] + x[2j+1], y[j + 2^(n-1)] =
+    x[2j] - x[2j+1].  A stage rotates the position bits right by one, so stage
+    t pairs bit t - 1 of the natural index with the operands and order of the
+    in-place stage h = 2^(t-1) (the oracle in `tests/_naive.py`), and n
+    rotations restore natural order: same bits, one long strided loop per
+    ufunc, and every table of a stack gets the bits it gets alone.
     """
     rows, columns = table.shape[-2:]
-    # A stack is one tall table: no butterfly block crosses a table boundary.
-    source = np.array(table, dtype=np.float64).reshape(-1, columns)
+    source = np.empty(table.shape[:-2] + (columns, rows))
+    np.copyto(source, np.swapaxes(table, -1, -2))
     target = np.empty_like(source)  # stages alternate between two buffers
-    h = 1
-    while h < rows:
-        blocks = source.reshape(-1, 2, h, columns)
-        halves = target.reshape(blocks.shape)
-        np.add(blocks[:, 0], blocks[:, 1], out=halves[:, 0])
-        np.subtract(blocks[:, 0], blocks[:, 1], out=halves[:, 1])
+    half = rows // 2
+    for _ in range(rows.bit_length() - 1):
+        np.add(source[..., 0::2], source[..., 1::2], out=target[..., :half])
+        np.subtract(source[..., 0::2], source[..., 1::2], out=target[..., half:])
         source, target = target, source
-        h *= 2
-    return source.reshape(table.shape)
+    return np.ascontiguousarray(np.swapaxes(source, -1, -2))
 
 
 def walsh_forward(f: HypercubeFunction) -> WalshSpectrum:
     """Walsh coefficients fhat(A) = 2^-n sum_eps f(eps) w_A(eps) (fast butterfly)."""
-    coeffs = _fwht(f.values) / (1 << f.n)
-    return WalshSpectrum(n=f.n, m=f.m, coefficients=coeffs)
+    coeffs = _fwht(f.values)
+    coeffs /= 1 << f.n
+    return _own(WalshSpectrum, coeffs)
 
 
 def walsh_inverse(s: WalshSpectrum) -> HypercubeFunction:
     """Evaluate f(eps) = sum_A fhat(A) w_A(eps) (fast butterfly, no factor)."""
-    return HypercubeFunction(n=s.n, m=s.m, values=_fwht(s.coefficients))
+    return _own(HypercubeFunction, _fwht(s.coefficients))
 
 
 def walsh_forward_naive(f: HypercubeFunction) -> WalshSpectrum:

@@ -18,6 +18,7 @@ from .hypercube import (
     HypercubeFunction,
     WalshSpectrum,
     _fwht,
+    _own,
     subset_sizes,
     walsh_forward,
     walsh_inverse,
@@ -90,7 +91,7 @@ def _flipped(f: HypercubeFunction, i: int) -> np.ndarray:
 
 def partial_derivative(f: HypercubeFunction, i: int) -> HypercubeFunction:
     """d_i f(eps) = (f(eps) - f(eps with coordinate i flipped)) / 2."""
-    return HypercubeFunction(n=f.n, m=f.m, values=0.5 * (f.values - _flipped(f, i)))
+    return _own(HypercubeFunction, 0.5 * (f.values - _flipped(f, i)))
 
 
 def derivative_stack(f: HypercubeFunction) -> np.ndarray:
@@ -100,7 +101,7 @@ def derivative_stack(f: HypercubeFunction) -> np.ndarray:
 
 def averaging_operator(f: HypercubeFunction, i: int) -> HypercubeFunction:
     """E_i f(eps) = (f(eps) + f(eps with coordinate i flipped)) / 2 = (id - d_i) f."""
-    return HypercubeFunction(n=f.n, m=f.m, values=0.5 * (f.values + _flipped(f, i)))
+    return _own(HypercubeFunction, 0.5 * (f.values + _flipped(f, i)))
 
 
 def conditional_expectation(f: HypercubeFunction, level: int) -> HypercubeFunction:
@@ -114,7 +115,7 @@ def conditional_expectation(f: HypercubeFunction, level: int) -> HypercubeFuncti
         raise ValueError(f"level {level} out of range 0..{f.n}")
     if level == f.n:
         return f
-    return HypercubeFunction(n=f.n, m=f.m, values=_condition(f.values, f.n, level))
+    return _own(HypercubeFunction, _condition(f.values, f.n, level))
 
 
 def conditional_expectation_permuted(
@@ -132,7 +133,7 @@ def conditional_expectation_permuted(
     masks = np.arange(1 << f.n)
     keep = (masks & ~allowed) == 0
     coeffs = np.where(keep[:, None], spectrum.coefficients, 0.0)
-    return walsh_inverse(WalshSpectrum(n=f.n, m=f.m, coefficients=coeffs))
+    return walsh_inverse(_own(WalshSpectrum, coeffs))
 
 
 def fractional_laplacian(f: HypercubeFunction, alpha: float) -> HypercubeFunction:
@@ -140,14 +141,13 @@ def fractional_laplacian(f: HypercubeFunction, alpha: float) -> HypercubeFunctio
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    values = _walsh_multiply(f.values, f.n, _laplacian_multiplier(f.n, alpha))
-    return HypercubeFunction(n=f.n, m=f.m, values=values)
+    multiplier = _laplacian_multiplier(f.n, alpha)
+    return _own(HypercubeFunction, _walsh_multiply(f.values, f.n, multiplier))
 
 
 def rademacher_projection(f: HypercubeFunction) -> HypercubeFunction:
     """Keep exactly the degree-one Walsh terms fhat({i}) w_{i}."""
-    values = _walsh_multiply(f.values, f.n, _degree_one_multiplier(f.n))
-    return HypercubeFunction(n=f.n, m=f.m, values=values)
+    return _own(HypercubeFunction, _walsh_multiply(f.values, f.n, _degree_one_multiplier(f.n)))
 
 
 def martingale_difference(f: HypercubeFunction, i: int) -> HypercubeFunction:

@@ -135,11 +135,11 @@ def run_verification_suite(
     record("fast-vs-naive-transform", worst_naive, 1e-12)
     record("parseval", worst_parseval, 1e-10)
 
-    # Character orthogonality in exact integer arithmetic.
+    # Character orthogonality, exact in float64: +-1 products, integer sums below 2^53.
     ortho_n = min(n, 8)
-    w = character_matrix(ortho_n).astype(np.int64)
+    w = character_matrix(ortho_n)
     gram = w @ w.T
-    expected = (1 << ortho_n) * np.eye(1 << ortho_n, dtype=np.int64)
+    expected = (1 << ortho_n) * np.eye(1 << ortho_n)
     record("character-orthogonality", float(np.max(np.abs(gram - expected))), 0.0)
 
     # Pointwise operator identities.

@@ -48,6 +48,29 @@ def inverse_double_sum(s: WalshSpectrum) -> np.ndarray:
     return values
 
 
+def butterfly_in_place_order(table: np.ndarray) -> np.ndarray:
+    """The unnormalized Walsh butterfly along axis -2, stage by stage in place.
+
+    Stage h = 1, 2, 4, ... replaces each pair (x[k], x[k + h]) whose lower
+    index has bit log2(h) clear by (x[k] + x[k + h], x[k] - x[k + h]).  This
+    is the library's butterfly before it took Pease's constant-geometry
+    order; both add the same operands in the same order, so their outputs
+    agree bit for bit.
+    """
+    rows, columns = table.shape[-2:]
+    source = np.array(table, dtype=np.float64).reshape(-1, columns)
+    target = np.empty_like(source)
+    h = 1
+    while h < rows:
+        blocks = source.reshape(-1, 2, h, columns)
+        halves = target.reshape(blocks.shape)
+        np.add(blocks[:, 0], blocks[:, 1], out=halves[:, 0])
+        np.subtract(blocks[:, 0], blocks[:, 1], out=halves[:, 1])
+        source, target = target, source
+        h *= 2
+    return source.reshape(table.shape)
+
+
 def conditional_expectation_sum(f: HypercubeFunction, level: int) -> np.ndarray:
     """The defining average over the trailing coordinates, looped per point."""
     size = 1 << f.n

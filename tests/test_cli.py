@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -617,3 +618,24 @@ class TestTransformCommand:
         code = main(["--command", "transform", "--in", str(path)])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            5,
+            {"values": [{}]},
+            {"values": [[1e308], [1e308]]},
+            {"coefficients": [[1e308], [1e308]]},
+        ],
+        ids=["top-level-number", "object-entry", "forward-overflow", "inverse-overflow"],
+    )
+    def test_malformed_or_overflowing_input_is_one_line_error(self, payload, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        write_json(path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would be a second line
+            code = main(["--command", "transform", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1

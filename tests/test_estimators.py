@@ -242,6 +242,15 @@ class TestCertificates:
                 load_certificate(str(path))
             assert "\n" not in str(error.value), key
 
+    def test_q_other_than_a_number_or_inf_is_an_input_error(self, tmp_path):
+        data = json.loads(self.make_cert().to_json())
+        path = tmp_path / "cert.json"
+        for value in ("2", "infinity", None, [2.0], True):
+            path.write_text(json.dumps({**data, "config": {**data["config"], "q": value}}))
+            with pytest.raises(ValueError, match="q must be a number or 'inf'") as error:
+                load_certificate(str(path))
+            assert "\n" not in str(error.value), value
+
     def test_rademacher_type_recheck_reports_exact_enumeration(self):
         cfg = SearchConfig(
             functional="rademacher-type", n=11, m=1, p=2.0, q=1.0, restarts=1, iterations=1,

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from walshcube.hypercube import (
     HypercubeFunction,
+    _fwht,
     WalshSpectrum,
     SignAssignment,
     character_matrix,
@@ -19,7 +20,23 @@ from walshcube.hypercube import (
     walsh_inverse_naive,
 )
 
-from _naive import character_value, forward_double_sum, inverse_double_sum
+from walshcube.operators import (
+    Permutation,
+    averaging_operator,
+    conditional_expectation,
+    conditional_expectation_permuted,
+    fractional_laplacian,
+    martingale_difference,
+    partial_derivative,
+    rademacher_projection,
+)
+
+from _naive import (
+    butterfly_in_place_order,
+    character_value,
+    forward_double_sum,
+    inverse_double_sum,
+)
 
 
 def random_function(n, m, seed=0, scale=1.0):
@@ -115,6 +132,115 @@ class TestForwardTransform:
                 rtol=1e-12,
                 atol=1e-14,
             )
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
+
+
+class TestButterflyBits:
+    """`_fwht` against the in-place stage order it replaced, bit for bit."""
+
+    def inputs(self, n, m, lead, rng):
+        # Magnitudes from 1e-300 to 1e300, exact zeros of both signs.
+        table = rng.standard_normal(lead + (1 << n, m))
+        table *= 10.0 ** rng.choice([-300.0, -150.0, 0.0, 150.0, 300.0], size=table.shape)
+        zeros = rng.random(table.shape) < 0.1
+        table[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+        return table
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_equals_in_place_order(self, lead):
+        rng = np.random.default_rng(len(lead))
+        for n in range(1, 13):
+            for m in (1, 2, 3, 4, 8, 9):
+                table = self.inputs(n, m, lead, rng)
+                got = _fwht(table)
+                assert got.shape == table.shape and got.flags.c_contiguous
+                assert np.array_equal(_bits(got), _bits(butterfly_in_place_order(table))), (n, m)
+
+    def test_broadcast_read_only_and_integer_inputs(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 4, 9):
+            table = self.inputs(n, 3, (), rng)
+            frozen = table.copy()
+            frozen.setflags(write=False)
+            integers = rng.integers(-1000, 1000, size=(2, 1 << n, 3))
+            for view in (
+                np.broadcast_to(table, (2, 3) + table.shape),  # zero strides on the batch
+                np.broadcast_to(table[:, :1], table.shape),  # one column repeated
+                frozen,
+                table[::-1],  # negative row stride
+                np.asfortranarray(table),
+                integers,
+            ):
+                expected = butterfly_in_place_order(view)
+                assert np.array_equal(_bits(_fwht(view)), _bits(expected)), (n, view.strides)
+            assert np.array_equal(_bits(table), _bits(frozen))  # the input is untouched
+
+    def test_signed_zeros_and_extremes(self):
+        table = np.array(
+            [
+                [0.0, -0.0, 1e300],
+                [-0.0, -0.0, 1e300],
+                [0.0, 5e-324, -1e300],
+                [-0.0, -5e-324, 1e-300],
+            ]
+        )
+        assert np.array_equal(_bits(_fwht(table)), _bits(butterfly_in_place_order(table)))
+
+
+class TestOwnedOutputs:
+    """The transforms and operators keep the arrays they compute, read-only."""
+
+    def outputs(self, f):
+        spectrum = walsh_forward(f)
+        return [
+            spectrum.coefficients,
+            walsh_inverse(spectrum).values,
+            partial_derivative(f, 1).values,
+            averaging_operator(f, 2).values,
+            conditional_expectation(f, 1).values,
+            conditional_expectation_permuted(f, Permutation(3, (2, 3, 1)), 2).values,
+            fractional_laplacian(f, 0.5).values,
+            rademacher_projection(f).values,
+            martingale_difference(f, 2).values,
+            (f + f).values,
+            (f - f).values,
+            (2.0 * f).values,
+            (-f).values,
+        ]
+
+    def test_read_only(self):
+        for out in self.outputs(random_function(3, 2, seed=4)):
+            assert not out.flags.writeable
+            with pytest.raises(ValueError):
+                out[0, 0] = 1.0
+
+    def test_later_writes_to_the_input_buffer_do_not_reach_them(self):
+        buffer = np.random.default_rng(6).standard_normal((8, 2))
+        f = HypercubeFunction.from_values(buffer)
+        before = [out.copy() for out in self.outputs(f)]
+        spectrum = walsh_forward(f)
+        coefficients = spectrum.coefficients.copy()
+        back = WalshSpectrum.from_coefficients(coefficients)
+        buffer[:] = 7.0
+        coefficients[:] = -3.0
+        for out, kept in zip(self.outputs(f), before):
+            assert np.array_equal(out, kept)
+        assert np.array_equal(walsh_inverse(back).values, walsh_inverse(spectrum).values)
+
+    def test_overflow_is_a_value_error(self):
+        table = np.array([[1e308], [1e308]])
+        huge = HypercubeFunction.from_values(table)
+        spectrum = WalshSpectrum.from_coefficients(table)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="spectrum table contains non-finite"):
+                walsh_forward(huge)
+            with pytest.raises(ValueError, match="function table contains non-finite"):
+                walsh_inverse(spectrum)
+            with pytest.raises(ValueError, match="function table contains non-finite"):
+                huge + huge
 
 
 class TestInverseTransform:
