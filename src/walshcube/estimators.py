@@ -2,14 +2,13 @@
 
 Each of the 11 two-sided functionals is defined once, by a raw builder
 beside its library form: the cube functionals in `inequalities`, the
-martingale functionals in `martingales`.  Its table entry adds the kind of
-witness it reads and the exponents p it accepts (the range constants of
-`norms`, which the library functions check too).  The search climbs the
-builder on batches; `sides` gives the certified value for `eval` (through
-`functional_report`), the certificates of `estimate` and `scan` and
-certificate re-checks: the builder's values on the one witness, or, for
-the five functionals with a public lhs/rhs pair (pisier, theorem1,
-corollary2, stein, hn-remark), that pair, which runs the same kernels.
+martingale functionals in `martingales`.  Its table entry adds the kind
+of witness it reads and the exponents p it accepts (the range constants
+of `norms`, which the library functions check too).  The search climbs
+the builder on batches; `sides` gives the certified value for `eval`
+(through `functional_report`), the certificates of `estimate` and `scan`
+and certificate re-checks: the builder's values on the one witness, or,
+for pisier, its public lhs/rhs pair, which runs the same kernels.
 `verify`'s `batched-vs-single` check confirms that both agree bit for
 bit.  The four martingale functionals read a `MartingaleSequence`: the
 search builds the dyadic martingale of its function, and `eval` reads a
@@ -42,7 +41,7 @@ import json
 import math
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -51,23 +50,16 @@ from .inequalities import (
     InequalityReport,
     _corollary2_build,
     _hn_remark_build,
+    _json_fields,
     _k_convexity_build,
     _pisier_build,
     _rademacher_type_build,
     _stein_build,
     _theorem1_build,
     _vector_table,
-    corollary2_lhs,
-    corollary2_rhs,
-    hn_remark_lhs,
-    hn_remark_rhs,
     pisier_envelope,
     pisier_lhs,
     pisier_rhs,
-    stein_lhs,
-    stein_rhs,
-    theorem1_lhs,
-    theorem1_rhs,
 )
 from .martingales import (
     MartingaleSequence,
@@ -181,10 +173,7 @@ class SearchConfig:
         )
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
-        if math.isinf(self.q):
-            data["q"] = "inf"
-        return data
+        return _json_fields(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SearchConfig":
@@ -323,11 +312,13 @@ class Functional:
     value per row and its gradient with respect to x when asked.  The
     search climbs it on (B, *shape) batches.  `sides(witness, p, space,
     plan) -> (lhs, rhs)` is the certified value, for `eval`, certificates
-    and re-checks: the builder's values on the one witness, or, where the
-    library has a public lhs/rhs `pair` (pisier, theorem1, corollary2,
-    stein, hn-remark), that pair, which runs the same kernels.  With
-    `exact_signs` the sign averages enumerate every sign vector, whatever
-    plan is asked for.
+    and re-checks: the builder's values on the one witness, or, when `pair`
+    is set, that pair's values.  Only pisier sets it, to its public
+    `pisier_lhs`/`pisier_rhs`, which run the same kernels: the benchmark's
+    traced run counts pisier's certified evaluations through them, as
+    `benchmarks/tests/test_benchmark.py::test_patching_reaches_every_import_site_and_is_undone`
+    requires.  With `exact_signs` the sign averages enumerate every sign
+    vector, whatever plan is asked for.
     """
 
     kind: WitnessKind
@@ -351,28 +342,12 @@ def _pisier_sides(f, p, space, plan):
     return pisier_lhs(f, p, space), pisier_rhs(f, p, space, plan)
 
 
-def _theorem1_sides(family, p, space, plan):
-    return theorem1_lhs(family, p, space), theorem1_rhs(family, p, space, plan)
-
-
-def _corollary2_sides(family, p, space, plan):
-    return corollary2_lhs(family, p, space), corollary2_rhs(family, p, space, plan)
-
-
-def _stein_sides(family, p, space, plan):
-    return stein_lhs(family, p, space, plan), stein_rhs(family, p, space, plan)
-
-
-def _hn_remark_sides(family, p, space, plan):
-    return hn_remark_lhs(family, p, space), hn_remark_rhs(family, p, space, plan)
-
-
 _FUNCTIONALS = {
     "pisier": Functional(_FUNCTION, DEVIATION_P, _pisier_build, _pisier_sides),
-    "theorem1": Functional(_FAMILY, OPEN_P, _theorem1_build, _theorem1_sides),
-    "corollary2": Functional(_FAMILY, OPEN_P, _corollary2_build, _corollary2_sides),
-    "stein": Functional(_FAMILY, OPEN_P, _stein_build, _stein_sides),
-    "hn-remark": Functional(_FAMILY, OPEN_P, _hn_remark_build, _hn_remark_sides),
+    "theorem1": Functional(_FAMILY, OPEN_P, _theorem1_build),
+    "corollary2": Functional(_FAMILY, OPEN_P, _corollary2_build),
+    "stein": Functional(_FAMILY, OPEN_P, _stein_build),
+    "hn-remark": Functional(_FAMILY, OPEN_P, _hn_remark_build),
     "k-convexity": Functional(_FUNCTION, OPEN_P, _k_convexity_build),
     "rademacher-type": Functional(_VECTORS, TYPE_P, _rademacher_type_build, exact_signs=True),
     "umd": Functional(_MARTINGALE, OPEN_P, _umd_build),
@@ -428,17 +403,7 @@ class RatioCertificate:
     digest: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "witness_kind": self.witness_kind,
-            "witness": self.witness,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "config": self.config.to_json_dict(),
-            "discarded_restarts": self.discarded_restarts,
-            "digest": self.digest,
-        }
+        return {**_json_fields(self), "config": self.config.to_json_dict()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"

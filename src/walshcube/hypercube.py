@@ -76,6 +76,23 @@ def _check_table(table: np.ndarray, what: str) -> tuple[int, int, np.ndarray]:
     return n, m, table
 
 
+def _table_dims(values) -> tuple[np.ndarray, int, int]:
+    """`values` as a float64 array (no copy when it is one), with the (n, m)
+    its shape declares; `_check_table` rejects any shape that is not
+    (2^n, m) or (2^n,)."""
+    values = np.asarray(values, dtype=np.float64)
+    rows, m = (values.shape + (1, 1))[:2]
+    return values, rows.bit_length() - 1, m
+
+
+def _check_declared(data: dict, n: int, m: int) -> None:
+    """An input error unless a reader's optional "n" and "m" fields are (n, m)."""
+    if "n" in data and int(data["n"]) != n:
+        raise ValueError(f"declared n={data['n']} does not match table with 2^{n} rows")
+    if "m" in data and int(data["m"]) != m:
+        raise ValueError(f"declared m={data['m']} does not match row length {m}")
+
+
 def _own(cls, table: np.ndarray):
     """`cls(n, m, table)` for a float64 table the caller has just computed: same checks, no copy."""
     obj = object.__new__(cls)
@@ -108,7 +125,8 @@ class HypercubeFunction:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "HypercubeFunction":
-        return cls(*_coerce_table(values, cls._what))
+        values, n, m = _table_dims(values)
+        return cls(n, m, values)
 
     @classmethod
     def constant(cls, n: int, vector: np.ndarray) -> "HypercubeFunction":
@@ -156,11 +174,8 @@ class HypercubeFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HypercubeFunction":
-        f = cls.from_values(np.asarray(data["values"], dtype=np.float64))
-        if "n" in data and int(data["n"]) != f.n:
-            raise ValueError(f"declared n={data['n']} does not match table with 2^{f.n} rows")
-        if "m" in data and int(data["m"]) != f.m:
-            raise ValueError(f"declared m={data['m']} does not match row length {f.m}")
+        f = cls.from_values(data["values"])
+        _check_declared(data, f.n, f.m)
         return f
 
 
@@ -184,7 +199,8 @@ class WalshSpectrum:
 
     @classmethod
     def from_coefficients(cls, coefficients: np.ndarray) -> "WalshSpectrum":
-        return cls(*_coerce_table(coefficients, cls._what))
+        coefficients, n, m = _table_dims(coefficients)
+        return cls(n, m, coefficients)
 
     def coefficient(self, subset: int) -> np.ndarray:
         if not 0 <= subset < (1 << self.n):
@@ -196,11 +212,8 @@ class WalshSpectrum:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WalshSpectrum":
-        s = cls.from_coefficients(np.asarray(data["coefficients"], dtype=np.float64))
-        if "n" in data and int(data["n"]) != s.n:
-            raise ValueError(f"declared n={data['n']} does not match table with 2^{s.n} rows")
-        if "m" in data and int(data["m"]) != s.m:
-            raise ValueError(f"declared m={data['m']} does not match row length {s.m}")
+        s = cls.from_coefficients(data["coefficients"])
+        _check_declared(data, s.n, s.m)
         return s
 
 

@@ -5,14 +5,16 @@ Each cube functional is defined here once, by its raw builder (the
 leading batch axes, with their gradients, for the search in `estimators`
 and for the certified value.  The library form sits beside it, as two
 sides (`*_lhs`, `*_rhs`) or as a ratio (`k_convexity_ratio`,
-`rademacher_type_ratio`).  The two ratios are the builder's values on one
-witness.  The five lhs/rhs pairs (pisier, theorem1, corollary2, stein,
-hn-remark) are still written out, and the functional table certifies
-these five through them; they compose the same raw-array operators and
-norm kernels, so a side computed here has the bits of the same side in
-the search.  Every library function checks p against the same range
-constants as the table.  A witnessed ratio is a certified lower bound for
-the corresponding space constant; upper bounds are out of reach for any
+`rademacher_type_ratio`).  The two ratios are the builder's values on
+one witness.  The five lhs/rhs pairs (pisier, theorem1, corollary2,
+stein, hn-remark) are still written out, for the library and its
+acceptance tests; they compose the same raw-array operators and norm
+kernels, so a side computed here has the bits of the builder's value, as
+the tests check.  The functional table certifies the four family
+functionals through their builders and only pisier through its pair.
+Every library function checks p against the same range constants as the
+table.  A witnessed ratio is a certified lower bound for the
+corresponding space constant; upper bounds are out of reach for any
 finite search and are never claimed.
 
 Ratios with a denominator below 1e-14 are degenerate (constant inputs make
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -132,55 +134,27 @@ class InequalityReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "degenerate": self.degenerate,
-            "n": self.n,
-            "m": self.m,
-            "p": self.p,
-            "q": "inf" if math.isinf(self.q) else self.q,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return _json_fields(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "InequalityReport":
-        q = data["q"]
-        return cls(
-            name=data["name"],
-            lhs=float(data["lhs"]),
-            rhs=float(data["rhs"]),
-            ratio=None if data["ratio"] is None else float(data["ratio"]),
-            degenerate=bool(data["degenerate"]),
-            n=int(data["n"]),
-            m=int(data["m"]),
-            p=float(data["p"]),
-            q=math.inf if q in ("inf", "Infinity") else float(q),
-            mode=data["mode"],
-            samples=int(data["samples"]),
-            seed=int(data["seed"]),
-        )
-
     def csv_row(self) -> tuple:
-        return (
-            self.name,
-            self.n,
-            self.m,
-            self.p,
-            "inf" if math.isinf(self.q) else self.q,
-            self.lhs,
-            self.rhs,
-            "" if self.ratio is None else self.ratio,
-            self.seed,
-            self.mode,
-        )
+        data = self.to_json_dict()
+        data["ratio"] = "" if self.ratio is None else self.ratio
+        return tuple(data[column] for column in REPORT_CSV_COLUMNS)
+
+
+def _json_fields(record) -> dict:
+    """A dataclass record's fields by name, with q = inf written as "inf".
+
+    Shallow on purpose: `asdict` would copy a certificate's witness tuple,
+    up to 2^20 entries, element by element.
+    """
+    data = {field.name: getattr(record, field.name) for field in fields(record)}
+    if "q" in data and math.isinf(data["q"]):
+        data["q"] = "inf"
+    return data
 
 
 def pisier_envelope(n: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, sign_matrix
+from .hypercube import HypercubeFunction, _check_declared, sign_matrix
 
 __all__ = [
     "DegenerateInputError",
@@ -152,11 +152,9 @@ class FunctionFamily:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FunctionFamily":
-        members = tuple(
-            HypercubeFunction.from_values(np.asarray(v, dtype=np.float64))
-            for v in data["functions"]
-        )
-        return cls(functions=members)
+        family = cls(tuple(HypercubeFunction.from_values(v) for v in data["functions"]))
+        _check_declared(data, family.n, family.m)
+        return family
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .hypercube import (
     walsh_inverse,
 )
 from .inequalities import (
+    _json_fields,
     pisier_lhs,
     pisier_rhs,
     stein_lhs,
@@ -71,12 +72,7 @@ class CheckResult:
         return self.deviation <= self.tolerance
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "deviation": self.deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**_json_fields(self), "passed": self.passed}
 
 
 def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:

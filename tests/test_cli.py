@@ -423,6 +423,8 @@ class TestEvalThroughTheLibrary:
             ("pisier", {"values": [{}]}),
             ("theorem1", {"functions": [[{}]]}),
             ("rademacher-type", {"vectors": [[{}]]}),
+            # Two members on C_2 with m = 1 inside a family that declares another shape.
+            ("theorem1", {"n": 5, "m": 7, "functions": [[[1.0], [2.0], [0.0], [-1.0]]] * 2}),
         ],
     )
     def test_malformed_input_is_a_one_line_input_error(self, name, payload, tmp_path, capsys):
@@ -547,6 +549,17 @@ class TestEstimateCommand:
         assert out_a.read_bytes() == out_b.read_bytes()
         cert = json.loads(out_a.read_text())
         assert cert["ratio"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_infinite_q_is_written_as_inf(sample_function, capsys):
+    assert run_eval("pisier", sample_function, "--q", "inf") == 0
+    assert '"q": "inf"' in capsys.readouterr().out
+    assert run_eval("pisier", sample_function, "--q", "inf", "--format", "csv") == 0
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert row[header.index("q")] == "inf"
+    flags = ["--n", "2", "--m", "1", "--q", "inf", "--restarts", "1", "--iters", "2", "--probes", "3"]
+    assert main(["--command", "estimate", *flags]) == 0
+    assert '"q": "inf"' in capsys.readouterr().out
 
 
 class TestScanCommand:

@@ -372,8 +372,9 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
     def test_sides_have_the_bits_of_batched_rows(self, name):
-        # `sides` (the library route, for certificates and `eval`) and the
-        # search's raw batches run the same kernels, so they agree exactly.
+        # `sides` (the certified value, for certificates and `eval`; pisier's
+        # through its library pair) and the search's raw batches run the
+        # same kernels, so they agree exactly.
         p = 1.5 if name.endswith("-type") else 2.5
         for q, n, m, mode in itertools.product(
             (1.0, 1.5, 2.0, 3.0, math.inf), (1, 2, 3, 4), (1, 2, 3), ("exact", "monte-carlo")

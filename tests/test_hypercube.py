@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from walshcube import hypercube
 from walshcube.hypercube import (
     HypercubeFunction,
     _fwht,
@@ -20,6 +21,7 @@ from walshcube.hypercube import (
     walsh_inverse_naive,
 )
 
+from walshcube.norms import FunctionFamily
 from walshcube.operators import (
     Permutation,
     averaging_operator,
@@ -66,6 +68,33 @@ class TestConstruction:
     def test_rejects_oversized_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
             HypercubeFunction(n=21, m=1, values=np.zeros((1 << 21, 1)))
+
+    def test_each_constructor_and_reader_checks_its_table_once(self, monkeypatch):
+        calls = []
+        check = hypercube._check_table
+        monkeypatch.setattr(hypercube, "_check_table", lambda *a: calls.append(1) or check(*a))
+        values = np.arange(8.0).reshape(4, 2)
+        table = {"n": 2, "m": 2, "values": values.tolist()}
+        builds = {
+            "HypercubeFunction": (lambda: HypercubeFunction(2, 2, values), 1),
+            "from_values array": (lambda: HypercubeFunction.from_values(values), 1),
+            "from_values list": (lambda: HypercubeFunction.from_values(values.tolist()), 1),
+            "function reader": (lambda: HypercubeFunction.from_json_dict(table), 1),
+            "WalshSpectrum": (lambda: WalshSpectrum(2, 2, values), 1),
+            "from_coefficients": (lambda: WalshSpectrum.from_coefficients(values), 1),
+            "spectrum reader": (
+                lambda: WalshSpectrum.from_json_dict({"coefficients": values.tolist()}), 1
+            ),
+            "family reader, one per member": (
+                lambda: FunctionFamily.from_json_dict({"functions": [values.tolist()] * 2}), 2
+            ),
+        }
+        for name, (build, expected) in builds.items():
+            calls.clear()
+            build()
+            assert len(calls) == expected, name
+        # The one copy is the instance's own.
+        assert not np.shares_memory(HypercubeFunction.from_values(values).values, values)
 
     def test_values_are_read_only(self):
         f = random_function(2, 1)
