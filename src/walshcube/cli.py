@@ -5,6 +5,7 @@ One process runs one command:
     walshcube --command verify    run the identity suite, exit 0 iff all pass
     walshcube --command eval      evaluate a named functional on a JSON input
     walshcube --command estimate  search for an extremal witness, emit a certificate
+    walshcube --command check     re-check a certificate file, exit 0 iff it holds
     walshcube --command scan      one certificate per dimension, CSV trend table
     walshcube --command bench     time fast vs naive transforms and sign averaging
     walshcube --command transform Walsh-transform a JSON function (or invert a spectrum)
@@ -25,12 +26,15 @@ import numpy as np
 
 from .estimators import (
     FUNCTIONAL_NAMES,
+    CertificateMismatchError,
+    RatioCertificate,
     SearchConfig,
     _json_list,
     _reading,
     functional_entry,
     functional_report,
     maximize_ratio,
+    reevaluate_certificate,
     save_certificate,
     scan_dimension,
 )
@@ -65,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--command",
         required=True,
-        choices=["verify", "eval", "estimate", "scan", "bench", "transform"],
+        choices=["verify", "eval", "estimate", "check", "scan", "bench", "transform"],
     )
     parser.add_argument("--n", type=int, default=6, help="cube dimension")
     parser.add_argument("--n-min", type=int, default=None, help="scan start (default 2)")
@@ -176,6 +180,18 @@ def cmd_estimate(args) -> int:
         )
     else:
         sys.stdout.write(certificate.to_json())
+    return EXIT_OK
+
+
+def cmd_check(args) -> int:
+    certificate = RatioCertificate.from_json_dict(_load_json(args.input_path))
+    try:
+        with _reading("certificate"):
+            report = reevaluate_certificate(certificate)
+    except CertificateMismatchError as err:
+        sys.stderr.write(f"certificate does not hold: {err}\n")
+        return EXIT_CHECK_FAILURE
+    sys.stdout.write(f"{certificate.functional}: ratio {report.ratio:.12g} holds\n")
     return EXIT_OK
 
 
@@ -291,6 +307,7 @@ _COMMANDS = {
     "verify": cmd_verify,
     "eval": cmd_eval,
     "estimate": cmd_estimate,
+    "check": cmd_check,
     "scan": cmd_scan,
     "bench": cmd_bench,
     "transform": cmd_transform,

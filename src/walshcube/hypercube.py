@@ -269,12 +269,15 @@ def _character_column(subset: int, n: int) -> np.ndarray:
 
 
 def character_matrix(n: int) -> np.ndarray:
-    """The full 2^n x 2^n matrix W[a, k] = w_A(eps_k).  O(4^n) memory; n <= 10."""
+    """The full 2^n x 2^n matrix W[a, k] = w_A(eps_k).  O(4^n) memory; n <= 10.
+
+    w_A(eps_k) is the parity (-1)^popcount(j) of j = A & k, so the matrix is
+    one gather from the 2^n parities by the indices A & k.
+    """
     if n > 10:
         raise ValueError("dense character matrix is limited to n <= 10")
-    idx = np.arange(1 << n, dtype=np.uint64)
-    overlap = np.bitwise_count(np.bitwise_and(idx[:, None], idx[None, :]))
-    return 1.0 - 2.0 * (overlap & np.uint64(1)).astype(np.float64)
+    idx = np.arange(1 << n, dtype=np.uint16)
+    return _character_column((1 << n) - 1, n)[np.bitwise_and.outer(idx, idx)]
 
 
 def _fwht(table: np.ndarray) -> np.ndarray:

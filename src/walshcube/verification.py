@@ -2,8 +2,9 @@
 
 Each check compares two independently computed quantities (an operator
 identity, a spectral action, an equality case, the search's analytic
-gradient against a central difference, or its batched evaluation against
-`sides` and against one row at a time) and reports its largest deviation
+gradient against a central difference, its batched evaluation against
+`sides` and against one row at a time, or the halved exact sign sweeps
+against every pattern) and reports its largest deviation
 against the stated tolerance.  The `corrupt` hook injects a
 1e-3 fault into the named check so that pipelines can prove the suite
 actually fails when an operator regresses.
@@ -35,6 +36,7 @@ from .inequalities import (
 )
 from .martingales import (
     FiniteFiltration,
+    _largest_transform,
     make_dyadic_martingale,
     martingale_lp_norm,
     umd_minus_ratio,
@@ -45,8 +47,11 @@ from .norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _MaskBlocks,
+    _sign_average,
     lp_norm,
     rademacher_average,
+    signed_combination_average_gradient,
 )
 from .operators import (
     averaging_operator,
@@ -347,6 +352,32 @@ def run_verification_suite(
     record("gradient-vs-finite-difference", worst_gradient, 1e-6)
     record("batched-vs-single", worst_batched, 1e-12)
 
+    # Exact sweeps visit one of each pair delta, -delta: their average, its
+    # gradient and the umd maximum against the same kernels on every pattern.
+    worst_halved = 0.0
+    exact = RademacherAveragePlan(mode="exact")
+    for count, q in ((1, 1.0), (min(n, 3), 3.0), (min(n, 6), math.inf)):
+        tables = rng.standard_normal((count, 8, m))
+        probs = np.full(8, 1.0 / 8)
+        every = _MaskBlocks(count, np.arange(1 << count))
+        target = NormSpace(m, q)
+        halved = signed_combination_average_gradient(tables, 2.5, target, exact)
+        full = _sign_average(tables, 2.5, target, every)
+        maxima = [
+            martingale_lp_norm(np.tensordot(signs, tables, axes=(0, 0)), 2.5, target, probs)
+            for signs in (
+                _largest_transform(tables, 2.5, target, probs),
+                _largest_transform(tables, 2.5, target, probs, every),
+            )
+        ]
+        worst_halved = max(
+            worst_halved,
+            _relative_gap(halved.value, full.value),
+            _relative_gap(halved.gradient(), full.gradient()),
+            _relative_gap(*maxima),
+        )
+    record("halved-vs-full-enumeration", worst_halved, 1e-12)
+
     return results
 
 
@@ -375,4 +406,5 @@ CHECK_NAMES = (
     "tree-contraction",
     "gradient-vs-finite-difference",
     "batched-vs-single",
+    "halved-vs-full-enumeration",
 )

@@ -190,6 +190,16 @@ class TestVerifyCommand:
         assert code == 1
         assert "batched-vs-single" in capsys.readouterr().err
 
+    def test_corrupted_halving_check_fails(self, tmp_path, capsys):
+        code = main(
+            [
+                "--command", "verify", "--n", "3", "--m", "1",
+                "--corrupt", "halved-vs-full-enumeration", "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 1
+        assert "halved-vs-full-enumeration" in capsys.readouterr().err
+
     def test_suite_runs_every_documented_check(self):
         results = run_verification_suite(n=3, m=1, seed=0, rounds=3)
         assert sorted(r.name for r in results) == sorted(CHECK_NAMES)
@@ -549,6 +559,66 @@ class TestEstimateCommand:
         assert out_a.read_bytes() == out_b.read_bytes()
         cert = json.loads(out_a.read_text())
         assert cert["ratio"] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestCheckCommand:
+    # Written by `estimate` (n=5, m=2, p=2.5, q=3, seed 1) while exact sweeps
+    # still visited every sign pattern; the halved sweep moves its rhs by one ulp.
+    FIXTURE = REPO / "data" / "pisier_certificate.json"
+
+    def run_check(self, path, capsys):
+        code = main(["--command", "check", "--in", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_committed_certificate_holds(self, capsys):
+        code, out, err = self.run_check(self.FIXTURE, capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("pisier: ratio ") and out.count("\n") == 1
+
+    def test_fresh_certificate_holds(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        flags = ["--functional", "umd-plus", "--n", "3", "--m", "2", "--q", "1"]
+        flags += ["--restarts", "1", "--iters", "3", "--probes", "4", "--out", str(path)]
+        assert main(["--command", "estimate", *flags]) == 0
+        capsys.readouterr()
+        assert self.run_check(path, capsys)[0] == 0
+
+    @pytest.mark.parametrize("field", ["lhs", "ratio", "witness"])
+    def test_drift_or_tamper_fails(self, field, tmp_path, capsys):
+        cert = json.loads(self.FIXTURE.read_text())
+        if field == "witness":
+            cert["witness"][0][0] += 1.0
+        else:
+            cert[field] *= 1.0 + 1e-6
+        path = tmp_path / "cert.json"
+        write_json(path, cert)
+        code, out, err = self.run_check(path, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("certificate does not hold: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"functional": "pisier"},
+            "__broken__",
+            "__no_config__",
+        ],
+    )
+    def test_malformed_file_is_an_input_error(self, payload, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        if payload == "__broken__":
+            path.write_text(self.FIXTURE.read_text()[:-40])
+        elif payload == "__no_config__":
+            cert = json.loads(self.FIXTURE.read_text())
+            cert["config"] = {"n": "3"}
+            write_json(path, cert)
+        else:
+            write_json(path, payload)
+        code, out, err = self.run_check(path, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_infinite_q_is_written_as_inf(sample_function, capsys):

@@ -28,9 +28,17 @@ ANY_JSON = st.recursive(
     ),
     max_leaves=12,
 )
+# Finite values at the edge of overflow and underflow, where squares, powers
+# and sums of entries leave the float range.
+EDGES = st.one_of(
+    st.floats(1e290, 1e308),
+    st.floats(-1e308, -1e290),
+    st.floats(1e-310, 1e-290),
+    st.floats(-1e-290, -1e-310),
+)
 # Nested lists of numbers, non-finite ones included, in any (often wrong) shape.
 TABLES = st.recursive(
-    st.one_of(st.floats(), st.integers(-3, 3)),
+    st.one_of(st.floats(), st.integers(-3, 3), EDGES),
     lambda inner: st.lists(inner, max_size=5),
     max_leaves=40,
 )

@@ -329,6 +329,23 @@ class TestTransformProperties:
             gram = w @ w.T  # 2^n on the diagonal, 0 off it, exactly
             assert np.array_equal(gram, (1 << n) * np.eye(1 << n, dtype=np.int64))
 
+    def test_character_matrix_holds_each_character_value(self):
+        for n in range(1, 9):
+            w = character_matrix(n)
+            expected = [
+                [evaluate_walsh_character(a, k, n) for k in range(1 << n)] for a in range(1 << n)
+            ]
+            assert np.array_equal(w, np.array(expected, dtype=np.float64))
+
+    def test_character_matrix_is_the_popcount_parity_at_the_largest_size(self):
+        w = character_matrix(10)
+        idx = np.arange(1 << 10, dtype=np.uint64)
+        parity = np.bitwise_count(idx[:, None] & idx[None, :]) & np.uint64(1)
+        assert w.dtype == np.float64 and w.flags.c_contiguous
+        assert np.array_equal(w, 1.0 - 2.0 * parity.astype(np.float64))
+        with pytest.raises(ValueError):
+            character_matrix(11)
+
     def test_sign_vector_convention(self):
         # Bit 0 clear -> coordinate 1 equals +1.
         assert_allclose(sign_vector(3, 0b100), [1.0, 1.0, -1.0])

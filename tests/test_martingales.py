@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _naive import umd_maximum_per_mask
+from _naive import signs_of_mask, umd_maximum_per_mask
 from walshcube.hypercube import HypercubeFunction, SignAssignment
 from walshcube.inequalities import pisier_lhs
 from walshcube.martingales import (
     FiniteFiltration,
     MartingaleSequence,
+    _largest_transform,
     make_dyadic_martingale,
     martingale_lp_norm,
     martingale_type_ratio,
+    umd_maximum_gradient,
     umd_minus_ratio,
     umd_plus_ratio,
     umd_ratio,
@@ -24,6 +26,7 @@ from walshcube.norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _MaskBlocks,
     rademacher_average,
 )
 from walshcube.operators import martingale_difference
@@ -194,6 +197,16 @@ class TestMartingaleSequence:
         assert_allclose(back.values, M.values)
 
 
+def skewed_martingale(n, m, rng):
+    """A martingale on 2^n points split in halves level by level, with random point masses."""
+    points = np.arange(1 << n)
+    probs = rng.uniform(0.5, 1.5, 1 << n)
+    filtration = FiniteFiltration.tree([points >> (n - i) for i in range(n + 1)], probs / probs.sum())
+    terminal = rng.standard_normal((1 << n, m))
+    values = np.stack([filtration.condition(terminal, i) for i in range(n + 1)])
+    return MartingaleSequence(filtration=filtration, m=m, values=values)
+
+
 class TestUmdRatio:
     def test_all_plus_signs_give_one(self):
         M = make_dyadic_martingale(random_function(5, 2, seed=8))
@@ -272,6 +285,45 @@ class TestUmdRatio:
                 M.increment(), 2.5, space, probs
             )
             assert umd_ratio(M, 2.5, space) == pytest.approx(expected, rel=1e-12)
+
+
+class TestHalvedUmdSweep:
+    """The umd maximum ranges over the patterns whose last sign is +1."""
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_maximum_matches_the_per_mask_oracle(self, q):
+        rng = np.random.default_rng(50)
+        for count in range(1, 11):
+            diffs = rng.standard_normal((count, 6, 2))
+            probs = rng.uniform(0.5, 1.5, 6)
+            probs /= probs.sum()
+            got = umd_maximum_gradient(diffs, 2.5, NormSpace(2, q), probs).value
+            assert got == pytest.approx(umd_maximum_per_mask(diffs, 2.5, q, probs), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1.0, 3.0, math.inf])
+    def test_pattern_is_the_first_maximum_of_a_full_ascending_sweep(self, q):
+        # Skewed point masses break the symmetries of the uniform dyadic
+        # filtration: transforms tie only within each pair delta, -delta.
+        rng = np.random.default_rng(51)
+        space = NormSpace(2, q)
+        for n in range(1, 9):
+            M = skewed_martingale(n, 2, rng)
+            diffs, probs = M.differences(), M.filtration.probabilities
+            # A one-step "martingale" per pattern: its maximum is || combo ||.
+            values = [
+                umd_maximum_per_mask(
+                    np.tensordot(signs_of_mask(mask, n), diffs, axes=(0, 0))[None], 2.5, q, probs
+                )
+                for mask in range(1 << n)
+            ]
+            best = int(np.argmax(values))
+            assert best < 1 << (n - 1)
+            chosen = _largest_transform(diffs, 2.5, space, probs)
+            assert np.array_equal(chosen, signs_of_mask(best, n))
+            every = _largest_transform(diffs, 2.5, space, probs, _MaskBlocks(n, np.arange(1 << n)))
+            assert np.array_equal(every, chosen)
+            reported = umd_ratio(M, 2.5, space, SignAssignment(n=n, bitmask=best))
+            assert umd_ratio(M, 2.5, space) == pytest.approx(reported, rel=1e-12)
 
 
 class TestUmdAveragedRatios:

@@ -1,5 +1,6 @@
 """Measurement layer: ell_q targets, L_p norms, Rademacher averages."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,13 +9,18 @@ from numpy.testing import assert_allclose
 
 from walshcube.hypercube import HypercubeFunction
 from walshcube.norms import (
+    EXACT_THRESHOLD,
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _MaskBlocks,
+    _sign_average,
+    _sign_blocks,
     lp_norm,
     rademacher_average,
     sample_sign_masks,
     signed_combination_average,
+    signed_combination_average_gradient,
 )
 
 from _naive import ell_q_norms_by_axis_reduce, lp_norm_sum, rademacher_average_enumerated
@@ -167,6 +173,74 @@ class TestRademacherAverageExact:
         family = random_family(2, 1)
         with pytest.raises(ValueError):
             rademacher_average(family, math.inf, NormSpace(1, 2.0), RademacherAveragePlan())
+
+
+QS = [1.0, 1.5, 2.0, 3.0, math.inf]
+EXACT = RademacherAveragePlan(mode="exact")
+
+
+class TestHalvedSignSweep:
+    """Exact sweeps visit the 2^(count-1) patterns whose last sign is +1:
+    each stands for itself and its negation, which an even norm cannot tell
+    apart.  Count 1 is in every range: one pattern stands for both signs."""
+
+    @pytest.mark.parametrize("q", QS)
+    def test_average_matches_the_full_enumeration_oracle(self, q):
+        rng = np.random.default_rng(40)
+        for count in range(1, 11):
+            tables = rng.standard_normal((count, 4, 2))
+            got = signed_combination_average(tables, 2.5, NormSpace(2, q), EXACT)
+            assert got == pytest.approx(rademacher_average_enumerated(tables, 2.5, q), rel=1e-12)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_gradient_matches_the_kernel_on_every_pattern(self, q):
+        rng = np.random.default_rng(41)
+        space = NormSpace(3, q)
+        for count in range(1, 11):
+            tables = rng.standard_normal((2, count, 4, 3))  # a batch of two rows
+            weights = rng.uniform(0.5, 1.5, 4)
+            weights /= weights.sum()
+            every = _sign_average(tables, 1.5, space, _MaskBlocks(count, np.arange(1 << count)), weights)
+            halved = signed_combination_average_gradient(tables, 1.5, space, EXACT, weights)
+            assert_allclose(halved.value, every.value, rtol=1e-12)
+            full = every.gradient()
+            assert_allclose(halved.gradient(), full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
+
+    def test_exact_blocks_hold_the_patterns_with_last_sign_plus(self):
+        for count in range(1, 13):
+            blocks = list(_sign_blocks(count, EXACT))
+            # Masks 0, 1, ..., 2^(count-1) - 1 in order: the top bit, the
+            # last sign, stays clear.
+            masks = np.arange(1 << (count - 1))[:, None]
+            expected = 1.0 - 2.0 * ((masks >> np.arange(count)) & 1)
+            assert np.array_equal(np.concatenate(blocks), expected)
+            assert all(len(block) <= 1024 for block in blocks)
+
+    def test_exact_blocks_are_cached_read_only_up_to_the_threshold(self):
+        for count in range(1, EXACT_THRESHOLD + 1):
+            blocks = _sign_blocks(count, EXACT)
+            assert blocks is _sign_blocks(count, RademacherAveragePlan(mode="exact", seed=3))
+            assert not any(block.flags.writeable for block in blocks)
+        beyond = _sign_blocks(EXACT_THRESHOLD + 1, EXACT)
+        assert beyond is not _sign_blocks(EXACT_THRESHOLD + 1, EXACT)
+
+    @pytest.mark.parametrize(
+        "count,points,m,q,samples,value,gradient_digest",
+        [
+            (3, 8, 2, 1.0, 50, "0x1.a2cd4bda19287p+1", "4b5d7db5f63fef82"),
+            (7, 16, 3, 3.0, 1500, "0x1.151a3197ac8dbp+2", "d18e28d3785697e5"),
+            (12, 4, 2, math.inf, 2100, "0x1.120735fb3f8b4p+2", "545d730122b27100"),
+            (5, 32, 1, 2.0, 700, "0x1.3deccc3e647fdp+1", "dd4c35be641ae35a"),
+        ],
+    )
+    def test_monte_carlo_keeps_its_bits(self, count, points, m, q, samples, value, gradient_digest):
+        # Recorded when exact sweeps still visited every pattern: sampled
+        # plans draw and sum the same signs as before, in the same chunks.
+        tables = np.random.default_rng([count, points, m]).standard_normal((count, points, m))
+        plan = RademacherAveragePlan(mode="monte-carlo", samples=samples, seed=11)
+        side = signed_combination_average_gradient(tables, 2.5, NormSpace(m, q), plan)
+        assert float(side.value).hex() == value
+        assert hashlib.sha256(side.gradient().tobytes()).hexdigest()[:16] == gradient_digest
 
 
 class TestRademacherAverageMonteCarlo:
