@@ -34,7 +34,7 @@ from .norms import (
     _lp_value,
     _pattern_norms,
     _Side,
-    _sign_blocks,
+    _sign_masks,
     _values,
     lp_norm_gradient,
     signed_combination_average_gradient,
@@ -398,21 +398,21 @@ def umd_ratio(
 
 
 def _largest_transform(
-    diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray, blocks=None
+    diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray, masks=None
 ) -> np.ndarray:
     """The signs of the first pattern (ascending bitmask) whose transform
     || sum_i delta_i d_i ||_{L_p} is the largest, among the patterns whose
-    last sign is +1 unless `blocks` gives others (see `_sign_blocks`).
+    last sign is +1 unless `masks` gives others (see `_sign_masks`).
 
     A pattern and its negation give the same norm, and the one with last
     sign +1 has the smaller mask, so this is the first largest pattern of
     all 2^n.  `diffs` is (..., n, size, m); leading axes are a batch, and
     each row gets its own pattern.  Exact enumeration's member limit applies.
     """
-    if blocks is None:
-        blocks = _sign_blocks(diffs.shape[-3], RademacherAveragePlan(mode="exact"))
+    if masks is None:
+        masks = _sign_masks(diffs.shape[-3], RademacherAveragePlan(mode="exact"))
     best = best_signs = None
-    for signs, pointwise, _ in _pattern_norms(diffs, space.q, blocks):
+    for signs, pointwise, _ in _pattern_norms(diffs, space.q, masks):
         # Only ranks the patterns.  Many tie by symmetry, and the rounding of
         # this reduction picks among them, so it fixes the search's witnesses.
         powered = pointwise**p @ probs

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -163,7 +162,7 @@ class RademacherAveragePlan:
     """How sign averages are evaluated: exact enumeration or Monte Carlo.
 
     Exact enumeration costs ~ count * 2^(count-1) sign vectors, one of
-    each pair delta, -delta (see `_sign_blocks`), and is the default up to
+    each pair delta, -delta (see `_sign_masks`), and is the default up to
     `EXACT_THRESHOLD` members; beyond it, `samples` deterministic draws
     keyed on (seed, sample index) are used.
     """
@@ -339,67 +338,49 @@ def _norms_with_derivative(table: np.ndarray, q: float) -> tuple[np.ndarray, np.
     return norms, signs * a ** (q - 1.0) * scale[..., None]
 
 
-def _sign_blocks(count: int, plan: RademacherAveragePlan):
-    """The plan's sign vectors as sign matrices of at most `_CHUNK` rows, in
-    ascending mask/sample order: its keyed samples, or in exact mode the
-    2^(count-1) patterns whose last sign is +1.
+def _sign_masks(count: int, plan: RademacherAveragePlan) -> np.ndarray:
+    """The plan's sign vectors as bitmasks: its keyed samples, or in exact
+    mode the 2^(count-1) patterns whose last sign is +1.
 
     Every target norm is even, so delta and -delta give the same norm and,
     term by term, the same gradient delta . grad N(sum_i delta_i t_i) (the
     sign and argmax rules at the kinks are odd too): the half of the cube
     with the top mask bit clear has the mean of the whole.  It holds the
     smaller mask of each pair, so the first pattern reaching a maximum in
-    ascending order is the whole cube's.  Exact blocks up to
-    `EXACT_THRESHOLD` members are built once and shared read-only.
+    ascending order is the whole cube's.
     """
     if plan.mode == "exact":
         if count > 20:
             raise ValueError(f"exact sign enumeration is limited to 20 members, got {count}")
-        if count <= EXACT_THRESHOLD:
-            return _exact_blocks(count)
-        return _MaskBlocks(count, np.arange(1 << (count - 1), dtype=np.int64))
-    return _MaskBlocks(count, sample_sign_masks(plan.seed, plan.samples, count))
+        return np.arange(1 << max(count - 1, 0), dtype=np.int64)
+    return sample_sign_masks(plan.seed, plan.samples, count)
 
 
-class _MaskBlocks:
-    """The sign matrices of `masks` over `count` members, `_CHUNK` rows at a
-    time and built as iterated; the fixed chunking keeps every reduction over
-    patterns deterministic regardless of any internal parallelism."""
+def _sign_blocks(count: int, masks: np.ndarray):
+    """Sign matrices for chunks of fixed size in ascending mask/sample order.
 
-    def __init__(self, count: int, masks: np.ndarray) -> None:
-        self.count, self.masks = count, masks
-
-    def __iter__(self):
-        for start in range(0, len(self.masks), _CHUNK):
-            yield sign_matrix(self.count, self.masks[start : start + _CHUNK])
+    The fixed chunking keeps every reduction over patterns deterministic
+    regardless of any internal parallelism.
+    """
+    for start in range(0, len(masks), _CHUNK):
+        yield sign_matrix(count, masks[start : start + _CHUNK])
 
 
-@lru_cache(maxsize=None)  # one entry per count up to EXACT_THRESHOLD
-def _exact_blocks(count: int) -> tuple[np.ndarray, ...]:
-    blocks = tuple(_MaskBlocks(count, np.arange(1 << max(count - 1, 0), dtype=np.int64)))
-    for block in blocks:
-        block.setflags(write=False)
-    return blocks
-
-
-def _pattern_norms(tables: np.ndarray, q: float, blocks, with_derivative=False):
+def _pattern_norms(tables: np.ndarray, q: float, masks: np.ndarray, with_derivative=False):
     """Per sign pattern and point, || sum_i delta_i t_i ||_q: the one loop over
     sign patterns, for the sign averages, their gradient and the umd maximum.
 
-    Yields (signs, pointwise, derivative) per sign matrix of `blocks` (see
-    `_sign_blocks`) for stacked (..., count, points, m) tables; leading axes
-    are a batch.  `derivative`, the norms' gradient with respect to the
-    combinations, is None unless asked for; the norms have the same bits
-    either way.
+    Yields (signs, pointwise, derivative) per chunk of `_sign_blocks` for
+    stacked (..., count, points, m) tables; leading axes are a batch.
+    `derivative`, the norms' gradient with respect to the combinations, is
+    None unless asked for; the norms have the same bits either way.
     """
     *lead, count, points, m = tables.shape
     flat = np.ascontiguousarray(tables.reshape(*lead, count, points * m))
-    # One combination buffer per call, sized by the first (largest) block;
-    # repeated fresh allocations of the combination table dominate the cost otherwise.
-    buffer = None
-    for signs in blocks:
-        if buffer is None:
-            buffer = np.empty((*lead, len(signs), points * m))
+    # One combination buffer per call; repeated fresh allocations
+    # of the combination table dominate the cost otherwise.
+    buffer = np.empty((*lead, min(_CHUNK, len(masks)), points * m))
+    for signs in _sign_blocks(count, masks):
         view = buffer[..., : len(signs), :]
         np.matmul(signs, flat, out=view)
         combos = view.reshape(*lead, len(signs), points, m)
@@ -442,30 +423,28 @@ def signed_combination_average_gradient(
     p = _check_p_finite(p)
     if tables.shape[-1] != space.m:
         raise ValueError(f"tables into R^{tables.shape[-1]} measured in ell_q^{space.m}")
-    return _sign_average(tables, p, space, _sign_blocks(tables.shape[-3], plan), weights)
+    return _sign_average(tables, p, space, _sign_masks(tables.shape[-3], plan), weights)
 
 
-def _sign_average(tables, p, space, blocks, weights=None) -> _Side:
-    """The sign average over the patterns of `blocks`, which each sweep
-    iterates once: the plan's from `_sign_blocks`, or any others for an oracle."""
+def _sign_average(tables, p, space, masks, weights=None) -> _Side:
+    """The sign average over the patterns `masks`: the plan's from
+    `_sign_masks`, or any others for an oracle."""
     if weights is None:
         weights = np.full(tables.shape[-2], 1.0 / tables.shape[-2])
 
     def sweep(with_gradient: bool):
         *lead, count, points, m = tables.shape
         total = np.zeros(lead)
-        visited = 0
         gradient = np.zeros((*lead, count, points * m)) if with_gradient else None
-        for signs, pointwise, derivative in _pattern_norms(tables, space.q, blocks, with_gradient):
-            visited += len(signs)
+        for signs, pointwise, derivative in _pattern_norms(tables, space.q, masks, with_gradient):
             summed, raised = _weighted_powers(pointwise, p, weights, with_gradient)
             total += summed
             if with_gradient:
                 cotangent = raised[..., None] * derivative
                 gradient += signs.T @ cotangent.reshape(*lead, len(signs), -1)
-        value = np.float_power(total / float(visited), 1.0 / p)
+        value = np.float_power(total / float(len(masks)), 1.0 / p)
         if with_gradient:
-            gradient *= _root_factor(value, p, float(visited))[..., None, None]
+            gradient *= _root_factor(value, p, float(len(masks)))[..., None, None]
             gradient = gradient.reshape(tables.shape)
         return value, gradient
 

@@ -114,6 +114,39 @@ def rademacher_average_enumerated(tables: np.ndarray, p: float, q: float) -> flo
     return (total / (1 << count)) ** (1.0 / p)
 
 
+def sign_average_per_mask(tables: np.ndarray, p: float, q: float, masks) -> tuple[float, np.ndarray]:
+    """(mean over `masks` of || sum_i delta_i t_i ||_{L_p}^p)^(1/p) and its
+    gradient with respect to `tables`, one pattern at a time.
+
+    The gradient is the chain rule written out: grad ||c||_q is
+    sign(c) |c|^(q-1) / ||c||^(q-1), sign(c) for q = 1, and sign(c_j) at
+    the first largest |c_j| for q = inf.
+    """
+    count, points, _ = tables.shape
+    total = 0.0
+    inner = np.zeros_like(tables)
+    for mask in masks:
+        delta = signs_of_mask(int(mask), count)
+        combo = np.tensordot(delta, tables, axes=(0, 0))
+        a = np.abs(combo)
+        if np.isinf(q):
+            norms = a.max(axis=1)
+            grad = np.zeros_like(combo)
+            first = a.argmax(axis=1)
+            grad[np.arange(points), first] = np.sign(combo[np.arange(points), first])
+        elif q == 1.0:
+            norms = a.sum(axis=1)
+            grad = np.sign(combo)
+        else:
+            norms = (a**q).sum(axis=1) ** (1.0 / q)
+            grad = np.sign(combo) * a ** (q - 1.0) / norms[:, None] ** (q - 1.0)
+        total += np.sum(norms**p) / points
+        inner += delta[:, None, None] * (p * norms ** (p - 1.0) / points)[None, :, None] * grad
+    mean = total / len(masks)
+    value = mean ** (1.0 / p)
+    return value, mean ** (1.0 / p - 1.0) / p * inner / len(masks)
+
+
 def central_difference_gradient(log_value, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Coordinate-wise central differences of a scalar function of a flat vector."""
     gradient = np.empty_like(x)

@@ -26,7 +26,6 @@ from walshcube.norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
-    _MaskBlocks,
     rademacher_average,
 )
 from walshcube.operators import martingale_difference
@@ -320,7 +319,7 @@ class TestHalvedUmdSweep:
             assert best < 1 << (n - 1)
             chosen = _largest_transform(diffs, 2.5, space, probs)
             assert np.array_equal(chosen, signs_of_mask(best, n))
-            every = _largest_transform(diffs, 2.5, space, probs, _MaskBlocks(n, np.arange(1 << n)))
+            every = _largest_transform(diffs, 2.5, space, probs, np.arange(1 << n))
             assert np.array_equal(every, chosen)
             reported = umd_ratio(M, 2.5, space, SignAssignment(n=n, bitmask=best))
             assert umd_ratio(M, 2.5, space) == pytest.approx(reported, rel=1e-12)

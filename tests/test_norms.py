@@ -1,6 +1,5 @@
 """Measurement layer: ell_q targets, L_p norms, Rademacher averages."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -9,13 +8,12 @@ from numpy.testing import assert_allclose
 
 from walshcube.hypercube import HypercubeFunction
 from walshcube.norms import (
-    EXACT_THRESHOLD,
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
-    _MaskBlocks,
     _sign_average,
     _sign_blocks,
+    _sign_masks,
     lp_norm,
     rademacher_average,
     sample_sign_masks,
@@ -23,7 +21,12 @@ from walshcube.norms import (
     signed_combination_average_gradient,
 )
 
-from _naive import ell_q_norms_by_axis_reduce, lp_norm_sum, rademacher_average_enumerated
+from _naive import (
+    ell_q_norms_by_axis_reduce,
+    lp_norm_sum,
+    rademacher_average_enumerated,
+    sign_average_per_mask,
+)
 
 
 def random_function(n, m, seed=0):
@@ -200,47 +203,36 @@ class TestHalvedSignSweep:
             tables = rng.standard_normal((2, count, 4, 3))  # a batch of two rows
             weights = rng.uniform(0.5, 1.5, 4)
             weights /= weights.sum()
-            every = _sign_average(tables, 1.5, space, _MaskBlocks(count, np.arange(1 << count)), weights)
+            every = _sign_average(tables, 1.5, space, np.arange(1 << count), weights)
             halved = signed_combination_average_gradient(tables, 1.5, space, EXACT, weights)
             assert_allclose(halved.value, every.value, rtol=1e-12)
             full = every.gradient()
             assert_allclose(halved.gradient(), full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
 
-    def test_exact_blocks_hold_the_patterns_with_last_sign_plus(self):
+    def test_exact_masks_are_the_patterns_with_last_sign_plus(self):
         for count in range(1, 13):
-            blocks = list(_sign_blocks(count, EXACT))
             # Masks 0, 1, ..., 2^(count-1) - 1 in order: the top bit, the
             # last sign, stays clear.
-            masks = np.arange(1 << (count - 1))[:, None]
-            expected = 1.0 - 2.0 * ((masks >> np.arange(count)) & 1)
+            masks = _sign_masks(count, EXACT)
+            assert np.array_equal(masks, np.arange(1 << (count - 1)))
+            blocks = list(_sign_blocks(count, masks))
+            expected = 1.0 - 2.0 * ((masks[:, None] >> np.arange(count)) & 1)
             assert np.array_equal(np.concatenate(blocks), expected)
             assert all(len(block) <= 1024 for block in blocks)
 
-    def test_exact_blocks_are_cached_read_only_up_to_the_threshold(self):
-        for count in range(1, EXACT_THRESHOLD + 1):
-            blocks = _sign_blocks(count, EXACT)
-            assert blocks is _sign_blocks(count, RademacherAveragePlan(mode="exact", seed=3))
-            assert not any(block.flags.writeable for block in blocks)
-        beyond = _sign_blocks(EXACT_THRESHOLD + 1, EXACT)
-        assert beyond is not _sign_blocks(EXACT_THRESHOLD + 1, EXACT)
-
     @pytest.mark.parametrize(
-        "count,points,m,q,samples,value,gradient_digest",
-        [
-            (3, 8, 2, 1.0, 50, "0x1.a2cd4bda19287p+1", "4b5d7db5f63fef82"),
-            (7, 16, 3, 3.0, 1500, "0x1.151a3197ac8dbp+2", "d18e28d3785697e5"),
-            (12, 4, 2, math.inf, 2100, "0x1.120735fb3f8b4p+2", "545d730122b27100"),
-            (5, 32, 1, 2.0, 700, "0x1.3deccc3e647fdp+1", "dd4c35be641ae35a"),
-        ],
+        "count,points,m,q,samples",
+        [(3, 8, 2, 1.0, 50), (7, 16, 3, 3.0, 1500), (12, 4, 2, math.inf, 2100), (5, 32, 1, 2.0, 700)],
     )
-    def test_monte_carlo_keeps_its_bits(self, count, points, m, q, samples, value, gradient_digest):
-        # Recorded when exact sweeps still visited every pattern: sampled
-        # plans draw and sum the same signs as before, in the same chunks.
+    def test_monte_carlo_averages_its_keyed_samples(self, count, points, m, q, samples):
+        # Sampled plans are not halved: they average the sign patterns of
+        # their keyed masks, each as drawn.
         tables = np.random.default_rng([count, points, m]).standard_normal((count, points, m))
         plan = RademacherAveragePlan(mode="monte-carlo", samples=samples, seed=11)
         side = signed_combination_average_gradient(tables, 2.5, NormSpace(m, q), plan)
-        assert float(side.value).hex() == value
-        assert hashlib.sha256(side.gradient().tobytes()).hexdigest()[:16] == gradient_digest
+        value, gradient = sign_average_per_mask(tables, 2.5, q, sample_sign_masks(11, samples, count))
+        assert side.value == pytest.approx(value, rel=1e-12)
+        assert_allclose(side.gradient(), gradient, rtol=1e-12, atol=1e-12 * np.abs(gradient).max())
 
 
 class TestRademacherAverageMonteCarlo:
