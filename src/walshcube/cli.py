@@ -60,17 +60,15 @@ EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DEGENERATE = 3
 
+_PLAN_MODES = {"exact": "exact", "mc": "monte-carlo", None: "auto"}  # --mode -> plan mode
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walshcube",
         description="Hypercube Fourier analysis and inequality-witness toolkit",
     )
-    parser.add_argument(
-        "--command",
-        required=True,
-        choices=["verify", "eval", "estimate", "check", "scan", "bench", "transform"],
-    )
+    parser.add_argument("--command", required=True, choices=list(_COMMANDS))
     parser.add_argument("--n", type=int, default=6, help="cube dimension")
     parser.add_argument("--n-min", type=int, default=None, help="scan start (default 2)")
     parser.add_argument("--n-max", type=int, default=None, help="scan end (default --n)")
@@ -79,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--p", type=float, default=2.0, help="L_p exponent")
     parser.add_argument("--q", type=float, default=2.0, help="ell_q target index (inf allowed)")
-    parser.add_argument("--mode", choices=["exact", "mc"], default=None)
+    parser.add_argument("--mode", choices=[mode for mode in _PLAN_MODES if mode], default=None)
     parser.add_argument("--samples", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--restarts", type=int, default=16)
@@ -94,11 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _plan_from_args(args, count: int) -> RademacherAveragePlan:
-    if args.mode == "exact":
-        return RademacherAveragePlan(mode="exact", samples=args.samples, seed=args.seed)
-    if args.mode == "mc":
-        return RademacherAveragePlan(mode="monte-carlo", samples=args.samples, seed=args.seed)
-    return RademacherAveragePlan.auto(count, samples=args.samples, seed=args.seed)
+    mode = _PLAN_MODES[args.mode]
+    if mode == "auto":
+        return RademacherAveragePlan.auto(count, samples=args.samples, seed=args.seed)
+    return RademacherAveragePlan(mode=mode, samples=args.samples, seed=args.seed)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -165,7 +162,7 @@ def _search_config(args, n: int, m: int) -> SearchConfig:
         iterations=args.iters,
         probes=args.probes,
         seed=args.seed,
-        plan_mode={"exact": "exact", "mc": "monte-carlo", None: "auto"}[args.mode],
+        plan_mode=_PLAN_MODES[args.mode],
         plan_samples=args.samples,
     )
 

@@ -45,7 +45,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .hypercube import MAX_DIMENSION, HypercubeFunction
+from .hypercube import HypercubeFunction, _check_dimension
 from .inequalities import (
     InequalityReport,
     _corollary2_build,
@@ -145,8 +145,7 @@ class SearchConfig:
     plan_samples: int = 20000
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"dimension n must be in [1, {MAX_DIMENSION}], got {self.n}")
+        _check_dimension(self.n)
         entry = _FUNCTIONALS.get(self.functional)
         size = math.prod(entry.kind.shape(self.n, self.m)) if entry else 0
         if size > _MAX_WITNESS_ENTRIES:

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, SignAssignment
+from .hypercube import MAX_DIMENSION, HypercubeFunction, SignAssignment
 from .norms import (
     OPEN_P,
     TYPE_P,
@@ -121,8 +121,8 @@ class FiniteFiltration:
         Filtrations are immutable, so recent ones are cached and shared; the
         cache is small because one at n = 20 holds about 180 MB of levels.
         """
-        if not 1 <= n <= 20:
-            raise ValueError(f"dyadic filtration needs n in [1, 20], got {n}")
+        if not 1 <= n <= MAX_DIMENSION:
+            raise ValueError(f"dyadic filtration needs n in [1, {MAX_DIMENSION}], got {n}")
         size = 1 << n
         points = np.arange(size, dtype=np.int64)
         levels = tuple(points & ((1 << i) - 1) for i in range(n + 1))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, _check_declared, sign_matrix
+from .hypercube import MAX_DIMENSION, HypercubeFunction, _check_declared, sign_matrix
 
 __all__ = [
     "DegenerateInputError",
@@ -162,9 +162,11 @@ class RademacherAveragePlan:
     """How sign averages are evaluated: exact enumeration or Monte Carlo.
 
     Exact enumeration costs ~ count * 2^(count-1) sign vectors, one of
-    each pair delta, -delta (see `_sign_masks`), and is the default up to
-    `EXACT_THRESHOLD` members; beyond it, `samples` deterministic draws
-    keyed on (seed, sample index) are used.
+    each pair delta, -delta (see `_sign_masks`).  `auto` picks it up to
+    `EXACT_THRESHOLD` members, and up to `MAX_DIMENSION` members while its
+    2^(count-1) patterns are no more than `samples` (to 15 members at the
+    default 20,000); beyond that, `samples` deterministic draws keyed on
+    (seed, sample index) are used.
     """
 
     mode: str = "exact"
@@ -179,8 +181,10 @@ class RademacherAveragePlan:
 
     @classmethod
     def auto(cls, count: int, samples: int = 20000, seed: int = 0):
-        mode = "exact" if count <= EXACT_THRESHOLD else "monte-carlo"
-        return cls(mode=mode, samples=samples, seed=seed)
+        exact = count <= EXACT_THRESHOLD or (
+            count <= MAX_DIMENSION and 1 << (count - 1) <= samples
+        )
+        return cls(mode="exact" if exact else "monte-carlo", samples=samples, seed=seed)
 
 
 _MAX_SAMPLED_MEMBERS = 63
@@ -350,8 +354,10 @@ def _sign_masks(count: int, plan: RademacherAveragePlan) -> np.ndarray:
     ascending order is the whole cube's.
     """
     if plan.mode == "exact":
-        if count > 20:
-            raise ValueError(f"exact sign enumeration is limited to 20 members, got {count}")
+        if count > MAX_DIMENSION:
+            raise ValueError(
+                f"exact sign enumeration is limited to {MAX_DIMENSION} members, got {count}"
+            )
         return np.arange(1 << max(count - 1, 0), dtype=np.int64)
     return sample_sign_masks(plan.seed, plan.samples, count)
 

@@ -21,6 +21,7 @@ from .estimators import FUNCTIONAL_NAMES, SearchConfig, SearchObjective
 from .hypercube import (
     HypercubeFunction,
     WalshSpectrum,
+    _check_dimension,
     character_matrix,
     walsh_forward,
     walsh_forward_naive,
@@ -64,6 +65,36 @@ __all__ = ["CheckResult", "run_verification_suite", "CHECK_NAMES"]
 
 _FAULT = 1e-3
 
+# Every check, in report order, with the largest deviation it accepts.
+_TOLERANCES = {
+    "transform-round-trip": 1e-12,
+    "fast-vs-naive-transform": 1e-12,
+    "parseval": 1e-10,
+    "character-orthogonality": 0.0,
+    "averaging-complement": 1e-12,
+    "averaging-annihilates-derivative": 1e-12,
+    "conditional-expectation-composition": 1e-12,
+    "conditional-expectation-truncation": 1e-12,
+    "martingale-difference-dual-formula": 1e-12,
+    "martingale-difference-centered": 1e-12,
+    "telescoping": 1e-10,
+    "laplacian-derivative-sum": 1e-10,
+    "spectral-actions": 1e-12,
+    "self-adjointness": 1e-10,
+    "symmetrization-identity": 1e-9,
+    "hilbert-pisier-contraction": 1e-9,
+    "hilbert-stein-contraction": 1e-9,
+    "hilbert-umd-averaged-identity": 1e-9,
+    "lp-monotonicity": 1e-12,
+    "sign-average-symmetry": 1e-12,
+    "ratio-scale-invariance": 1e-12,
+    "tree-contraction": 1e-12,
+    "gradient-vs-finite-difference": 1e-6,
+    "batched-vs-single": 1e-12,
+    "halved-vs-full-enumeration": 1e-12,
+}
+CHECK_NAMES = tuple(_TOLERANCES)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -99,69 +130,67 @@ def run_verification_suite(
     rounds: int = 20,
     corrupt: str | None = None,
 ) -> list[CheckResult]:
-    """Run every identity check at the given sizes and return the results.
+    """Run every check in `CHECK_NAMES` at the given sizes and return the
+    results in that order.
 
     `rounds` random inputs are drawn per check; the reported deviation is
-    the worst one seen.
+    the worst one seen, and a NaN deviation fails its check.  `corrupt`
+    names one check whose deviation gets an extra 1e-3.  An unknown name
+    or a dimension outside [1, MAX_DIMENSION] raises `ValueError` before
+    anything is drawn.
     """
+    if corrupt is not None and corrupt not in _TOLERANCES:
+        raise ValueError(f"unknown check {corrupt!r} to corrupt")
+    _check_dimension(n)
     rng = np.random.default_rng(seed)
     space = NormSpace(m, 2.0)
     plan = RademacherAveragePlan.auto(n, seed=seed)
+    exact_plan = RademacherAveragePlan(mode="exact")
     sym_n = min(n, 6)  # full S_n enumeration stays affordable
+    worst = dict.fromkeys(_TOLERANCES, 0.0)
 
-    def fault(name: str) -> float:
-        return _FAULT if corrupt == name else 0.0
-
-    results: list[CheckResult] = []
-
-    def record(name: str, deviation: float, tolerance: float) -> None:
-        results.append(CheckResult(name=name, deviation=deviation + fault(name), tolerance=tolerance))
+    def note(name: str, *deviations: float) -> None:
+        worst[name] = max(worst[name], *deviations)
+        if any(map(math.isnan, deviations)):
+            worst[name] = math.nan  # max() drops it; once noted, it stays and fails
 
     # Transform round trip and the fast/naive agreement.
-    worst_round, worst_naive, worst_parseval = 0.0, 0.0, 0.0
     for _ in range(rounds):
         f = _random_function(rng, n, m)
         spectrum = walsh_forward(f)
-        worst_round = max(worst_round, _relative_gap(walsh_inverse(spectrum).values, f.values))
+        note("transform-round-trip", _relative_gap(walsh_inverse(spectrum).values, f.values))
         if n <= 10:
-            worst_naive = max(
-                worst_naive,
+            note(
+                "fast-vs-naive-transform",
                 _relative_gap(spectrum.coefficients, walsh_forward_naive(f).coefficients),
             )
         energy_points = float(np.mean(np.sum(f.values**2, axis=1)))
         energy_coeffs = float(np.sum(spectrum.coefficients**2))
-        worst_parseval = max(worst_parseval, abs(energy_points - energy_coeffs) / energy_points)
-    record("transform-round-trip", worst_round, 1e-12)
-    record("fast-vs-naive-transform", worst_naive, 1e-12)
-    record("parseval", worst_parseval, 1e-10)
+        note("parseval", abs(energy_points - energy_coeffs) / energy_points)
 
     # Character orthogonality, exact in float64: +-1 products, integer sums below 2^53.
     ortho_n = min(n, 8)
     w = character_matrix(ortho_n)
     gram = w @ w.T
     expected = (1 << ortho_n) * np.eye(1 << ortho_n)
-    record("character-orthogonality", float(np.max(np.abs(gram - expected))), 0.0)
+    note("character-orthogonality", float(np.max(np.abs(gram - expected))))
 
     # Pointwise operator identities.
-    worst_complement, worst_annihilate = 0.0, 0.0
-    worst_composition, worst_truncation = 0.0, 0.0
-    worst_dual, worst_centered, worst_telescope = 0.0, 0.0, 0.0
-    worst_laplacian = 0.0
     for _ in range(rounds):
         f = _random_function(rng, n, m)
         i = int(rng.integers(1, n + 1))
         level = int(rng.integers(0, n + 1))
 
         combined = averaging_operator(f, i).values + partial_derivative(f, i).values
-        worst_complement = max(worst_complement, _relative_gap(combined, f.values))
+        note("averaging-complement", _relative_gap(combined, f.values))
         killed = averaging_operator(partial_derivative(f, i), i).values
-        worst_annihilate = max(worst_annihilate, _relative_gap(killed, np.zeros_like(killed)))
+        note("averaging-annihilates-derivative", _relative_gap(killed, np.zeros_like(killed)))
 
         composed = f
         for j in range(n, level, -1):
             composed = averaging_operator(composed, j)
-        worst_composition = max(
-            worst_composition,
+        note(
+            "conditional-expectation-composition",
             _relative_gap(conditional_expectation(f, level).values, composed.values),
         )
 
@@ -170,41 +199,30 @@ def run_verification_suite(
         truncated = walsh_inverse(
             WalshSpectrum(n=n, m=m, coefficients=np.where(keep[:, None], spectrum.coefficients, 0.0))
         )
-        worst_truncation = max(
-            worst_truncation,
+        note(
+            "conditional-expectation-truncation",
             _relative_gap(conditional_expectation(f, level).values, truncated.values),
         )
 
         d = martingale_difference(f, i)
         via = conditional_expectation(partial_derivative(f, i), i)
-        worst_dual = max(worst_dual, _relative_gap(d.values, via.values))
+        note("martingale-difference-dual-formula", _relative_gap(d.values, via.values))
         centered = conditional_expectation(d, i - 1).values
-        worst_centered = max(worst_centered, _relative_gap(centered, np.zeros_like(centered)))
+        note("martingale-difference-centered", _relative_gap(centered, np.zeros_like(centered)))
 
         total = np.zeros((1 << n, m))
         for j in range(1, n + 1):
             total += martingale_difference(f, j).values
-        worst_telescope = max(worst_telescope, _relative_gap(total, f.values - f.mean()))
+        note("telescoping", _relative_gap(total, f.values - f.mean()))
 
         summed = np.zeros((1 << n, m))
         for j in range(1, n + 1):
             summed += partial_derivative(f, j).values
         recovered = fractional_laplacian(HypercubeFunction.from_values(summed), -1.0)
-        worst_laplacian = max(
-            worst_laplacian, _relative_gap(recovered.values, f.values - f.mean())
-        )
-    record("averaging-complement", worst_complement, 1e-12)
-    record("averaging-annihilates-derivative", worst_annihilate, 1e-12)
-    record("conditional-expectation-composition", worst_composition, 1e-12)
-    record("conditional-expectation-truncation", worst_truncation, 1e-12)
-    record("martingale-difference-dual-formula", worst_dual, 1e-12)
-    record("martingale-difference-centered", worst_centered, 1e-12)
-    record("telescoping", worst_telescope, 1e-10)
-    record("laplacian-derivative-sum", worst_laplacian, 1e-10)
+        note("laplacian-derivative-sum", _relative_gap(recovered.values, f.values - f.mean()))
 
     # Spectral actions of the derivative and averaging operators.
     action_n = min(n, 8)
-    worst_action = 0.0
     f = _random_function(rng, action_n, m)
     base = walsh_forward_naive(f).coefficients
     masks = np.arange(1 << action_n)
@@ -212,15 +230,13 @@ def run_verification_suite(
         contains = (masks & (1 << (i - 1))) != 0
         dspec = walsh_forward_naive(partial_derivative(f, i)).coefficients
         espec = walsh_forward_naive(averaging_operator(f, i)).coefficients
-        worst_action = max(
-            worst_action,
+        note(
+            "spectral-actions",
             _relative_gap(dspec, np.where(contains[:, None], base, 0.0)),
             _relative_gap(espec, np.where(contains[:, None], 0.0, base)),
         )
-    record("spectral-actions", worst_action, 1e-12)
 
     # Self-adjointness of the conditional expectations.
-    worst_adjoint = 0.0
     for _ in range(rounds):
         f = _random_function(rng, n, m)
         g = _random_function(rng, n, m)
@@ -229,90 +245,65 @@ def run_verification_suite(
         eg = conditional_expectation(g, level).values
         lhs = float(np.mean(np.einsum("km,km->k", ef, g.values)))
         rhs = float(np.mean(np.einsum("km,km->k", f.values, eg)))
-        worst_adjoint = max(worst_adjoint, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    record("self-adjointness", worst_adjoint, 1e-10)
+        note("self-adjointness", abs(lhs - rhs) / max(1.0, abs(lhs)))
 
     # Symmetrization identity over the full permutation group.
-    worst_symmetrization = 0.0
     for _ in range(max(1, rounds // 4)):
         family = _random_family(rng, sym_n, m)
-        worst_symmetrization = max(
-            worst_symmetrization, verify_symmetrization_identity(family)
-        )
-    record("symmetrization-identity", worst_symmetrization, 1e-9)
+        note("symmetrization-identity", verify_symmetrization_identity(family))
 
     # Hilbert equality cases at p = 2.
-    worst_pisier, worst_stein, worst_umd = 0.0, 0.0, 0.0
     for _ in range(rounds):
         f = _random_function(rng, n, m)
         lhs = pisier_lhs(f, 2.0, space)
         rhs = pisier_rhs(f, 2.0, space, plan)
         if rhs > 1e-12:
-            worst_pisier = max(worst_pisier, lhs / rhs - 1.0)
+            note("hilbert-pisier-contraction", lhs / rhs - 1.0)
         family = _random_family(rng, min(n, 6), m)
         sl = stein_lhs(family, 2.0, space, plan)
         sr = stein_rhs(family, 2.0, space, plan)
         if sr > 1e-12:
-            worst_stein = max(worst_stein, sl / sr - 1.0)
+            note("hilbert-stein-contraction", sl / sr - 1.0)
         try:
             M = make_dyadic_martingale(_random_function(rng, min(n, 6), m))
-            worst_umd = max(
-                worst_umd,
+            note(
+                "hilbert-umd-averaged-identity",
                 abs(umd_plus_ratio(M, 2.0, space, plan) - 1.0),
                 abs(umd_minus_ratio(M, 2.0, space, plan) - 1.0),
             )
         except DegenerateInputError:
             pass
-    record("hilbert-pisier-contraction", max(worst_pisier, 0.0), 1e-9)
-    record("hilbert-stein-contraction", max(worst_stein, 0.0), 1e-9)
-    record("hilbert-umd-averaged-identity", worst_umd, 1e-9)
 
     # L_p monotonicity on the probability cube.
-    worst_monotone = 0.0
     for _ in range(rounds):
         f = _random_function(rng, n, m)
         grid = [lp_norm(f, p, space) for p in (1.0, 1.5, 2.0, 4.0)]
-        worst_monotone = max(
-            worst_monotone, max(max(a - b, 0.0) for a, b in zip(grid, grid[1:]))
-        )
-    record("lp-monotonicity", worst_monotone, 1e-12)
+        note("lp-monotonicity", max(max(a - b, 0.0) for a, b in zip(grid, grid[1:])))
 
     # Distributional symmetry of the sign average.
-    sym_count = min(n, 6)
-    family = _random_family(rng, sym_count, m)
-    base = rademacher_average(family, 2.0, space, RademacherAveragePlan(mode="exact"))
+    family = _random_family(rng, sym_n, m)
+    base = rademacher_average(family, 2.0, space, exact_plan)
     rotated = FunctionFamily(family.functions[1:] + family.functions[:1])
     flipped = FunctionFamily((-1.0 * family.functions[0],) + family.functions[1:])
-    worst_symmetry = max(
-        abs(rademacher_average(rotated, 2.0, space, RademacherAveragePlan(mode="exact")) - base),
-        abs(rademacher_average(flipped, 2.0, space, RademacherAveragePlan(mode="exact")) - base),
-    ) / max(base, 1e-30)
-    record("sign-average-symmetry", worst_symmetry, 1e-12)
+    gaps = [abs(rademacher_average(g, 2.0, space, exact_plan) - base) for g in (rotated, flipped)]
+    note("sign-average-symmetry", max(gaps) / max(base, 1e-30))
 
     # Scale invariance of the martingale transform ratios.
-    worst_scale = 0.0
     for _ in range(max(1, rounds // 4)):
         f = _random_function(rng, min(n, 6), m)
         M = make_dyadic_martingale(f)
         scaled = make_dyadic_martingale(137.5 * f)
         try:
-            worst_scale = max(
-                worst_scale,
-                abs(
-                    umd_plus_ratio(M, 2.5, space, plan)
-                    - umd_plus_ratio(scaled, 2.5, space, plan)
-                ),
-            )
+            plus = [umd_plus_ratio(X, 2.5, space, plan) for X in (M, scaled)]
+            note("ratio-scale-invariance", abs(plus[0] - plus[1]))
         except DegenerateInputError:
             pass
-    record("ratio-scale-invariance", worst_scale, 1e-12)
 
     # Conditional expectation is an L_p contraction on weighted trees.
     filtration = FiniteFiltration.tree(
         [[0, 0, 0, 0, 0], [0, 0, 0, 1, 1], [0, 1, 1, 2, 3]],
         [0.1, 0.25, 0.15, 0.3, 0.2],
     )
-    worst_tree = 0.0
     for _ in range(rounds):
         table = rng.standard_normal((filtration.size, m))
         for p in (1.0, 2.0, 4.0):
@@ -321,14 +312,12 @@ def run_verification_suite(
                 after = martingale_lp_norm(
                     filtration.condition(table, level), p, space, filtration.probabilities
                 )
-                worst_tree = max(worst_tree, (after - before) / max(before, 1e-30))
-    record("tree-contraction", max(worst_tree, 0.0), 1e-12)
+                note("tree-contraction", (after - before) / max(before, 1e-30))
 
     # Analytic search gradients against a central difference along one
     # direction.  The batched raw-array pass at the same three points must
     # give the ratios of `sides` there and, at the first point, the gradient
     # of that row alone; the tests compare every row of larger batches.
-    worst_gradient, worst_batched = 0.0, 0.0
     h = 1e-6
     for name in FUNCTIONAL_NAMES:
         p = 1.5 if name.endswith("-type") else 2.5
@@ -342,25 +331,21 @@ def run_verification_suite(
         _, alone, _ = objective.gradient(batch[:1])
         analytic = float(alone[0] @ v)
         numeric = (math.log(exact[1]) - math.log(exact[2])) / (2.0 * h)
-        worst_gradient = max(worst_gradient, _relative_gap(analytic, numeric))
+        note("gradient-vs-finite-difference", _relative_gap(analytic, numeric))
 
         ratios, gradients, _ = objective.gradient(batch)
         value_gap = float(np.max(np.abs(ratios - exact) / exact))
         same_row = np.array_equal(gradients[0], alone[0])
-        worst_batched = max(worst_batched, value_gap if same_row else math.inf)
-    record("gradient-vs-finite-difference", worst_gradient, 1e-6)
-    record("batched-vs-single", worst_batched, 1e-12)
+        note("batched-vs-single", value_gap if same_row else math.inf)
 
     # Exact sweeps visit one of each pair delta, -delta: their average, its
     # gradient and the umd maximum against the same kernels on every pattern.
-    worst_halved = 0.0
-    exact = RademacherAveragePlan(mode="exact")
     for count, q in ((1, 1.0), (min(n, 3), 3.0), (min(n, 6), math.inf)):
         tables = rng.standard_normal((count, 8, m))
         probs = np.full(8, 1.0 / 8)
         every = np.arange(1 << count)
         target = NormSpace(m, q)
-        halved = signed_combination_average_gradient(tables, 2.5, target, exact)
+        halved = signed_combination_average_gradient(tables, 2.5, target, exact_plan)
         full = _sign_average(tables, 2.5, target, every)
         maxima = [
             martingale_lp_norm(np.tensordot(signs, tables, axes=(0, 0)), 2.5, target, probs)
@@ -369,41 +354,13 @@ def run_verification_suite(
                 _largest_transform(tables, 2.5, target, probs, every),
             )
         ]
-        worst_halved = max(
-            worst_halved,
+        note(
+            "halved-vs-full-enumeration",
             _relative_gap(halved.value, full.value),
             _relative_gap(halved.gradient(), full.gradient()),
             _relative_gap(*maxima),
         )
-    record("halved-vs-full-enumeration", worst_halved, 1e-12)
 
-    return results
-
-
-CHECK_NAMES = (
-    "transform-round-trip",
-    "fast-vs-naive-transform",
-    "parseval",
-    "character-orthogonality",
-    "averaging-complement",
-    "averaging-annihilates-derivative",
-    "conditional-expectation-composition",
-    "conditional-expectation-truncation",
-    "martingale-difference-dual-formula",
-    "martingale-difference-centered",
-    "telescoping",
-    "laplacian-derivative-sum",
-    "spectral-actions",
-    "self-adjointness",
-    "symmetrization-identity",
-    "hilbert-pisier-contraction",
-    "hilbert-stein-contraction",
-    "hilbert-umd-averaged-identity",
-    "lp-monotonicity",
-    "sign-average-symmetry",
-    "ratio-scale-invariance",
-    "tree-contraction",
-    "gradient-vs-finite-difference",
-    "batched-vs-single",
-    "halved-vs-full-enumeration",
-)
+    if corrupt is not None:
+        worst[corrupt] += _FAULT
+    return [CheckResult(name, worst[name], tol) for name, tol in _TOLERANCES.items()]

@@ -204,6 +204,33 @@ class TestVerifyCommand:
         results = run_verification_suite(n=3, m=1, seed=0, rounds=3)
         assert sorted(r.name for r in results) == sorted(CHECK_NAMES)
 
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_corrupting_a_check_fails_exactly_that_check(self, name):
+        results = run_verification_suite(n=3, m=1, rounds=1, corrupt=name)
+        assert [r.name for r in results] == list(CHECK_NAMES)
+        assert [r.name for r in results if not r.passed] == [name]
+
+    def test_nan_deviation_fails_its_check(self, monkeypatch):
+        import walshcube.verification as verification
+
+        monkeypatch.setattr(
+            verification, "character_matrix", lambda n: np.full((1 << n, 1 << n), np.nan)
+        )
+        results = run_verification_suite(n=3, m=1, rounds=1)
+        assert [r.name for r in results if not r.passed] == ["character-orthogonality"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--corrupt", "no-such-check"], ["--n", "0"], ["--n", "21"]],
+        ids=["unknown-corrupt", "n-zero", "n-too-large"],
+    )
+    def test_bad_suite_input_is_an_input_error(self, flags, capsys):
+        code = main(["--command", "verify", "--n", "3", "--m", "1", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
 
 class TestEvalCommand:
     def test_pisier_json_report(self, sample_function, capsys):

@@ -254,7 +254,7 @@ class TestCertificates:
     def test_rademacher_type_recheck_reports_exact_enumeration(self):
         cfg = SearchConfig(
             functional="rademacher-type", n=11, m=1, p=2.0, q=1.0, restarts=1, iterations=1,
-            probes=2,
+            probes=2, plan_samples=512,
         )
         assert cfg.plan().mode == "monte-carlo"
         assert reevaluate_certificate(maximize_ratio(cfg)).mode == "exact"

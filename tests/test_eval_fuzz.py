@@ -6,7 +6,6 @@ import json
 import math
 import os
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -64,24 +63,28 @@ PAYLOADS = st.one_of(
 )
 
 
-@pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+# Each drawn payload goes to every functional, so each still sees 30
+# examples while Hypothesis, which takes most of this file's time, draws
+# 30 payloads instead of 330.
 @settings(
     max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(payload=PAYLOADS)
-def test_malformed_input_exits_cleanly(name, payload, tmp_path):
+def test_malformed_input_exits_cleanly(payload, tmp_path):
     path = os.path.join(tmp_path, "input.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["--command", "eval", "--functional", name, "--in", path])
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    if code == 0:
-        report = json.loads(out.getvalue())
-        assert all(math.isfinite(report[key]) for key in ("lhs", "rhs", "ratio"))
-    if code == 2:
-        assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1
+    for name in FUNCTIONAL_NAMES:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--command", "eval", "--functional", name, "--in", path])
+        assert code in (0, 2, 3), name
+        assert "Traceback" not in err.getvalue(), name
+        if code == 0:
+            report = json.loads(out.getvalue())
+            assert all(math.isfinite(report[key]) for key in ("lhs", "rhs", "ratio")), name
+        if code == 2:
+            message = err.getvalue()
+            assert message.startswith("input error: ") and message.count("\n") == 1, name

@@ -178,6 +178,25 @@ class TestRademacherAverageExact:
             rademacher_average(family, math.inf, NormSpace(1, 2.0), RademacherAveragePlan())
 
 
+class TestAutoPlan:
+    """`auto` enumerates while 2^(count-1) patterns cost no more than the samples."""
+
+    @pytest.mark.parametrize(
+        "count,samples,mode",
+        [
+            (15, 20000, "exact"),
+            (16, 20000, "monte-carlo"),
+            (11, 512, "monte-carlo"),
+            (11, 1024, "exact"),
+            (10, 1, "exact"),
+            (21, 2**30, "monte-carlo"),
+        ],
+    )
+    def test_mode(self, count, samples, mode):
+        plan = RademacherAveragePlan.auto(count, samples=samples, seed=4)
+        assert (plan.mode, plan.samples, plan.seed) == (mode, samples, 4)
+
+
 QS = [1.0, 1.5, 2.0, 3.0, math.inf]
 EXACT = RademacherAveragePlan(mode="exact")
 
