@@ -91,19 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plan_from_args(args, count: int) -> RademacherAveragePlan:
-    mode = _PLAN_MODES[args.mode]
-    if mode == "auto":
-        return RademacherAveragePlan.auto(count, samples=args.samples, seed=args.seed)
-    return RademacherAveragePlan(mode=mode, samples=args.samples, seed=args.seed)
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit_csv(columns, rows, path: str | None) -> None:
+    """A header line of `columns`, then one comma-joined line per row."""
+    lines = [",".join(columns)] + [",".join(str(v) for v in row) for row in rows]
+    _emit("\n".join(lines), path)
 
 
 def _load_json(path: str | None):
@@ -140,12 +139,12 @@ def cmd_eval(args) -> int:
     entry = functional_entry(args.functional, args.p)
     witness = entry.kind.load(_load_json(args.input_path))
     n, m = entry.kind.dims(witness)
-    plan = _plan_from_args(args, n)
+    plan = RademacherAveragePlan.for_mode(
+        _PLAN_MODES[args.mode], n, samples=args.samples, seed=args.seed
+    )
     report = functional_report(args.functional, witness, args.p, NormSpace(m, args.q), plan)
     if args.format == "csv":
-        lines = [",".join(REPORT_CSV_COLUMNS)]
-        lines.append(",".join(str(v) for v in report.csv_row()))
-        _emit("\n".join(lines), args.output_path)
+        _emit_csv(REPORT_CSV_COLUMNS, [report.csv_row()], args.output_path)
     else:
         _emit(report.to_json(), args.output_path)
     return EXIT_DEGENERATE if report.degenerate else EXIT_OK
@@ -275,10 +274,7 @@ def cmd_bench(args) -> int:
             "exact_average_s",
             "mc_average_s",
         ]
-        lines = [",".join(keys)]
-        for row in rows:
-            lines.append(",".join(str(row.get(k, "")) for k in keys))
-        _emit("\n".join(lines), args.output_path)
+        _emit_csv(keys, [[row.get(k, "") for k in keys] for row in rows], args.output_path)
     else:
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output_path)
     if worst > 1e-12:

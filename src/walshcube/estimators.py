@@ -165,10 +165,8 @@ class SearchConfig:
         return NormSpace(m=self.m, q=self.q)
 
     def plan(self) -> RademacherAveragePlan:
-        if self.plan_mode == "auto":
-            return RademacherAveragePlan.auto(self.n, samples=self.plan_samples, seed=self.seed)
-        return RademacherAveragePlan(
-            mode=self.plan_mode, samples=self.plan_samples, seed=self.seed
+        return RademacherAveragePlan.for_mode(
+            self.plan_mode, self.n, samples=self.plan_samples, seed=self.seed
         )
 
     def to_json_dict(self) -> dict:

@@ -236,8 +236,7 @@ class SignAssignment:
 
 def sign_vector(n: int, mask: int) -> np.ndarray:
     """Decode a bitmask into the sign vector (+1 for a clear bit, -1 for a set bit)."""
-    bits = (mask >> np.arange(n)) & 1
-    return 1.0 - 2.0 * bits.astype(np.float64)
+    return sign_matrix(n, np.array([mask]))[0]
 
 
 def sign_matrix(n: int, masks: np.ndarray) -> np.ndarray:

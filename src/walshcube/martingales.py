@@ -387,14 +387,13 @@ def umd_ratio(
     p = OPEN_P.check(p, "the martingale transform ratio")
     v = _Increments.of(M)
     if signs is None:
-        lhs, rhs = _values(_umd_build(v, M.steps, p, space, None))
+        sides = _umd_build(v, M.steps, p, space, None)
     else:
         if signs.n != M.steps:
             raise ValueError(f"sign assignment on {signs.n} steps for a {M.steps}-step martingale")
-        transformed = np.tensordot(signs.signs(), v.diffs, axes=(0, 0))
-        lhs = martingale_lp_norm(transformed, p, space, v.probs)
-        rhs = martingale_lp_norm(v.increment, p, space, v.probs)
-    return _checked_ratio(lhs, rhs, "constant martingale has no transform ratio")
+        lhs = _transform_norm(v.diffs, signs.signs(), p, space, v.probs)
+        sides = lhs, v.increment_norm(p, space)
+    return _checked_ratio(*_values(sides), "constant martingale has no transform ratio")
 
 
 def _largest_transform(
@@ -435,7 +434,14 @@ def umd_maximum_gradient(
     differentiated through the first pattern reaching its maximum, the
     pattern `umd_ratio` reports.
     """
-    signs = _largest_transform(diffs, p, space, probs)
+    return _transform_norm(diffs, _largest_transform(diffs, p, space, probs), p, space, probs)
+
+
+def _transform_norm(
+    diffs: np.ndarray, signs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray
+) -> _Side:
+    """|| sum_i delta_i d_i ||_{L_p} for (..., n, size, m) increments and
+    (..., n) signs, one pattern per batch row, with its gradient in `diffs`."""
     *lead, steps, size, m = diffs.shape
     transform = (signs[..., None, :] @ diffs.reshape(*lead, steps, size * m)).reshape(
         *lead, size, m

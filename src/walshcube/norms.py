@@ -186,6 +186,13 @@ class RademacherAveragePlan:
         )
         return cls(mode="exact" if exact else "monte-carlo", samples=samples, seed=seed)
 
+    @classmethod
+    def for_mode(cls, mode: str, count: int, samples: int = 20000, seed: int = 0):
+        """`auto(count, ...)` for mode "auto", else a plan of the given mode."""
+        if mode == "auto":
+            return cls.auto(count, samples=samples, seed=seed)
+        return cls(mode=mode, samples=samples, seed=seed)
+
 
 _MAX_SAMPLED_MEMBERS = 63
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -204,12 +211,15 @@ def sample_sign_masks(seed: int, count: int, n: int) -> np.ndarray:
 
     Sample j depends only on (seed, j), so any parallel or serial
     evaluation order reproduces the same draw.  A mask is a signed 64-bit
-    integer, so at most 63 members can be signed.
+    integer, so at most 63 members can be signed; at most 2^MAX_DIMENSION
+    samples are drawn, more than the patterns of the largest exact sweep.
     """
     if n > _MAX_SAMPLED_MEMBERS:
         raise ValueError(
             f"Monte Carlo sign masks are limited to {_MAX_SAMPLED_MEMBERS} members, got {n}"
         )
+    if count > 1 << MAX_DIMENSION:
+        raise ValueError(f"Monte Carlo plans are limited to 2^{MAX_DIMENSION} samples, got {count}")
     idx = np.arange(1, count + 1, dtype=np.uint64)
     state = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN) & _MASK64
     return (_mix64(state) & np.uint64((1 << n) - 1)).astype(np.int64)

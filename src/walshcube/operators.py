@@ -14,15 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hypercube import (
-    HypercubeFunction,
-    WalshSpectrum,
-    _fwht,
-    _own,
-    subset_sizes,
-    walsh_forward,
-    walsh_inverse,
-)
+from .hypercube import HypercubeFunction, _fwht, _own, subset_sizes
 
 __all__ = [
     "Permutation",
@@ -77,16 +69,11 @@ def _check_coordinate(f: HypercubeFunction, i: int) -> int:
     return 1 << (i - 1)
 
 
-@lru_cache(maxsize=None)
-def _flip_indices(n: int, i: int) -> np.ndarray:
-    idx = np.arange(1 << n) ^ (1 << (i - 1))
-    idx.setflags(write=False)
-    return idx
-
-
 def _flipped(f: HypercubeFunction, i: int) -> np.ndarray:
+    """f(eps with coordinate i flipped), through the flip table of `_derivative_each`."""
     _check_coordinate(f, i)
-    return f.values[_flip_indices(f.n, i)]
+    _, flips = _member_flips(f.n)
+    return f.values[flips[i - 1]]
 
 
 def partial_derivative(f: HypercubeFunction, i: int) -> HypercubeFunction:
@@ -123,17 +110,12 @@ def conditional_expectation_permuted(
 ) -> HypercubeFunction:
     """Conditional expectation onto the coordinates {pi(1), ..., pi(level)}.
 
-    Implemented through the Walsh side: every coefficient whose subset is
-    not contained in the prefix set is zeroed.
+    A Walsh multiplier: 1 on the subsets of the prefix set, 0 elsewhere.
     """
     if pi.n != f.n:
         raise ValueError(f"permutation on {pi.n} coordinates applied to n={f.n}")
-    allowed = pi.prefix_mask(level)
-    spectrum = walsh_forward(f)
-    masks = np.arange(1 << f.n)
-    keep = (masks & ~allowed) == 0
-    coeffs = np.where(keep[:, None], spectrum.coefficients, 0.0)
-    return walsh_inverse(_own(WalshSpectrum, coeffs))
+    inside = (np.arange(1 << f.n) & ~pi.prefix_mask(level)) == 0
+    return _own(HypercubeFunction, _walsh_multiply(f.values, f.n, inside.astype(np.float64)))
 
 
 def fractional_laplacian(f: HypercubeFunction, alpha: float) -> HypercubeFunction:

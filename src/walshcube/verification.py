@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FUNCTIONAL_NAMES, SearchConfig, SearchObjective
+from .estimators import _MAX_WITNESS_ENTRIES, FUNCTIONAL_NAMES, SearchConfig, SearchObjective
 from .hypercube import (
     HypercubeFunction,
     WalshSpectrum,
@@ -38,6 +38,7 @@ from .inequalities import (
 from .martingales import (
     FiniteFiltration,
     _largest_transform,
+    _transform_norm,
     make_dyadic_martingale,
     martingale_lp_norm,
     umd_minus_ratio,
@@ -135,13 +136,16 @@ def run_verification_suite(
 
     `rounds` random inputs are drawn per check; the reported deviation is
     the worst one seen, and a NaN deviation fails its check.  `corrupt`
-    names one check whose deviation gets an extra 1e-3.  An unknown name
-    or a dimension outside [1, MAX_DIMENSION] raises `ValueError` before
-    anything is drawn.
+    names one check whose deviation gets an extra 1e-3.  An unknown name,
+    a dimension outside [1, MAX_DIMENSION] or a (2^n, m) table over the
+    search's 2^20-entry witness bound raises `ValueError` before anything
+    is drawn.
     """
     if corrupt is not None and corrupt not in _TOLERANCES:
         raise ValueError(f"unknown check {corrupt!r} to corrupt")
     _check_dimension(n)
+    if m << n > _MAX_WITNESS_ENTRIES:
+        raise ValueError(f"verify tables of 2^{n} x {m} exceed {_MAX_WITNESS_ENTRIES} entries")
     rng = np.random.default_rng(seed)
     space = NormSpace(m, 2.0)
     plan = RademacherAveragePlan.auto(n, seed=seed)
@@ -348,7 +352,7 @@ def run_verification_suite(
         halved = signed_combination_average_gradient(tables, 2.5, target, exact_plan)
         full = _sign_average(tables, 2.5, target, every)
         maxima = [
-            martingale_lp_norm(np.tensordot(signs, tables, axes=(0, 0)), 2.5, target, probs)
+            _transform_norm(tables, signs, 2.5, target, probs).value
             for signs in (
                 _largest_transform(tables, 2.5, target, probs),
                 _largest_transform(tables, 2.5, target, probs, every),

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from walshcube.cli import main
-from walshcube.estimators import FUNCTIONAL_NAMES
+from walshcube.estimators import FUNCTIONAL_NAMES, RatioCertificate, _certificate_digest
 from walshcube.hypercube import HypercubeFunction
 from walshcube.inequalities import (
     corollary2_lhs,
@@ -230,6 +230,40 @@ class TestVerifyCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+def oversampled_certificate(path):
+    """The committed certificate, sealed again with a 10^12-sample Monte Carlo plan."""
+    cert = json.loads((REPO / "data" / "pisier_certificate.json").read_text())
+    cert["config"].update(plan_mode="monte-carlo", plan_samples=10**12)
+    sealed = RatioCertificate.from_json_dict(cert)
+    cert["digest"] = _certificate_digest(
+        sealed.functional, sealed.witness_kind, sealed.witness, sealed.config
+    )
+    write_json(path, cert)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "estimate", "check"])
+def test_monte_carlo_budget_exits_before_allocating(command, sample_function, tmp_path, capsys):
+    budget = ["--mode", "mc", "--samples", "1000000000000"]
+    flags = {
+        "eval": ["--in", str(sample_function), *budget],
+        "estimate": ["--n", "3", *budget],
+        "check": ["--in", str(oversampled_certificate(tmp_path / "cert.json"))],
+    }[command]
+    tracemalloc.start()
+    try:
+        code = main(["--command", command, *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+    assert "2^20 samples" in captured.err
+    assert peak < 1 << 20
 
 
 class TestEvalCommand:
@@ -556,6 +590,7 @@ class TestEstimateCommand:
             ("scan", ["--n", "0"]),
             ("scan", ["--n", "21"]),
             ("scan", ["--n-min", "0", "--n", "1"]),
+            ("verify", ["--n", "20", "--m", "100000000000"]),
         ],
     )
     def test_dimension_out_of_range_exits_before_allocating(self, command, flags, tmp_path, capsys):

@@ -292,6 +292,10 @@ class TestRademacherAverageMonteCarlo:
         assert not np.array_equal(full, sample_sign_masks(8, 100, 6))
         assert full.min() >= 0 and full.max() < 64
 
+    def test_sample_count_is_limited_to_the_largest_exact_sweep(self):
+        with pytest.raises(ValueError, match="limited to 2\\^20 samples"):
+            sample_sign_masks(0, 2**20 + 1, 4)
+
     def test_sampled_masks_are_limited_to_63_members(self):
         masks = sample_sign_masks(1, 200, 63)
         assert masks.min() >= 0 and masks.max() < 1 << 63

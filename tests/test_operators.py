@@ -194,17 +194,19 @@ class TestPermutedConditionalExpectation:
         assert_allclose(conditional_expectation_permuted(dropped, pi, 2).values, 0.0, atol=1e-13)
 
     def test_matches_averaging_over_complement(self):
-        # Independent oracle: averaging over every coordinate outside the prefix set.
+        # Independent oracle: averaging over every coordinate outside the
+        # prefix set, at every level of several permutations.
         f = random_function(5, 2, seed=43)
-        pi = Permutation(n=5, image=(4, 2, 5, 1, 3))
-        level = 2
-        prefix = {pi(j) for j in range(1, level + 1)}
-        oracle = f
-        for i in range(1, 6):
-            if i not in prefix:
-                oracle = averaging_operator(oracle, i)
-        got = conditional_expectation_permuted(f, pi, level)
-        assert_allclose(got.values, oracle.values, rtol=1e-12, atol=1e-13)
+        images = [(4, 2, 5, 1, 3), (1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (2, 5, 3, 1, 4)]
+        for pi in (Permutation(n=5, image=image) for image in images):
+            for level in range(6):
+                prefix = {pi(j) for j in range(1, level + 1)}
+                oracle = f
+                for i in range(1, 6):
+                    if i not in prefix:
+                        oracle = averaging_operator(oracle, i)
+                got = conditional_expectation_permuted(f, pi, level)
+                assert_allclose(got.values, oracle.values, rtol=1e-12, atol=1e-13)
 
     def test_permutation_validation(self):
         with pytest.raises(ValueError, match="permutation"):
