@@ -113,6 +113,14 @@ _BATCH_ENTRIES = 1 << 15
 _MAX_WITNESS_ENTRIES = 1 << 20
 
 
+def _check_table_budget(n: int, m: int, what: str) -> None:
+    """An input error unless n is in [1, MAX_DIMENSION] and a (2^n, m) table
+    holds at most `_MAX_WITNESS_ENTRIES` entries; `what` names the tables."""
+    _check_dimension(n)
+    if m << n > _MAX_WITNESS_ENTRIES:
+        raise ValueError(f"{what} tables of 2^{n} x {m} exceed {_MAX_WITNESS_ENTRIES} entries")
+
+
 class CertificateMismatchError(ValueError):
     """A stored certificate does not reproduce its own claims."""
 

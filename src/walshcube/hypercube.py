@@ -12,7 +12,11 @@ The fixed bit convention, shared by every module and file format:
 Under this convention the Walsh character is w_A(eps) = prod_{i in A} eps_i
 = (-1)^popcount(A & k), flipping coordinate i is XOR with 1 << (i-1), and
 the fast transform is the radix-2 butterfly, run in Pease's constant-geometry
-order (see `_fwht`).
+order (see `_fwht`).  It is cache-blocked in two phases: the low index bits
+within blocks of rows that fit in cache, then the high bits within column
+panels.  Both phases still run the stages on bits 0, 1, ..., n-1 in that
+order, each adding and subtracting the same two operands in the same order,
+so the output has the bits of the plain in-place butterfly.
 
 Forward coefficients carry the averaging factor: fhat(A) is the mean of
 f(eps) * w_A(eps) over the cube, so fhat(empty set) is the mean of f.  The
@@ -279,29 +283,83 @@ def character_matrix(n: int) -> np.ndarray:
     return _character_column((1 << n) - 1, n)[np.bitwise_and.outer(idx, idx)]
 
 
-def _fwht(table: np.ndarray) -> np.ndarray:
+_BLOCK = 1 << 16  # float64 entries per scratch buffer of `_fwht`: 512 KiB, two fit in L2
+
+
+def _stages(source: np.ndarray, target: np.ndarray, axis: int) -> np.ndarray:
+    """The full constant-geometry butterfly along `axis` (-1 or -2) of
+    `source`, ping-ponging with `target`; returns the buffer holding the result.
+
+    Each stage is y[j] = x[2j] + x[2j+1], y[j + L/2] = x[2j] - x[2j+1] for an
+    axis of length L = 2^s.  A stage rotates the position bits right by one,
+    so stage t pairs bit t - 1 of the natural index with the operands and
+    order of the in-place stage h = 2^(t-1), and s stages restore natural order.
+    """
+    rest = (slice(None),) * (-1 - axis)
+    length = source.shape[axis]
+    even, odd = (..., slice(0, None, 2), *rest), (..., slice(1, None, 2), *rest)
+    low, high = (..., slice(None, length // 2), *rest), (..., slice(length // 2, None), *rest)
+    for _ in range(length.bit_length() - 1):
+        np.add(source[even], source[odd], out=target[low])
+        np.subtract(source[even], source[odd], out=target[high])
+        source, target = target, source
+    return source
+
+
+def _fwht(table: np.ndarray, *, block: int | None = None) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard butterfly along axis -2.
 
     Computes out[s] = sum_k table[k] * (-1)^popcount(k & s) in O(n 2^n)
-    per column, for a (2^n, m) table or a (..., 2^n, m) stack of them.
-    Pease's constant-geometry order: each column, transposed to a contiguous
-    row x, goes through n stages y[j] = x[2j] + x[2j+1], y[j + 2^(n-1)] =
-    x[2j] - x[2j+1].  A stage rotates the position bits right by one, so stage
-    t pairs bit t - 1 of the natural index with the operands and order of the
-    in-place stage h = 2^(t-1) (the oracle in `tests/_naive.py`), and n
-    rotations restore natural order: same bits, one long strided loop per
-    ufunc, and every table of a stack gets the bits it gets alone.
+    per column, for a (2^n, m) table or a (..., 2^n, m) stack of them, with
+    the bits of the in-place stage order (the oracle in `tests/_naive.py`).
+
+    Cache-blocked in two phases, so memory is streamed twice instead of n
+    times.  Write the row index k = a B + j, with B = 2^b the largest power
+    of two for which B m <= `block` (at most 2^n; `block` is `_BLOCK` unless
+    given) and A = 2^n / B.
+    Phase 1 takes the low bits 0 .. b-1: every stack table splits into A
+    contiguous rows of B x m entries, and a block of such rows at a time is
+    transposed into scratch, run through the b stages of `_stages` along its
+    last axis, and transposed back into the output.  Phase 2, needed only
+    when a table exceeds a block, takes the high bits b .. n-1: each table,
+    seen as an (A, B m) array, is copied one panel of `block // A` columns at
+    a time into scratch and run through the n - b stages along axis -2.
+    Every entry still meets stages 0 .. n-1 in that order, each adding and
+    subtracting the same two operands in the same order as the in-place
+    stage, so the output is the same bit for bit whatever the split, and
+    every table of a stack gets the bits it gets alone.  Besides the output
+    it allocates two scratch buffers of about `block` entries each.
     """
     rows, columns = table.shape[-2:]
-    source = np.empty(table.shape[:-2] + (columns, rows))
-    np.copyto(source, np.swapaxes(table, -1, -2))
-    target = np.empty_like(source)  # stages alternate between two buffers
-    half = rows // 2
-    for _ in range(rows.bit_length() - 1):
-        np.add(source[..., 0::2], source[..., 1::2], out=target[..., :half])
-        np.subtract(source[..., 0::2], source[..., 1::2], out=target[..., half:])
-        source, target = target, source
-    return np.ascontiguousarray(np.swapaxes(source, -1, -2))
+    out = np.empty(table.shape)
+    n = rows.bit_length() - 1
+    block = block or _BLOCK
+    low = min(n, max(block // columns, 1).bit_length() - 1)
+    points, panel_rows = 1 << low, rows >> low  # B and A
+    pieces = table.reshape(-1, points, columns)  # a view unless the strides forbid one
+    chunk = max(min(block // (points * columns), len(pieces)), 1)  # rows of B points per block
+    width = min(max(block // panel_rows, 1), points * columns)  # columns per panel
+    size = max(chunk * points * columns if low else 0, panel_rows * width)
+    first, second = np.empty(size), np.empty(size)  # the scratch pair of both phases
+    if low == 0:
+        np.copyto(out, table)
+    else:
+        written = out.reshape(pieces.shape)
+        for start in range(0, len(pieces), chunk):
+            part = pieces[start : start + chunk]
+            shape = (len(part), columns, points)
+            source, target = first[: part.size].reshape(shape), second[: part.size].reshape(shape)
+            np.copyto(source, np.swapaxes(part, -1, -2))
+            np.copyto(written[start : start + chunk], np.swapaxes(_stages(source, target, -1), -1, -2))
+    if panel_rows > 1:
+        for single in out.reshape(-1, panel_rows, points * columns):
+            for start in range(0, points * columns, width):
+                panel = single[:, start : start + width]
+                shape = panel.shape
+                source, target = first[: panel.size].reshape(shape), second[: panel.size].reshape(shape)
+                np.copyto(source, panel)
+                np.copyto(panel, _stages(source, target, -2))
+    return out
 
 
 def walsh_forward(f: HypercubeFunction) -> WalshSpectrum:

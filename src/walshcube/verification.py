@@ -3,8 +3,9 @@
 Each check compares two independently computed quantities (an operator
 identity, a spectral action, an equality case, the search's analytic
 gradient against a central difference, its batched evaluation against
-`sides` and against one row at a time, or the halved exact sign sweeps
-against every pattern) and reports its largest deviation
+`sides` and against one row at a time, the halved exact sign sweeps
+against every pattern, or the cache-blocked butterfly against one block
+holding the whole table) and reports its largest deviation
 against the stated tolerance.  The `corrupt` hook injects a
 1e-3 fault into the named check so that pipelines can prove the suite
 actually fails when an operator regresses.
@@ -17,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _MAX_WITNESS_ENTRIES, FUNCTIONAL_NAMES, SearchConfig, SearchObjective
+from .estimators import FUNCTIONAL_NAMES, SearchConfig, SearchObjective, _check_table_budget
 from .hypercube import (
     HypercubeFunction,
     WalshSpectrum,
-    _check_dimension,
+    _fwht,
     character_matrix,
     walsh_forward,
     walsh_forward_naive,
@@ -93,6 +94,7 @@ _TOLERANCES = {
     "gradient-vs-finite-difference": 1e-6,
     "batched-vs-single": 1e-12,
     "halved-vs-full-enumeration": 1e-12,
+    "blocked-vs-whole-butterfly": 0.0,
 }
 CHECK_NAMES = tuple(_TOLERANCES)
 
@@ -143,9 +145,7 @@ def run_verification_suite(
     """
     if corrupt is not None and corrupt not in _TOLERANCES:
         raise ValueError(f"unknown check {corrupt!r} to corrupt")
-    _check_dimension(n)
-    if m << n > _MAX_WITNESS_ENTRIES:
-        raise ValueError(f"verify tables of 2^{n} x {m} exceed {_MAX_WITNESS_ENTRIES} entries")
+    _check_table_budget(n, m, "verify")
     rng = np.random.default_rng(seed)
     space = NormSpace(m, 2.0)
     plan = RademacherAveragePlan.auto(n, seed=seed)
@@ -364,6 +364,12 @@ def run_verification_suite(
             _relative_gap(halved.gradient(), full.gradient()),
             _relative_gap(*maxima),
         )
+
+    # The butterfly split into blocks of 8 entries against one block holding
+    # the whole table: the number of entries whose bits differ.
+    table = rng.standard_normal((1 << n, m))
+    blocked, whole = (_fwht(table, block=size).view(np.int64) for size in (8, table.size))
+    note("blocked-vs-whole-butterfly", float(np.count_nonzero(blocked != whole)))
 
     if corrupt is not None:
         worst[corrupt] += _FAULT

@@ -591,6 +591,8 @@ class TestEstimateCommand:
             ("scan", ["--n", "21"]),
             ("scan", ["--n-min", "0", "--n", "1"]),
             ("verify", ["--n", "20", "--m", "100000000000"]),
+            ("bench", ["--n", "1", "--m", "100000000000"]),
+            ("bench", ["--n", "40"]),
         ],
     )
     def test_dimension_out_of_range_exits_before_allocating(self, command, flags, tmp_path, capsys):

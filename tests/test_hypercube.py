@@ -188,24 +188,51 @@ class TestButterflyBits:
                 assert got.shape == table.shape and got.flags.c_contiguous
                 assert np.array_equal(_bits(got), _bits(butterfly_in_place_order(table))), (n, m)
 
-    def test_broadcast_read_only_and_integer_inputs(self):
+    def test_broadcast_read_only_and_integer_inputs(self, monkeypatch):
         rng = np.random.default_rng(5)
-        for n in (1, 4, 9):
-            table = self.inputs(n, 3, (), rng)
-            frozen = table.copy()
-            frozen.setflags(write=False)
-            integers = rng.integers(-1000, 1000, size=(2, 1 << n, 3))
-            for view in (
-                np.broadcast_to(table, (2, 3) + table.shape),  # zero strides on the batch
-                np.broadcast_to(table[:, :1], table.shape),  # one column repeated
-                frozen,
-                table[::-1],  # negative row stride
-                np.asfortranarray(table),
-                integers,
-            ):
-                expected = butterfly_in_place_order(view)
-                assert np.array_equal(_bits(_fwht(view)), _bits(expected)), (n, view.strides)
-            assert np.array_equal(_bits(table), _bits(frozen))  # the input is untouched
+        for block in (hypercube._BLOCK, 8, 64, 512):  # one block, then split both ways
+            monkeypatch.setattr(hypercube, "_BLOCK", block)
+            for n in (1, 4, 9):
+                table = self.inputs(n, 3, (), rng)
+                frozen = table.copy()
+                frozen.setflags(write=False)
+                integers = rng.integers(-1000, 1000, size=(2, 1 << n, 3))
+                for view in (
+                    np.broadcast_to(table, (2, 3) + table.shape),  # zero strides on the batch
+                    np.broadcast_to(table[:, :1], table.shape),  # one column repeated
+                    frozen,
+                    table[::-1],  # negative row stride
+                    np.asfortranarray(table),
+                    integers,
+                ):
+                    expected = butterfly_in_place_order(view)
+                    assert np.array_equal(_bits(_fwht(view)), _bits(expected)), (block, n, view.strides)
+                assert np.array_equal(_bits(table), _bits(frozen))  # the input is untouched
+
+    # Blocks far below `_BLOCK` split small tables both ways: phase 1 loops
+    # over blocks of rows (a (3, 2^9, 1) stack at block 8 is 192 rows of
+    # B = 8 points, one block each), phase 2 over column panels, ragged where
+    # the panel width does not divide B m (n=5, m=3 at block 64: B = 16
+    # points of 3 columns, panels of 32 and 16), and m = 9 > 8 leaves phase 1
+    # no bits at block 8.
+    @pytest.mark.parametrize("block", [8, 64, 512])
+    def test_blocked_splits_equal_in_place_order(self, block, monkeypatch):
+        monkeypatch.setattr(hypercube, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for lead in [(), (3,), (2, 3)]:
+            for n in range(1, 10):
+                for m in (1, 3, 9):
+                    table = self.inputs(n, m, lead, rng)
+                    got = _fwht(table)
+                    assert got.shape == table.shape and got.flags.c_contiguous
+                    assert np.array_equal(_bits(got), _bits(butterfly_in_place_order(table))), (
+                        lead, n, m,
+                    )
+
+    def test_table_above_the_real_block(self):
+        table = self.inputs(17, 1, (), np.random.default_rng(17))
+        assert table.size > hypercube._BLOCK
+        assert np.array_equal(_bits(_fwht(table)), _bits(butterfly_in_place_order(table)))
 
     def test_signed_zeros_and_extremes(self):
         table = np.array(
