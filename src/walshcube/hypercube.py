@@ -306,17 +306,18 @@ def _stages(source: np.ndarray, target: np.ndarray, axis: int) -> np.ndarray:
     return source
 
 
-def _fwht(table: np.ndarray, *, block: int | None = None) -> np.ndarray:
+def _fwht(table: np.ndarray, *, block: int = _BLOCK) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard butterfly along axis -2.
 
     Computes out[s] = sum_k table[k] * (-1)^popcount(k & s) in O(n 2^n)
     per column, for a (2^n, m) table or a (..., 2^n, m) stack of them, with
     the bits of the in-place stage order (the oracle in `tests/_naive.py`).
 
-    Cache-blocked in two phases, so memory is streamed twice instead of n
-    times.  Write the row index k = a B + j, with B = 2^b the largest power
-    of two for which B m <= `block` (at most 2^n; `block` is `_BLOCK` unless
-    given) and A = 2^n / B.
+    An input of at most `block` entries, stack included, goes through all n
+    stages in one transposed copy.  A larger one is cache-blocked in two
+    phases, so memory is streamed twice instead of n times.  Write the row
+    index k = a B + j, with B = 2^b the largest power of two for which
+    B m <= `block` (at most 2^n) and A = 2^n / B.
     Phase 1 takes the low bits 0 .. b-1: every stack table splits into A
     contiguous rows of B x m entries, and a block of such rows at a time is
     transposed into scratch, run through the b stages of `_stages` along its
@@ -331,9 +332,12 @@ def _fwht(table: np.ndarray, *, block: int | None = None) -> np.ndarray:
     it allocates two scratch buffers of about `block` entries each.
     """
     rows, columns = table.shape[-2:]
+    if table.size <= block:
+        source = np.empty(table.shape[:-2] + (columns, rows))
+        np.copyto(source, np.swapaxes(table, -1, -2))
+        return np.ascontiguousarray(np.swapaxes(_stages(source, np.empty_like(source), -1), -1, -2))
     out = np.empty(table.shape)
     n = rows.bit_length() - 1
-    block = block or _BLOCK
     low = min(n, max(block // columns, 1).bit_length() - 1)
     points, panel_rows = 1 << low, rows >> low  # B and A
     pieces = table.reshape(-1, points, columns)  # a view unless the strides forbid one

@@ -365,10 +365,12 @@ def run_verification_suite(
             _relative_gap(*maxima),
         )
 
-    # The butterfly split into blocks of 8 entries against one block holding
-    # the whole table: the number of entries whose bits differ.
+    # The butterfly split into blocks of about sqrt(2^n m) entries, at least 8,
+    # so each phase loops O(sqrt(2^n m)) times, against one block holding the
+    # whole table: the number of entries whose bits differ.
     table = rng.standard_normal((1 << n, m))
-    blocked, whole = (_fwht(table, block=size).view(np.int64) for size in (8, table.size))
+    split = max(8, 1 << table.size.bit_length() // 2)
+    blocked, whole = (_fwht(table, block=size).view(np.int64) for size in (split, table.size))
     note("blocked-vs-whole-butterfly", float(np.count_nonzero(blocked != whole)))
 
     if corrupt is not None:

@@ -188,10 +188,9 @@ class TestButterflyBits:
                 assert got.shape == table.shape and got.flags.c_contiguous
                 assert np.array_equal(_bits(got), _bits(butterfly_in_place_order(table))), (n, m)
 
-    def test_broadcast_read_only_and_integer_inputs(self, monkeypatch):
+    def test_broadcast_read_only_and_integer_inputs(self):
         rng = np.random.default_rng(5)
         for block in (hypercube._BLOCK, 8, 64, 512):  # one block, then split both ways
-            monkeypatch.setattr(hypercube, "_BLOCK", block)
             for n in (1, 4, 9):
                 table = self.inputs(n, 3, (), rng)
                 frozen = table.copy()
@@ -206,7 +205,8 @@ class TestButterflyBits:
                     integers,
                 ):
                     expected = butterfly_in_place_order(view)
-                    assert np.array_equal(_bits(_fwht(view)), _bits(expected)), (block, n, view.strides)
+                    got = _fwht(view, block=block)
+                    assert np.array_equal(_bits(got), _bits(expected)), (block, n, view.strides)
                 assert np.array_equal(_bits(table), _bits(frozen))  # the input is untouched
 
     # Blocks far below `_BLOCK` split small tables both ways: phase 1 loops
@@ -216,14 +216,13 @@ class TestButterflyBits:
     # points of 3 columns, panels of 32 and 16), and m = 9 > 8 leaves phase 1
     # no bits at block 8.
     @pytest.mark.parametrize("block", [8, 64, 512])
-    def test_blocked_splits_equal_in_place_order(self, block, monkeypatch):
-        monkeypatch.setattr(hypercube, "_BLOCK", block)
+    def test_blocked_splits_equal_in_place_order(self, block):
         rng = np.random.default_rng(block)
         for lead in [(), (3,), (2, 3)]:
             for n in range(1, 10):
                 for m in (1, 3, 9):
                     table = self.inputs(n, m, lead, rng)
-                    got = _fwht(table)
+                    got = _fwht(table, block=block)
                     assert got.shape == table.shape and got.flags.c_contiguous
                     assert np.array_equal(_bits(got), _bits(butterfly_in_place_order(table))), (
                         lead, n, m,
