@@ -154,6 +154,8 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
+        if self.m < 1:
+            raise ValueError(f"target dimension m must be >= 1, got {self.m}")
         entry = _FUNCTIONALS.get(self.functional)
         size = math.prod(entry.kind.shape(self.n, self.m)) if entry else 0
         if size > _MAX_WITNESS_ENTRIES:

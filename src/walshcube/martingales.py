@@ -39,7 +39,7 @@ from .norms import (
     lp_norm_gradient,
     signed_combination_average_gradient,
 )
-from .operators import _condition, _difference_each, _repeat
+from .operators import _condition, _difference_each, _dyadic_levels
 
 __all__ = [
     "FiniteFiltration",
@@ -278,7 +278,7 @@ class MartingaleSequence:
 
 def make_dyadic_martingale(f: HypercubeFunction) -> MartingaleSequence:
     """The martingale of conditional expectations of f along the coordinate filtration."""
-    values = np.stack([_condition(f.values, f.n, i) for i in range(f.n + 1)])
+    values = _dyadic_levels(f.values, f.n)
     # Each level is a mean over whole level cells, so it is measurable and
     # averages back to the level below: the checks hold by construction.
     return MartingaleSequence._trusted(FiniteFiltration.dyadic(f.n), f.m, values)
@@ -317,9 +317,10 @@ class _Increments:
         """The dyadic martingales of raw (..., 2^n, m) tables f, with gradients
         carried back to f (the maps d_i and centring are self-adjoint)."""
         points = f.shape[-2]
+        levels = _dyadic_levels(f, n)
         return cls(
-            _difference_each(_repeat(f, n), n),
-            f - _condition(f, n, 0),
+            levels[..., 1:, :, :] - levels[..., :-1, :, :],
+            f - levels[..., 0, :, :],
             np.full(points, 1.0 / points),
             lambda g: _difference_each(g, n).sum(axis=-3),
             lambda g: g - _condition(g, n, 0),

@@ -161,15 +161,43 @@ def _derivative_each(stack: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (stack - stack[..., members, flips, :])
 
 
+def _level_mean(values: np.ndarray, n: int, level: int, out=None) -> np.ndarray:
+    """E_level f once per level cell: the (B, 2^level, m) means over the trailing
+    n - level coordinates of (..., 2^n, m) tables, batch axes flattened to B.
+
+    The one rule for a level mean; `out` only says where the quotient goes.
+    """
+    block = 1 << level
+    tail = 1 << (n - level)
+    # add.reduce then divide is what `mean` computes, without its Python wrapper.
+    total = np.add.reduce(values.reshape(-1, tail, block, values.shape[-1]), axis=1)
+    return np.divide(total, tail, out=out)
+
+
 def _condition(values: np.ndarray, n: int, level: int) -> np.ndarray:
     """E_level f: the mean over the trailing n - level coordinates of (..., 2^n, m) tables."""
     if level == n:
         return values
-    block = 1 << level
-    tail = 1 << (n - level)
-    # add.reduce then divide is what `mean` computes, without its Python wrapper.
-    averaged = np.add.reduce(values.reshape(-1, tail, block, values.shape[-1]), axis=1) / tail
-    return averaged[:, None].repeat(tail, axis=1).reshape(values.shape)
+    averaged = _level_mean(values, n, level)
+    return averaged[:, None].repeat(1 << (n - level), axis=1).reshape(values.shape)
+
+
+def _dyadic_levels(values: np.ndarray, n: int) -> np.ndarray:
+    """(E_0 f, ..., E_n f) of (..., 2^n, m) tables f as one (..., n + 1, 2^n, m) array.
+
+    Each level's means are divided straight into the first row of its
+    cells and copied across the rest, so beside the output only one
+    level's sums are held; level n is f itself.
+    """
+    m = values.shape[-1]
+    shape = values.shape[:-2] + (n + 1,) + values.shape[-2:]
+    levels = np.empty(shape, dtype=np.result_type(values.dtype, 1.0))
+    for level in range(n):
+        cells = levels.reshape(-1, n + 1, 1 << (n - level), 1 << level, m)[:, level]
+        _level_mean(values, n, level, out=cells[:, 0])
+        cells[:, 1:] = cells[:, :1]
+    levels[..., n, :, :] = values
+    return levels
 
 
 def _condition_each(stack: np.ndarray, n: int, shift: int = 0) -> np.ndarray:

@@ -4,8 +4,9 @@ Each check compares two independently computed quantities (an operator
 identity, a spectral action, an equality case, the search's analytic
 gradient against a central difference, its batched evaluation against
 `sides` and against one row at a time, the halved exact sign sweeps
-against every pattern, or the cache-blocked butterfly against one block
-holding the whole table) and reports its largest deviation
+against every pattern, the cache-blocked butterfly against one block
+holding the whole table, or the one-pass dyadic martingale against the
+object operators level by level) and reports its largest deviation
 against the stated tolerance.  The `corrupt` hook injects a
 1e-3 fault into the named check so that pipelines can prove the suite
 actually fails when an operator regresses.
@@ -95,6 +96,7 @@ _TOLERANCES = {
     "batched-vs-single": 1e-12,
     "halved-vs-full-enumeration": 1e-12,
     "blocked-vs-whole-butterfly": 0.0,
+    "dyadic-levels-vs-operators": 0.0,
 }
 CHECK_NAMES = tuple(_TOLERANCES)
 
@@ -116,6 +118,11 @@ class CheckResult:
 def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return float(np.max(np.abs(a - b))) / scale
+
+
+def _differing_bits(a: np.ndarray, b: np.ndarray) -> float:
+    """The number of float64 entries of `a` and `b` whose bits differ."""
+    return float(np.count_nonzero(a.view(np.int64) != b.view(np.int64)))
 
 
 def _random_function(rng, n, m) -> HypercubeFunction:
@@ -370,8 +377,19 @@ def run_verification_suite(
     # whole table: the number of entries whose bits differ.
     table = rng.standard_normal((1 << n, m))
     split = max(8, 1 << table.size.bit_length() // 2)
-    blocked, whole = (_fwht(table, block=size).view(np.int64) for size in (split, table.size))
-    note("blocked-vs-whole-butterfly", float(np.count_nonzero(blocked != whole)))
+    blocked, whole = (_fwht(table, block=size) for size in (split, table.size))
+    note("blocked-vs-whole-butterfly", _differing_bits(blocked, whole))
+
+    # The dyadic martingale's levels, built in one pass, against the object
+    # operators one level at a time: the number of entries whose bits differ.
+    f = _random_function(rng, n, m)
+    M = make_dyadic_martingale(f)
+    levelwise = (martingale_difference(f, i).values for i in range(1, n + 1))
+    note(
+        "dyadic-levels-vs-operators",
+        sum(map(_differing_bits, M.differences(), levelwise))
+        + _differing_bits(M.increment(), (f - conditional_expectation(f, 0)).values),
+    )
 
     if corrupt is not None:
         worst[corrupt] += _FAULT

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -609,6 +610,15 @@ class TestEstimateCommand:
         assert peak < 1 << 20
         assert not out.exists()
 
+    def test_zero_target_dimension_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        flags = ["--functional", "pisier", "--n", "4", "--m", "0", "--out", str(out)]
+        code = main(["--command", "estimate", *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "input error: target dimension m must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_certificate_file_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -629,6 +639,11 @@ class TestCheckCommand:
     # Written by `estimate` (n=5, m=2, p=2.5, q=3, seed 1) while exact sweeps
     # still visited every sign pattern; the halved sweep moves its rhs by one ulp.
     FIXTURE = REPO / "data" / "pisier_certificate.json"
+    # Written by `estimate` with these flags while each dyadic martingale was
+    # conditioned level by level, twice per level; the one-pass levels keep its bytes.
+    UMD_FIXTURE = REPO / "data" / "umd_certificate.json"
+    UMD_FLAGS = ["--functional", "umd", "--n", "4", "--m", "2", "--p", "2", "--q", "1"]
+    UMD_FLAGS += ["--seed", "1", "--restarts", "4", "--iters", "20", "--probes", "50"]
 
     def run_check(self, path, capsys):
         code = main(["--command", "check", "--in", str(path)])
@@ -647,6 +662,31 @@ class TestCheckCommand:
         assert main(["--command", "estimate", *flags]) == 0
         capsys.readouterr()
         assert self.run_check(path, capsys)[0] == 0
+
+    def test_committed_umd_certificate_holds(self, capsys):
+        code, out, err = self.run_check(self.UMD_FIXTURE, capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("umd: ratio ") and out.count("\n") == 1
+
+    def test_fresh_umd_certificate_has_the_committed_bytes(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        assert main(["--command", "estimate", *self.UMD_FLAGS, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_bytes() == self.UMD_FIXTURE.read_bytes()
+
+    def test_zero_target_dimension_is_an_input_error(self, tmp_path, capsys):
+        # An empty witness under a digest recomputed for m = 0 reaches the search
+        # objective unless the config itself is refused.
+        cert = json.loads(self.UMD_FIXTURE.read_text())
+        cert["config"]["m"] = 0
+        cert["witness"] = []
+        config = types.SimpleNamespace(to_json_dict=lambda: cert["config"])
+        cert["digest"] = _certificate_digest(cert["functional"], cert["witness_kind"], (), config)
+        path = tmp_path / "cert.json"
+        write_json(path, cert)
+        code, out, err = self.run_check(path, capsys)
+        assert code == 2 and out == ""
+        assert err == "input error: target dimension m must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("field", ["lhs", "ratio", "witness"])
     def test_drift_or_tamper_fails(self, field, tmp_path, capsys):
@@ -715,6 +755,15 @@ class TestScanCommand:
         assert len(rows) == 4
         for row in rows[1:]:
             assert float(row[1]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_zero_target_dimension_grows_as_two_to_the_n(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        flags = ["--n-min", "1", "--n-max", "2", "--m", "0", "--restarts", "1"]
+        flags += ["--iters", "2", "--probes", "3", "--out", str(out)]
+        assert main(["--command", "scan", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:2]] == [["n=1", "m=2"], ["n=2", "m=4"]]
+        assert len(out.read_text().splitlines()) == 3
 
     def test_empty_range_is_input_error(self, capsys):
         code = main(["--command", "scan", "--n-min", "5", "--n-max", "3"])

@@ -1,6 +1,7 @@
 """Filtered spaces, adapted martingales, and transform ratio functionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from walshcube.inequalities import pisier_lhs
 from walshcube.martingales import (
     FiniteFiltration,
     MartingaleSequence,
+    _Increments,
     _largest_transform,
     make_dyadic_martingale,
     martingale_lp_norm,
@@ -28,7 +30,14 @@ from walshcube.norms import (
     RademacherAveragePlan,
     rademacher_average,
 )
-from walshcube.operators import martingale_difference
+from walshcube.operators import (
+    _condition,
+    _difference_each,
+    _dyadic_levels,
+    _repeat,
+    conditional_expectation,
+    martingale_difference,
+)
 
 EXACT = RademacherAveragePlan(mode="exact")
 
@@ -194,6 +203,44 @@ class TestMartingaleSequence:
         M = random_tree_martingale(seed=7)
         back = MartingaleSequence.from_json_dict(M.to_json_dict())
         assert_allclose(back.values, M.values)
+
+
+class TestDyadicLevels:
+    """The one-pass level kernel against the per-level compositions it replaced."""
+
+    BATCHES = [(), (4,), (2, 3)]
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_increments_have_the_bits_of_the_per_level_composition(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        for batch in self.BATCHES:
+            f = rng.standard_normal(batch + (1 << n, m))
+            view = _Increments.dyadic(f, n)
+            assert np.array_equal(view.diffs, _difference_each(_repeat(f, n), n))
+            assert np.array_equal(view.increment, f - _condition(f, n, 0))
+            stacked = np.stack([_condition(f, n, i) for i in range(n + 1)], axis=-3)
+            assert np.array_equal(_dyadic_levels(f, n), stacked)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_martingale_values_are_the_conditional_expectations(self, n, m):
+        f = random_function(n, m, seed=200 + n)
+        stacked = np.stack([conditional_expectation(f, i).values for i in range(n + 1)])
+        assert np.array_equal(make_dyadic_martingale(f).values, stacked)
+
+    def test_martingale_holds_its_output_and_one_level_of_sums(self):
+        f = random_function(15, 4, seed=15)
+        FiniteFiltration.dyadic(15)  # cached; its level tables are not the martingale's
+        tracemalloc.start()
+        try:
+            M = make_dyadic_martingale(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = M.values.nbytes
+        assert output == 16 << 20
+        assert peak < output + (1 << 20)
 
 
 def skewed_martingale(n, m, rng):
