@@ -48,6 +48,7 @@ from .hypercube import (
 )
 from .inequalities import REPORT_CSV_COLUMNS
 from .norms import (
+    DEFAULT_SAMPLES,
     DegenerateInputError,
     FunctionFamily,
     NormSpace,
@@ -79,11 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=float, default=2.0, help="L_p exponent")
     parser.add_argument("--q", type=float, default=2.0, help="ell_q target index (inf allowed)")
     parser.add_argument("--mode", choices=[mode for mode in _PLAN_MODES if mode], default=None)
-    parser.add_argument("--samples", type=int, default=20000)
+    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--restarts", type=int, default=16)
-    parser.add_argument("--iters", type=int, default=300)
-    parser.add_argument("--probes", type=int, default=2000)
+    parser.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    parser.add_argument("--iters", type=int, default=SearchConfig.iterations)
+    parser.add_argument("--probes", type=int, default=SearchConfig.probes)
     parser.add_argument("--functional", default="pisier", help=f"one of {FUNCTIONAL_NAMES}")
     parser.add_argument("--in", dest="input_path", default=None, metavar="PATH")
     parser.add_argument("--out", dest="output_path", default=None, metavar="PATH")

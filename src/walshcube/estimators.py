@@ -71,6 +71,7 @@ from .martingales import (
     make_dyadic_martingale,
 )
 from .norms import (
+    DEFAULT_SAMPLES,
     DEGENERATE_EPS,
     DEVIATION_P,
     OPEN_P,
@@ -102,6 +103,10 @@ __all__ = [
 ]
 
 _MIN_LINE_STEP = 1e-10
+_ASCENT_TOL = 1e-9  # a restart stops once a step improves its ratio by less, relatively
+# Certificate config keys at fixed values (an earlier ascent's central-difference
+# step, and `_ASCENT_TOL`), written so that older certificates keep their digests.
+_FIXED_CONFIG = {"step": 1e-5, "tol": _ASCENT_TOL}
 _MAX_MISSES = 1000  # consecutive degenerate draws before a search gives up
 # A batch holds at least one row and otherwise at most this many sign-pattern
 # combination entries: rows times 2^min(n, 10) patterns times the witness
@@ -131,11 +136,12 @@ class SearchFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Shape, exponents and budgets for one extremal search.
-
-    `step` was the central-difference step of an earlier ascent.  The
-    ascent now uses analytic gradients and no longer reads it; it stays in
-    the config and its JSON so existing certificates keep their digests.
+    """Shape, exponents and budgets for one extremal search: the search's
+    only settings, whose defaults `cli` reads.  A field of the wrong type
+    or range is a one-line error that names it.  A certificate's digest
+    covers its functional, witness kind and witness and this config, whose
+    JSON adds `step` and `tol` at the fixed values of `_FIXED_CONFIG`; a
+    re-check also requires the functional and the kind to be the config's.
     """
 
     functional: str
@@ -145,14 +151,18 @@ class SearchConfig:
     q: float
     restarts: int = 16
     iterations: int = 300
-    step: float = 1e-5
-    tol: float = 1e-9
     probes: int = 2000
     seed: int = 0
     plan_mode: str = "auto"
-    plan_samples: int = 20000
+    plan_samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self) -> None:
+        for name in ("n", "m", "restarts", "iterations", "probes", "seed", "plan_samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"config {name} must be an integer, got {value!r}")
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
+            raise TypeError(f"config p must be a real number, got {self.p!r}")
         _check_dimension(self.n)
         if self.m < 1:
             raise ValueError(f"target dimension m must be >= 1, got {self.m}")
@@ -165,10 +175,8 @@ class SearchConfig:
             )
         if self.restarts < 1 or self.iterations < 1 or self.probes < 1:
             raise ValueError("restarts, iterations and probes must all be >= 1")
-        if not (self.step > 0.0):
-            raise ValueError("finite-difference step must be positive")
-        if not (self.tol > 0.0):
-            raise ValueError("convergence tolerance must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         OPEN_P.check(self.p, "search")
 
     def space(self) -> NormSpace:
@@ -180,14 +188,17 @@ class SearchConfig:
         )
 
     def to_json_dict(self) -> dict:
-        return _json_fields(self)
+        return {**_json_fields(self), **_FIXED_CONFIG}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SearchConfig":
         names = [f.name for f in fields(cls)]
         required = [f.name for f in fields(cls) if f.default is MISSING]
-        _check_keys(data, "certificate config", required, allowed=names)
+        _check_keys(data, "certificate config", required, allowed=names + list(_FIXED_CONFIG))
         data = dict(data)
+        for key, fixed in _FIXED_CONFIG.items():
+            if (value := data.pop(key, fixed)) != fixed:
+                raise ValueError(f"certificate config {key} must be {fixed}, got {value!r}")
         if data["q"] in ("inf", "Infinity"):
             data["q"] = math.inf
         if isinstance(data["q"], bool) or not isinstance(data["q"], (int, float)):
@@ -582,7 +593,7 @@ def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig
         x[rows] = candidates[accepted] / _rms(candidates[accepted])
         ratio[rows] = cand_ratio
         trial_step[rows] = np.minimum(2.0 * t, 1.0)
-        climbing[rows[improvement < config.tol]] = False
+        climbing[rows[improvement < _ASCENT_TOL]] = False
     # Evaluate again at the stored (renormalized) points.
     rows = np.flatnonzero(kept)
     ratio[:] = np.nan
@@ -669,6 +680,10 @@ def reevaluate_certificate(cert: RatioCertificate) -> InequalityReport:
     if expected != cert.digest:
         raise CertificateMismatchError("certificate digest does not match its payload")
     config = cert.config
+    if cert.functional != config.functional:
+        raise CertificateMismatchError(
+            f"functional {cert.functional!r} is not the config's {config.functional!r}"
+        )
     objective = SearchObjective(config)
     if objective.kind != cert.witness_kind:
         raise CertificateMismatchError(

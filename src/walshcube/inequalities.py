@@ -54,7 +54,9 @@ from .operators import (
     _degree_one_multiplier,
     _derivative_each,
     _difference_each,
+    _dyadic_levels,
     _laplacian_multiplier,
+    _level_differences,
     _repeat,
     _walsh_multiply,
     derivative_stack,
@@ -349,7 +351,7 @@ def _inverse_laplacian_norm(family, n, p, space):
 def _theorem1_build(family, n, p, space, plan):
     lhs = lp_norm_gradient(_difference_each(family, n).sum(axis=-3), p, space)
     return (
-        lhs.map(lambda g: _difference_each(_repeat(g, n), n)),
+        lhs.map(lambda g: _level_differences(_dyadic_levels(g, n))),
         _derivative_average(family, n, p, space, plan),
     )
 

@@ -39,7 +39,7 @@ from .norms import (
     lp_norm_gradient,
     signed_combination_average_gradient,
 )
-from .operators import _condition, _difference_each, _dyadic_levels
+from .operators import _condition, _difference_each, _dyadic_levels, _level_differences
 
 __all__ = [
     "FiniteFiltration",
@@ -243,7 +243,7 @@ class MartingaleSequence:
 
     def differences(self) -> np.ndarray:
         """The increments d_i = M_i - M_{i-1}, shape (n, size, m)."""
-        return self.values[1:] - self.values[:-1]
+        return _level_differences(self.values)
 
     def increment(self) -> np.ndarray:
         """M_n - M_0 as a (size, m) table."""
@@ -319,7 +319,7 @@ class _Increments:
         points = f.shape[-2]
         levels = _dyadic_levels(f, n)
         return cls(
-            levels[..., 1:, :, :] - levels[..., :-1, :, :],
+            _level_differences(levels),
             f - levels[..., 0, :, :],
             np.full(points, 1.0 / points),
             lambda g: _difference_each(g, n).sum(axis=-3),

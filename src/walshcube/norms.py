@@ -35,6 +35,8 @@ DEGENERATE_EPS = 1e-14
 
 EXACT_THRESHOLD = 10  # the most members `RademacherAveragePlan.auto` enumerates exactly
 
+DEFAULT_SAMPLES = 20000  # the sample budget of a plan, a search and the command line
+
 _CHUNK = 1024  # sign vectors per block; fixed so reduction order never varies
 
 
@@ -170,7 +172,7 @@ class RademacherAveragePlan:
     """
 
     mode: str = "exact"
-    samples: int = 20000
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -180,14 +182,14 @@ class RademacherAveragePlan:
             raise ValueError("sample count must be >= 1")
 
     @classmethod
-    def auto(cls, count: int, samples: int = 20000, seed: int = 0):
+    def auto(cls, count: int, samples: int = DEFAULT_SAMPLES, seed: int = 0):
         exact = count <= EXACT_THRESHOLD or (
             count <= MAX_DIMENSION and 1 << (count - 1) <= samples
         )
         return cls(mode="exact" if exact else "monte-carlo", samples=samples, seed=seed)
 
     @classmethod
-    def for_mode(cls, mode: str, count: int, samples: int = 20000, seed: int = 0):
+    def for_mode(cls, mode: str, count: int, samples: int, seed: int):
         """`auto(count, ...)` for mode "auto", else a plan of the given mode."""
         if mode == "auto":
             return cls.auto(count, samples=samples, seed=seed)

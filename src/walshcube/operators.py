@@ -200,6 +200,12 @@ def _dyadic_levels(values: np.ndarray, n: int) -> np.ndarray:
     return levels
 
 
+def _level_differences(levels: np.ndarray) -> np.ndarray:
+    """The increments M_i - M_{i-1} of (..., n + 1, size, m) martingale levels M_0, ..., M_n:
+    ((E_1 - E_0) f, ..., (E_n - E_{n-1}) f) when they are the `_dyadic_levels` of f."""
+    return levels[..., 1:, :, :] - levels[..., :-1, :, :]
+
+
 def _condition_each(stack: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
     """(E_{1-shift} g_1, ..., E_{n-shift} g_n) for a stacked (..., n, 2^n, m) table."""
     return np.stack(

@@ -197,6 +197,7 @@ def maximize_ratio_sequential(config):
     this one's byte for byte.
     """
     from walshcube.estimators import (
+        _ASCENT_TOL,
         RatioCertificate,
         SearchFailedError,
         SearchObjective,
@@ -253,7 +254,7 @@ def maximize_ratio_sequential(config):
             x = candidate / rms(candidate)
             ratio, lhs, rhs = cand_ratio, cand_lhs, cand_rhs
             trial_step = min(2.0 * t, 1.0)
-            if improvement < config.tol:
+            if improvement < _ASCENT_TOL:
                 break
         ratio, lhs, rhs = value(x)
         if ratio is None:

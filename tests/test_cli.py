@@ -16,7 +16,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from walshcube.cli import main
-from walshcube.estimators import FUNCTIONAL_NAMES, RatioCertificate, _certificate_digest
+from walshcube.estimators import (
+    FUNCTIONAL_NAMES,
+    RatioCertificate,
+    _certificate_digest,
+    _freeze,
+    load_certificate,
+)
 from walshcube.hypercube import HypercubeFunction
 from walshcube.inequalities import (
     corollary2_lhs,
@@ -650,6 +656,14 @@ class TestCheckCommand:
         out, err = capsys.readouterr()
         return code, out, err
 
+    def write_resealed(self, cert, path):
+        """Write `cert` with its digest recomputed over its edited payload."""
+        config = types.SimpleNamespace(to_json_dict=lambda: cert["config"])
+        witness = _freeze(cert["witness"])
+        kind = cert["witness_kind"]
+        cert["digest"] = _certificate_digest(cert["functional"], kind, witness, config)
+        write_json(path, cert)
+
     def test_committed_certificate_holds(self, capsys):
         code, out, err = self.run_check(self.FIXTURE, capsys)
         assert code == 0 and err == ""
@@ -680,13 +694,64 @@ class TestCheckCommand:
         cert = json.loads(self.UMD_FIXTURE.read_text())
         cert["config"]["m"] = 0
         cert["witness"] = []
-        config = types.SimpleNamespace(to_json_dict=lambda: cert["config"])
-        cert["digest"] = _certificate_digest(cert["functional"], cert["witness_kind"], (), config)
         path = tmp_path / "cert.json"
-        write_json(path, cert)
+        self.write_resealed(cert, path)
         code, out, err = self.run_check(path, capsys)
         assert code == 2 and out == ""
         assert err == "input error: target dimension m must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("fixture", [FIXTURE, UMD_FIXTURE], ids=["pisier", "umd"])
+    def test_committed_certificates_keep_their_bytes(self, fixture):
+        assert load_certificate(str(fixture)).to_json() == fixture.read_text()
+
+    def test_functional_other_than_the_configs_does_not_hold(self, tmp_path, capsys):
+        # Under a resealed digest the umd witness would re-check as pisier,
+        # the config's functional, and certify a ratio pisier does not reach.
+        cert = json.loads(self.UMD_FIXTURE.read_text())
+        cert["functional"] = "pisier"
+        path = tmp_path / "cert.json"
+        self.write_resealed(cert, path)
+        code, out, err = self.run_check(path, capsys)
+        assert code == 1 and out == ""
+        assert err == "certificate does not hold: functional 'pisier' is not the config's 'umd'\n"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", -1),
+            ("seed", "1"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("restarts", 2.5),
+            ("iterations", None),
+            ("probes", "50"),
+            ("plan_samples", 2.5),
+            ("n", True),
+            ("m", 2.0),
+            ("p", "2"),
+            ("p", False),
+            ("step", 2e-05),
+            ("tol", 0.0),
+            ("tol", "1e-09"),
+        ],
+    )
+    def test_malformed_config_field_is_an_input_error_naming_it(
+        self, key, value, tmp_path, capsys
+    ):
+        cert = json.loads(self.UMD_FIXTURE.read_text())
+        cert["config"][key] = value
+        path = tmp_path / "cert.json"
+        self.write_resealed(cert, path)
+        code, out, err = self.run_check(path, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert f"{key} must be" in err
+
+    def test_negative_seed_flag_is_an_input_error_naming_it(self, capsys):
+        code = main(["--command", "estimate", "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "input error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("field", ["lhs", "ratio", "witness"])
     def test_drift_or_tamper_fails(self, field, tmp_path, capsys):

@@ -32,8 +32,6 @@ class TestSearchConfig:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(functional="pisier", n=2, m=1, p=2.0, q=2.0, restarts=0)
-        with pytest.raises(ValueError):
-            SearchConfig(functional="pisier", n=2, m=1, p=2.0, q=2.0, tol=0.0)
 
     @pytest.mark.parametrize("n", [-1, 0, 21, 30])
     def test_dimension_range(self, n):
