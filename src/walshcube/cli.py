@@ -29,6 +29,7 @@ from .estimators import (
     CertificateMismatchError,
     RatioCertificate,
     SearchConfig,
+    _check_seed,
     _check_table_budget,
     _json_list,
     _reading,
@@ -222,11 +223,12 @@ def _time_call(fn, repeats: int = 5) -> float:
 def bench_rows(n_max: int, m: int, seed: int, samples: int) -> list[dict]:
     """Per-dimension timings: fast vs naive transforms, exact vs MC sign averages.
 
-    `n_max` outside [1, MAX_DIMENSION] or a largest table of 2^n_max x m over
-    the search's 2^20-entry witness bound raises `ValueError` before anything
-    is drawn or timed.
+    `n_max` outside [1, MAX_DIMENSION], a largest table of 2^n_max x m over
+    the search's 2^20-entry witness bound or a negative seed raises
+    `ValueError` before anything is drawn or timed.
     """
     _check_table_budget(n_max, m, "bench")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     rows = []
     for n in range(1, n_max + 1):

@@ -17,7 +17,9 @@ martingale file or a plain function.
 The search maximizes log(lhs/rhs) by gradient ascent with a halving line
 search.  It works on batches: the probes and restart points are drawn and
 evaluated a batch of rows at a time, and the restarts climb in lockstep,
-each row making the decisions it would make alone.  Values and gradients
+each row making the decisions it would make alone.  The line search
+evaluates ladders of halvings, several trial steps per row in one batch,
+and each row takes the step that halving one trial at a time would take.  Values and gradients
 come from one raw-array pass over the batch, which gives every row the
 bits it gets alone.  Each gradient is adjoint: the functionals compose
 self-adjoint linear maps on the cube (d_i, E_i, centring, Delta^-1, Rad,
@@ -126,6 +128,12 @@ def _check_table_budget(n: int, m: int, what: str) -> None:
         raise ValueError(f"{what} tables of 2^{n} x {m} exceed {_MAX_WITNESS_ENTRIES} entries")
 
 
+def _check_seed(seed: int) -> None:
+    """An input error unless `seed` is a valid generator seed, >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 class CertificateMismatchError(ValueError):
     """A stored certificate does not reproduce its own claims."""
 
@@ -138,7 +146,9 @@ class SearchFailedError(RuntimeError):
 class SearchConfig:
     """Shape, exponents and budgets for one extremal search: the search's
     only settings, whose defaults `cli` reads.  A field of the wrong type
-    or range is a one-line error that names it.  A certificate's digest
+    or range is a one-line error that names it.  p is checked against the
+    range in the functional's table entry, here and only here; an unknown
+    functional is an error when the search starts.  A certificate's digest
     covers its functional, witness kind and witness and this config, whose
     JSON adds `step` and `tol` at the fixed values of `_FIXED_CONFIG`; a
     re-check also requires the functional and the kind to be the config's.
@@ -175,9 +185,9 @@ class SearchConfig:
             )
         if self.restarts < 1 or self.iterations < 1 or self.probes < 1:
             raise ValueError("restarts, iterations and probes must all be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        OPEN_P.check(self.p, "search")
+        _check_seed(self.seed)
+        if entry:
+            entry.p_range.check(self.p, self.functional)
 
     def space(self) -> NormSpace:
         return NormSpace(m=self.m, q=self.q)
@@ -377,11 +387,17 @@ _FUNCTIONALS = {
 FUNCTIONAL_NAMES = tuple(sorted(_FUNCTIONALS))
 
 
-def functional_entry(name: str, p: float) -> Functional:
-    """The table entry of functional `name`, once p is checked against its range."""
+def _entry(name: str) -> Functional:
+    """The table entry of functional `name`; an unknown name is an input error."""
     entry = _FUNCTIONALS.get(name)
     if entry is None:
         raise ValueError(f"unknown functional {name!r}; choose one of {FUNCTIONAL_NAMES}")
+    return entry
+
+
+def functional_entry(name: str, p: float) -> Functional:
+    """The table entry of functional `name`, once p is checked against its range."""
+    entry = _entry(name)
     entry.p_range.check(p, name)
     return entry
 
@@ -478,15 +494,19 @@ class SearchObjective:
     `sides` evaluates one witness through the functional's `sides`, for
     certificates.  Calling the objective and `gradient` evaluate a (B, dim)
     batch of flat vectors on raw arrays, through the functional's builder;
-    they flag degenerate and non-finite rows one by one.
+    they flag degenerate and non-finite rows one by one.  `batch_rows` is
+    the most rows the search puts in one batch: by default as many as
+    `_BATCH_ENTRIES` allows, and at least one.
     """
 
-    def __init__(self, config: SearchConfig) -> None:
-        self.entry = functional_entry(config.functional, config.p)
+    def __init__(self, config: SearchConfig, batch_rows: int | None = None) -> None:
+        self.entry = _entry(config.functional)  # the config has checked p against its range
         self.kind = self.entry.kind.name
         self.shape = self.entry.kind.shape(config.n, config.m)
         self.dimension = math.prod(self.shape)
-        self.batch_rows = max(1, _BATCH_ENTRIES // (self.dimension << min(config.n, 10)))
+        if batch_rows is None:
+            batch_rows = max(1, _BATCH_ENTRIES // (self.dimension << min(config.n, 10)))
+        self.batch_rows = batch_rows
         self.config = config
         self.space = config.space()
         self.plan = self.entry.plan(config.plan())
@@ -547,7 +567,13 @@ def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig
 
     Each row keeps its own state (point, ratio, trial step) and makes the
     decisions it would make alone; a round evaluates only the rows still
-    climbing, one gradient batch and then one value batch per halving.
+    climbing, one gradient batch and then the line search's value batches.
+    Each of those holds a ladder of the next d halvings t, t/2, ...,
+    t/2^(d-1) of every row still searching, where d starts at 1 and doubles
+    each time, up to `batch_rows` over the rows searching.  A row takes its
+    first rung, in that order, that is non-finite (the row is discarded) or
+    better (the step is accepted): the step a search halving one trial at a
+    time stops at, with the same bits.  The rungs past it are ignored.
     Iterates are renormalized to unit root-mean-square scale (the ratio is
     scale invariant), so the line search's steps are relative in every
     coordinate.  Returns the final points and their ratios, nan for a row
@@ -574,18 +600,34 @@ def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig
         accepted = np.zeros(len(rows), dtype=bool)
         candidates = np.empty_like(direction)
         cand_ratio = np.empty(len(rows))
+        depth = 1
         while searching.any():
             live = np.flatnonzero(searching)
-            trial = x[rows[live]] + t[live, None] * direction[live]
+            depth = min(depth, max(1, objective.batch_rows // live.size))
+            # Each live row's next `depth` halvings, t * 2^-j: exact, so each
+            # rung is the step that many halvings reach.  Rungs below the
+            # smallest step are not evaluated.
+            steps = np.ldexp(t[live, None], -np.arange(depth))
+            owner, rung = np.nonzero(steps >= _MIN_LINE_STEP)  # by row, rungs ascending
+            row = live[owner]
+            point = rows[row]
+            trial = x[point] + steps[owner, rung, None] * direction[row]
             value, finite = objective(trial)
-            kept[rows[live[~finite]]] = False
-            better = finite & (value > ratio[rows[live]])
-            won = live[better]
-            accepted[won], candidates[won], cand_ratio[won] = True, trial[better], value[better]
-            searching[live[~finite | better]] = False
-            lost = live[finite & ~better]
-            t[lost] *= 0.5
-            searching[lost] = t[lost] >= _MIN_LINE_STEP
+            # A row stops at its first rung that is non-finite or better; the
+            # rungs past it are ignored, as a halving search never reaches them.
+            stops = np.zeros(steps.shape, dtype=bool)
+            stops[owner, rung] = ~finite | (value > ratio[point])
+            hit = stops.any(axis=1)
+            first = np.where(hit, np.argmax(stops, axis=1), depth)
+            t[live] = np.ldexp(t[live], -first)  # the step stopped at, or the next halving
+            at = np.flatnonzero(hit)
+            chosen = np.searchsorted(owner, at) + first[at]  # the batch row each stopped at
+            kept[point[chosen[~finite[chosen]]]] = False
+            won = chosen[finite[chosen]]
+            accepted[row[won]], candidates[row[won]] = True, trial[won]
+            cand_ratio[row[won]] = value[won]
+            searching[live] = ~hit & (t[live] >= _MIN_LINE_STEP)
+            depth *= 2
         climbing[rows[~accepted]] = False
         rows, t = rows[accepted], t[accepted]
         cand_ratio = cand_ratio[accepted]
@@ -639,7 +681,12 @@ def maximize_ratio(config: SearchConfig) -> RatioCertificate:
     compared on raw-array values; lhs, rhs and ratio of the certificate
     come from `sides` at the stored witness, with the same bits.
     """
-    objective = SearchObjective(config)
+    return _certify(SearchObjective(config))
+
+
+def _certify(objective: SearchObjective) -> RatioCertificate:
+    """`maximize_ratio` on `objective`, in batches of at most its `batch_rows`."""
+    config = objective.config
     kind = objective.kind
     rng = np.random.default_rng(config.seed)
     draws = _nondegenerate_draws(objective, rng, config.probes + config.restarts)

@@ -343,10 +343,8 @@ def _norms_with_derivative(table: np.ndarray, q: float) -> tuple[np.ndarray, np.
     a = np.abs(table)
     signs = np.sign(table)
     if math.isinf(q):
-        picked = np.argmax(a, axis=-1)[..., None]
-        derivative = np.zeros_like(table)
-        np.put_along_axis(derivative, picked, np.take_along_axis(signs, picked, axis=-1), axis=-1)
-        return np.take_along_axis(a, picked, axis=-1)[..., 0], derivative
+        picked = np.arange(table.shape[-1]) == np.argmax(a, axis=-1)[..., None]
+        return _reduce_last(np.maximum, a), np.where(picked, signs, 0.0)
     if q == 1.0:
         return _reduce_last(np.add, a), signs
     norms = _reduce_last(np.add, a**q) ** (1.0 / q)

@@ -5,8 +5,9 @@ identity, a spectral action, an equality case, the search's analytic
 gradient against a central difference, its batched evaluation against
 `sides` and against one row at a time, the halved exact sign sweeps
 against every pattern, the cache-blocked butterfly against one block
-holding the whole table, or the one-pass dyadic martingale against the
-object operators level by level) and reports its largest deviation
+holding the whole table, the one-pass dyadic martingale against the
+object operators level by level, or the search's batched halving ladders
+against the same search one row at a time) and reports its largest deviation
 against the stated tolerance.  The `corrupt` hook injects a
 1e-3 fault into the named check so that pipelines can prove the suite
 actually fails when an operator regresses.
@@ -19,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FUNCTIONAL_NAMES, SearchConfig, SearchObjective, _check_table_budget
+from .estimators import (
+    FUNCTIONAL_NAMES,
+    SearchConfig,
+    SearchObjective,
+    _certify,
+    _check_seed,
+    _check_table_budget,
+)
 from .hypercube import (
     HypercubeFunction,
     WalshSpectrum,
@@ -97,6 +105,7 @@ _TOLERANCES = {
     "halved-vs-full-enumeration": 1e-12,
     "blocked-vs-whole-butterfly": 0.0,
     "dyadic-levels-vs-operators": 0.0,
+    "ladder-vs-one-row-search": 0.0,
 }
 CHECK_NAMES = tuple(_TOLERANCES)
 
@@ -146,13 +155,14 @@ def run_verification_suite(
     `rounds` random inputs are drawn per check; the reported deviation is
     the worst one seen, and a NaN deviation fails its check.  `corrupt`
     names one check whose deviation gets an extra 1e-3.  An unknown name,
-    a dimension outside [1, MAX_DIMENSION] or a (2^n, m) table over the
-    search's 2^20-entry witness bound raises `ValueError` before anything
-    is drawn.
+    a dimension outside [1, MAX_DIMENSION], a (2^n, m) table over the
+    search's 2^20-entry witness bound or a negative seed raises
+    `ValueError` before anything is drawn.
     """
     if corrupt is not None and corrupt not in _TOLERANCES:
         raise ValueError(f"unknown check {corrupt!r} to corrupt")
     _check_table_budget(n, m, "verify")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     space = NormSpace(m, 2.0)
     plan = RademacherAveragePlan.auto(n, seed=seed)
@@ -390,6 +400,17 @@ def run_verification_suite(
         sum(map(_differing_bits, M.differences(), levelwise))
         + _differing_bits(M.increment(), (f - conditional_expectation(f, 0)).values),
     )
+
+    # A tiny search, whose line search evaluates ladders of halvings in one
+    # batch (four rungs deep at this seed), against the same search at one
+    # row per batch, where every line-search round is one halving of one row:
+    # the number of certificate characters that differ.
+    config = SearchConfig(
+        functional="pisier", n=2, m=1, p=2.5, q=1.0, restarts=1, iterations=1, probes=1, seed=107
+    )
+    ladder, one_row = (_certify(SearchObjective(config, rows)).to_json() for rows in (None, 1))
+    differing = sum(a != b for a, b in zip(ladder, one_row)) + abs(len(ladder) - len(one_row))
+    note("ladder-vs-one-row-search", float(differing))
 
     if corrupt is not None:
         worst[corrupt] += _FAULT

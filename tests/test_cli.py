@@ -207,6 +207,16 @@ class TestVerifyCommand:
         assert code == 1
         assert "halved-vs-full-enumeration" in capsys.readouterr().err
 
+    def test_corrupted_ladder_check_fails(self, tmp_path, capsys):
+        code = main(
+            [
+                "--command", "verify", "--n", "3", "--m", "1",
+                "--corrupt", "ladder-vs-one-row-search", "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 1
+        assert "ladder-vs-one-row-search" in capsys.readouterr().err
+
     def test_suite_runs_every_documented_check(self):
         results = run_verification_suite(n=3, m=1, seed=0, rounds=3)
         assert sorted(r.name for r in results) == sorted(CHECK_NAMES)
@@ -624,6 +634,25 @@ class TestEstimateCommand:
         assert code == 2 and captured.out == ""
         assert captured.err == "input error: target dimension m must be >= 1, got 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_negative_seed_is_an_input_error_naming_it(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["--command", command, "--n", "3", "--seed", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "input error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_pisier_at_p_one_is_certified_and_checked(self, tmp_path, capsys):
+        # pisier's range is [1, inf), not the (1, inf) of the other functionals.
+        out = tmp_path / "cert.json"
+        flags = ["--functional", "pisier", "--n", "3", "--p", "1", "--q", "inf"]
+        flags += ["--restarts", "2", "--iters", "20", "--probes", "20", "--seed", "1"]
+        assert main(["--command", "estimate", *flags, "--out", str(out)]) == 0
+        assert main(["--command", "check", "--in", str(out)]) == 0
+        assert main(["--command", "estimate", *flags[:6], "--p", "inf"]) == 2
+        assert "pisier requires p in [1, inf)" in capsys.readouterr().err
 
     def test_certificate_file_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"

@@ -39,10 +39,13 @@ class TestSearchConfig:
             SearchConfig(functional="pisier", n=n, m=1, p=2.0, q=2.0)
 
     def test_p_range(self):
-        with pytest.raises(ValueError, match="p in"):
-            SearchConfig(functional="pisier", n=2, m=1, p=1.0, q=2.0)
-        with pytest.raises(ValueError, match="p in"):
+        with pytest.raises(ValueError, match=r"pisier requires p in \[1, inf\), got inf"):
             SearchConfig(functional="pisier", n=2, m=1, p=math.inf, q=2.0)
+        with pytest.raises(ValueError, match=r"umd requires p in \(1, inf\), got 1.0"):
+            SearchConfig(functional="umd", n=2, m=1, p=1.0, q=2.0)
+        # pisier's deviation functional is defined at p = 1.
+        cert = maximize_ratio(SearchConfig(functional="pisier", n=3, m=2, p=1.0, q=2.0, **FAST))
+        assert reevaluate_certificate(cert).ratio == pytest.approx(cert.ratio, rel=1e-9)
 
     def test_unknown_functional(self):
         cfg = SearchConfig(functional="nope", n=2, m=1, p=2.0, q=2.0, **FAST)
@@ -50,9 +53,8 @@ class TestSearchConfig:
             maximize_ratio(cfg)
 
     def test_type_exponent_gate(self):
-        cfg = SearchConfig(functional="rademacher-type", n=2, m=2, p=2.5, q=1.0, **FAST)
         with pytest.raises(ValueError, match="requires p in"):
-            maximize_ratio(cfg)
+            SearchConfig(functional="rademacher-type", n=2, m=2, p=2.5, q=1.0, **FAST)
 
     def test_json_round_trip_with_infinite_q(self):
         cfg = SearchConfig(functional="pisier", n=3, m=2, p=2.0, q=math.inf)
@@ -392,6 +394,97 @@ class TestBatchedSearch:
         assert cfg.probes > SearchObjective(cfg).batch_rows
         assert cfg.restarts > SearchObjective(cfg).batch_rows
         assert maximize_ratio(cfg).to_json() == maximize_ratio_sequential(cfg).to_json()
+
+    def test_one_row_per_batch_equals_the_sequential_oracle(self):
+        cfg = SearchConfig(
+            functional="pisier", n=8, m=4, p=2.0, q=math.inf, restarts=2, iterations=5,
+            probes=3, seed=1,
+        )
+        assert SearchObjective(cfg).batch_rows == 1
+        assert maximize_ratio(cfg).to_json() == maximize_ratio_sequential(cfg).to_json()
+
+    def test_shallow_ladders_equal_the_sequential_oracle(self, monkeypatch):
+        import walshcube.estimators as est
+
+        # Four rows per batch and three restarts: a ladder has one rung while
+        # all three climb, and a four-row batch is a deeper ladder.
+        cfg = SearchConfig(
+            functional="pisier", n=6, m=2, p=2.5, q=math.inf, restarts=3, iterations=40,
+            probes=1, seed=0,
+        )
+        assert SearchObjective(cfg).batch_rows == 4
+        sizes = []
+        original = est.SearchObjective.__call__
+
+        def recording(self, batch):
+            sizes.append(len(batch))
+            return original(self, batch)
+
+        monkeypatch.setattr(est.SearchObjective, "__call__", recording)
+        cert = maximize_ratio(cfg)
+        assert max(sizes) == 4 and sizes[2:].count(4) > 0  # after the draws and the starts
+        assert cert.to_json() == maximize_ratio_sequential(cfg).to_json()
+
+    def test_nan_past_an_accepted_rung_is_ignored(self, monkeypatch):
+        import walshcube.estimators as est
+
+        # A search-umd operation whose ladders evaluate rungs that a halving
+        # search never reaches.  Every point the sequential oracle does not
+        # evaluate is made non-finite: only rungs past a row's accepted one.
+        cfg = SearchConfig(
+            functional="umd", n=4, m=2, p=2.0, q=1.0, restarts=8, iterations=2, probes=20,
+            seed=3549136632,
+        )
+        reached = set()
+        sides = est.SearchObjective.sides
+
+        def recording(self, flat):
+            reached.add(flat.tobytes())
+            return sides(self, flat)
+
+        monkeypatch.setattr(est.SearchObjective, "sides", recording)
+        oracle = maximize_ratio_sequential(cfg)
+        monkeypatch.setattr(est.SearchObjective, "sides", sides)
+        poisoned = []
+        original = est.SearchObjective.__call__
+
+        def poisoning(self, batch):
+            value, finite = original(self, batch)
+            unreached = np.array([row.tobytes() not in reached for row in batch])
+            value[unreached], finite[unreached] = np.nan, False
+            poisoned.append(int(unreached.sum()))
+            return value, finite
+
+        monkeypatch.setattr(est.SearchObjective, "__call__", poisoning)
+        cert = maximize_ratio(cfg)
+        assert sum(poisoned) > 0
+        assert cert.discarded_restarts == oracle.discarded_restarts == 0
+        assert cert.to_json() == oracle.to_json()
+
+    def test_search_umd_ladders_halve_the_value_calls(self, monkeypatch):
+        import walshcube.estimators as est
+
+        # The benchmark's search-umd operations of its seed-1 run: one value
+        # call per line-search round made 15.2 calls per certificate, ladders
+        # make 7.5.
+        calls = []
+        original = est.SearchObjective.__call__
+
+        def counting(self, batch):
+            calls.append(len(batch))
+            return original(self, batch)
+
+        monkeypatch.setattr(est.SearchObjective, "__call__", counting)
+        operations = 30
+        for index in range(operations):
+            seed = int(np.random.SeedSequence([1, index]).generate_state(1)[0])
+            maximize_ratio(
+                SearchConfig(
+                    functional="umd", n=4, m=2, p=2.0, q=1.0, restarts=8, iterations=2,
+                    probes=20, seed=seed,
+                )
+            )
+        assert len(calls) <= 10 * operations
 
     def test_one_draw_of_k_rows_is_k_draws_of_one(self):
         a, b = np.random.default_rng(4), np.random.default_rng(4)
