@@ -29,7 +29,6 @@ from .estimators import (
     CertificateMismatchError,
     RatioCertificate,
     SearchConfig,
-    _check_seed,
     _check_table_budget,
     _json_list,
     _reading,
@@ -54,6 +53,7 @@ from .norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _check_seed,
     rademacher_average,
 )
 from .verification import run_verification_suite

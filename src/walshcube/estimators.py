@@ -18,10 +18,11 @@ The search maximizes log(lhs/rhs) by gradient ascent with a halving line
 search.  It works on batches: the probes and restart points are drawn and
 evaluated a batch of rows at a time, and the restarts climb in lockstep,
 each row making the decisions it would make alone.  The line search
-evaluates ladders of halvings, several trial steps per row in one batch,
-and each row takes the step that halving one trial at a time would take.  Values and gradients
-come from one raw-array pass over the batch, which gives every row the
-bits it gets alone.  Each gradient is adjoint: the functionals compose
+evaluates ladders of halvings, several trial steps per row in one batch;
+each row takes the step that halving one trial at a time would take, in
+the ladder that reaches it.  Values and gradients come from one
+raw-array pass over the batch, which gives every row the bits it gets
+alone.  Each gradient is adjoint: the functionals compose
 self-adjoint linear maps on the cube (d_i, E_i, centring, Delta^-1, Rad,
 martingale differences) with pointwise ell_q norms, L_p means and sign
 averages or a maximum, so one backward pass costs about one evaluation,
@@ -82,6 +83,7 @@ from .norms import (
     NormSpace,
     PRange,
     RademacherAveragePlan,
+    _check_seed,
     _Side,
     _values,
 )
@@ -126,12 +128,6 @@ def _check_table_budget(n: int, m: int, what: str) -> None:
     _check_dimension(n)
     if m << n > _MAX_WITNESS_ENTRIES:
         raise ValueError(f"{what} tables of 2^{n} x {m} exceed {_MAX_WITNESS_ENTRIES} entries")
-
-
-def _check_seed(seed: int) -> None:
-    """An input error unless `seed` is a valid generator seed, >= 0."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 class CertificateMismatchError(ValueError):
@@ -557,8 +553,9 @@ def _ratios(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
-    """The root-mean-square scale of each row, as a column."""
-    return np.sqrt(np.mean(x * x, axis=-1, keepdims=True))
+    """The root-mean-square scale of each row, as a column: `np.mean`'s sum
+    and division, with its bits, without its per-call overhead."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1])
 
 
 def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig):
@@ -567,23 +564,25 @@ def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig
 
     Each row keeps its own state (point, ratio, trial step) and makes the
     decisions it would make alone; a round evaluates only the rows still
-    climbing, one gradient batch and then the line search's value batches.
-    Each of those holds a ladder of the next d halvings t, t/2, ...,
-    t/2^(d-1) of every row still searching, where d starts at 1 and doubles
-    each time, up to `batch_rows` over the rows searching.  A row takes its
-    first rung, in that order, that is non-finite (the row is discarded) or
-    better (the step is accepted): the step a search halving one trial at a
-    time stops at, with the same bits.  The rungs past it are ignored.
-    Iterates are renormalized to unit root-mean-square scale (the ratio is
-    scale invariant), so the line search's steps are relative in every
-    coordinate.  Returns the final points and their ratios, nan for a row
-    discarded on a degenerate or non-finite value or gradient.
+    climbing, one gradient batch and then the line search's ladders.  A
+    ladder is one value batch of rows x rungs: the next d halvings t, t/2,
+    ..., t/2^(d-1) of every row still searching, where d starts at 1 and
+    doubles each time, capped by `batch_rows` over the rows and by the rungs
+    that every row has at or above `_MIN_LINE_STEP`.  A row is settled in
+    the ladder that holds its first non-finite rung (the row is discarded)
+    or better rung (the step is accepted): the step a search halving one
+    trial at a time stops at, with the same bits.  A row whose ladder
+    reaches the floor stops climbing.  Iterates are renormalized to unit
+    root-mean-square scale (the ratio is scale invariant), so the steps are
+    relative in every coordinate.  Returns the final points and their
+    ratios, nan for a row discarded on a degenerate or non-finite value or
+    gradient.
     """
     x = starts / _rms(starts)
     ratio, _ = objective(x)
     kept = ~np.isnan(ratio)
     climbing = kept.copy()
-    trial_step = np.full(len(x), 0.5)
+    step = np.full(len(x), 0.5)  # each row's next trial step
     for _ in range(config.iterations):
         rows = np.flatnonzero(climbing)
         if rows.size == 0:
@@ -592,50 +591,32 @@ def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig
         kept[rows[~usable]] = False
         norm = np.sqrt(np.vecdot(gradient, gradient))
         moving = usable & (norm > 0.0)
-        climbing[rows[~moving]] = False
-        rows, gradient, norm = rows[moving], gradient[moving], norm[moving]
-        direction = gradient / norm[:, None]
-        t = trial_step[rows]
-        searching = t >= _MIN_LINE_STEP
-        accepted = np.zeros(len(rows), dtype=bool)
-        candidates = np.empty_like(direction)
-        cand_ratio = np.empty(len(rows))
+        climbing[rows] = False  # until the row accepts a step that improves it enough
+        live, direction = rows[moving], gradient[moving] / norm[moving, None]
         depth = 1
-        while searching.any():
-            live = np.flatnonzero(searching)
+        while live.size:
             depth = min(depth, max(1, objective.batch_rows // live.size))
-            # Each live row's next `depth` halvings, t * 2^-j: exact, so each
-            # rung is the step that many halvings reach.  Rungs below the
-            # smallest step are not evaluated.
-            steps = np.ldexp(t[live, None], -np.arange(depth))
-            owner, rung = np.nonzero(steps >= _MIN_LINE_STEP)  # by row, rungs ascending
-            row = live[owner]
-            point = rows[row]
-            trial = x[point] + steps[owner, rung, None] * direction[row]
-            value, finite = objective(trial)
-            # A row stops at its first rung that is non-finite or better; the
-            # rungs past it are ignored, as a halving search never reaches them.
-            stops = np.zeros(steps.shape, dtype=bool)
-            stops[owner, rung] = ~finite | (value > ratio[point])
-            hit = stops.any(axis=1)
-            first = np.where(hit, np.argmax(stops, axis=1), depth)
-            t[live] = np.ldexp(t[live], -first)  # the step stopped at, or the next halving
-            at = np.flatnonzero(hit)
-            chosen = np.searchsorted(owner, at) + first[at]  # the batch row each stopped at
-            kept[point[chosen[~finite[chosen]]]] = False
-            won = chosen[finite[chosen]]
-            accepted[row[won]], candidates[row[won]] = True, trial[won]
-            cand_ratio[row[won]] = value[won]
-            searching[live] = ~hit & (t[live] >= _MIN_LINE_STEP)
+            # Exact halvings t * 2^-j: each rung is the step that many halvings reach.
+            steps = np.ldexp(step[live, None], -np.arange(depth))
+            steps = steps[:, (steps >= _MIN_LINE_STEP).all(axis=0)]
+            trial = x[live, None] + steps[..., None] * direction[:, None]
+            value, finite = objective(trial.reshape(-1, x.shape[1]))
+            value, finite = value.reshape(steps.shape), finite.reshape(steps.shape)
+            stops = ~finite | (value > ratio[live, None])
+            hit, rung = stops.any(axis=1), np.argmax(stops, axis=1)  # each row's first stop
+            accepts = hit & finite[np.arange(live.size), rung]
+            kept[live] = accepts | ~hit  # a first stop that is non-finite discards the row
+            at, rung = np.flatnonzero(accepts), rung[accepts]
+            won, point, better = live[at], trial[at, rung], value[at, rung]
+            climbing[won] = (better - ratio[won]) / ratio[won] >= _ASCENT_TOL
+            x[won], ratio[won] = point / _rms(point), better
+            step[won] = np.minimum(2.0 * steps[at, rung], 1.0)
+            # The other rows go on from their next halving while it is above the floor.
+            after = np.ldexp(steps[:, -1], -1)
+            going = ~hit & (after >= _MIN_LINE_STEP)
+            live, direction = live[going], direction[going]
+            step[live] = after[going]
             depth *= 2
-        climbing[rows[~accepted]] = False
-        rows, t = rows[accepted], t[accepted]
-        cand_ratio = cand_ratio[accepted]
-        improvement = (cand_ratio - ratio[rows]) / ratio[rows]
-        x[rows] = candidates[accepted] / _rms(candidates[accepted])
-        ratio[rows] = cand_ratio
-        trial_step[rows] = np.minimum(2.0 * t, 1.0)
-        climbing[rows[improvement < _ASCENT_TOL]] = False
     # Evaluate again at the stored (renormalized) points.
     rows = np.flatnonzero(kept)
     ratio[:] = np.nan

@@ -159,6 +159,12 @@ class FunctionFamily:
         return family
 
 
+def _check_seed(seed: int) -> None:
+    """An input error unless `seed` is a valid generator seed, >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class RademacherAveragePlan:
     """How sign averages are evaluated: exact enumeration or Monte Carlo.
@@ -180,6 +186,7 @@ class RademacherAveragePlan:
             raise ValueError(f"unknown plan mode {self.mode!r}")
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
+        _check_seed(self.seed)
 
     @classmethod
     def auto(cls, count: int, samples: int = DEFAULT_SAMPLES, seed: int = 0):

@@ -25,7 +25,6 @@ from .estimators import (
     SearchConfig,
     SearchObjective,
     _certify,
-    _check_seed,
     _check_table_budget,
 )
 from .hypercube import (
@@ -59,6 +58,7 @@ from .norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _check_seed,
     _sign_average,
     lp_norm,
     rademacher_average,
@@ -101,7 +101,7 @@ _TOLERANCES = {
     "ratio-scale-invariance": 1e-12,
     "tree-contraction": 1e-12,
     "gradient-vs-finite-difference": 1e-6,
-    "batched-vs-single": 1e-12,
+    "batched-vs-single": 0.0,
     "halved-vs-full-enumeration": 1e-12,
     "blocked-vs-whole-butterfly": 0.0,
     "dyadic-levels-vs-operators": 0.0,
@@ -338,7 +338,8 @@ def run_verification_suite(
     # Analytic search gradients against a central difference along one
     # direction.  The batched raw-array pass at the same three points must
     # give the ratios of `sides` there and, at the first point, the gradient
-    # of that row alone; the tests compare every row of larger batches.
+    # of that row alone, bit for bit (the deviation counts the ratios whose
+    # bits differ); the tests compare every row of larger batches.
     h = 1e-6
     for name in FUNCTIONAL_NAMES:
         p = 1.5 if name.endswith("-type") else 2.5
@@ -355,9 +356,8 @@ def run_verification_suite(
         note("gradient-vs-finite-difference", _relative_gap(analytic, numeric))
 
         ratios, gradients, _ = objective.gradient(batch)
-        value_gap = float(np.max(np.abs(ratios - exact) / exact))
         same_row = np.array_equal(gradients[0], alone[0])
-        note("batched-vs-single", value_gap if same_row else math.inf)
+        note("batched-vs-single", _differing_bits(ratios, exact) if same_row else math.inf)
 
     # Exact sweeps visit one of each pair delta, -delta: their average, its
     # gradient and the umd maximum against the same kernels on every pattern.

@@ -644,6 +644,15 @@ class TestEstimateCommand:
         assert captured.err == "input error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_negative_eval_seed_is_an_input_error_naming_it(self, sample_function, capsys):
+        # A Monte Carlo plan keys its masks on the seed modulo 2^64, so -1
+        # would silently run the plan of seed 2^64 - 1.
+        flags = ["--functional", "pisier", "--in", str(sample_function), "--mode", "mc"]
+        code = main(["--command", "eval", *flags, "--samples", "8", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "input error: seed must be >= 0, got -1\n"
+
     def test_pisier_at_p_one_is_certified_and_checked(self, tmp_path, capsys):
         # pisier's range is [1, inf), not the (1, inf) of the other functionals.
         out = tmp_path / "cert.json"

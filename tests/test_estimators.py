@@ -491,6 +491,86 @@ class TestBatchedSearch:
         assert np.array_equal(a.standard_normal((5, 7)), [b.standard_normal(7) for _ in range(5)])
 
 
+class _ScriptedObjective:
+    """Stands in for `SearchObjective` in `_ascend`, with a scripted ratio.
+
+    Each start is (1, b, c) with signs b, c, so its root-mean-square scale
+    is 1, and every gradient is (1, 0, 0): a trial point at step s is
+    (1 + s, b, c).  The signs (b, c) name the row, and `script[row](s)`
+    gives its (ratio, finite) at s = p0 / |p1| - 1, which is scale
+    invariant like a real ratio.  Every call is logged as (kind, [(row,
+    s), ...]).
+    """
+
+    def __init__(self, batch_rows, script):
+        self.batch_rows = batch_rows
+        self.script = script
+        self.log = []
+
+    def _evaluate(self, kind, batch):
+        rows = [(tuple(np.sign(point[1:])), point[0] / abs(point[1]) - 1.0) for point in batch]
+        self.log.append((kind, rows))
+        value, finite = zip(*(self.script[row](s) for row, s in rows))
+        return np.array(value), np.array(finite)
+
+    def __call__(self, batch):
+        return self._evaluate("value", batch)
+
+    def gradient(self, batch):
+        ratio, finite = self._evaluate("gradient", batch)
+        gradient = np.zeros_like(batch)
+        gradient[:, 0] = 1.0
+        return ratio, gradient, finite
+
+    def ladder(self, row, iteration=0):
+        """The steps at which `row` was evaluated in the line search of one iteration."""
+        starts = [k for k, (kind, _) in enumerate(self.log) if kind == "gradient"]
+        stop = starts[iteration + 1] if iteration + 1 < len(starts) else len(self.log) - 1
+        calls = self.log[starts[iteration] + 1 : stop]
+        return [s for kind, rows in calls for key, s in rows if key == row]
+
+
+ACCEPTS, DISCARDED, NEVER = (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)
+SCRIPT = {
+    # Worse at steps 0.5 and 0.25, better at 0.125: accepted at rung 2.
+    ACCEPTS: lambda s: (2.0 - (s - 0.1) ** 2, True),
+    # Non-finite at 0.25, before a better rung at 0.125: discarded.
+    DISCARDED: lambda s: (np.nan, False) if s == 0.25 else (3.0 if s == 0.125 else 1.0 - s, True),
+    # Worse at every positive step: the ladder runs down to the floor.
+    NEVER: lambda s: (1.0 - s, True),
+}
+
+
+class TestLadderOutcomes:
+    @pytest.mark.parametrize("batch_rows", [1, 4, 64])
+    def test_accept_discard_and_floor(self, batch_rows):
+        from walshcube.estimators import _MIN_LINE_STEP, _ascend
+
+        objective = _ScriptedObjective(batch_rows, SCRIPT)
+        starts = np.array([[1.0, *row] for row in (ACCEPTS, DISCARDED, NEVER)])
+        x, ratio = _ascend(objective, starts, replace(_oracle_config("pisier", 3.0), iterations=2))
+
+        assert objective.ladder(ACCEPTS)[:3] == [0.5, 0.25, 0.125]
+        accepted = np.array([1.125, 1.0, 1.0])
+        scale = np.sqrt(np.mean(accepted**2))
+        assert np.array_equal(x[0], accepted / scale)
+        assert ratio[0] == pytest.approx(2.0 - 0.025**2, rel=1e-12)
+        # The next ladder starts at twice the accepted step, from the new point.
+        assert objective.ladder(ACCEPTS, 1)[0] == pytest.approx(0.125 + 0.25 * scale)
+
+        assert objective.ladder(DISCARDED)[:2] == [0.5, 0.25]
+        assert math.isnan(ratio[1])
+
+        # Exactly the 33 halvings of 0.5 at or above the floor, then the row
+        # keeps its point and ratio and climbs no more.
+        steps = [0.5 * 2.0**-j for j in range(33)]
+        assert objective.ladder(NEVER) == steps
+        assert steps[-1] >= _MIN_LINE_STEP > steps[-1] / 2
+        assert np.array_equal(x[2], starts[2]) and ratio[2] == 1.0
+        climbed = [row for kind, rows in objective.log if kind == "gradient" for row, _ in rows]
+        assert climbed == [ACCEPTS, DISCARDED, NEVER, ACCEPTS]
+
+
 class TestScanDimension:
     def test_hilbert_scan_all_ones(self, tmp_path):
         cfg = SearchConfig(
