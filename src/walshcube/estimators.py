@@ -5,14 +5,14 @@ beside its library form: the cube functionals in `inequalities`, the
 martingale functionals in `martingales`.  Its table entry adds the kind
 of witness it reads and the exponents p it accepts (the range constants
 of `norms`, which the library functions check too).  The search climbs
-the builder on batches; `sides` gives the certified value for `eval`
-(through `functional_report`), the certificates of `estimate` and `scan`
-and certificate re-checks: the builder's values on the one witness, or,
-for pisier, its public lhs/rhs pair, which runs the same kernels.
-`verify`'s `batched-vs-single` check confirms that both agree bit for
-bit.  The four martingale functionals read a `MartingaleSequence`: the
-search builds the dyadic martingale of its function, and `eval` reads a
-martingale file or a plain function.
+the builder on batches; `sides` gives the certified value on one raw
+witness array, validated once at the boundary, for `eval` (through
+`functional_report`), `estimate`, `scan` and certificate re-checks: the
+builder's values, or, for pisier, its public lhs/rhs pair on a
+`HypercubeFunction` of the table, which runs the same kernels.  `verify`'s
+`batched-vs-single` check confirms that both agree bit for bit.  The four
+martingale functionals read a view of increments: of a function's dyadic
+martingale, or, for `eval`, of a `MartingaleSequence`.
 
 The search maximizes log(lhs/rhs) by gradient ascent with a halving line
 search.  It works on batches: the probes and restart points are drawn and
@@ -164,11 +164,13 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         for name in ("n", "m", "restarts", "iterations", "probes", "seed", "plan_samples"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_number(value := getattr(self, name), int):
                 raise TypeError(f"config {name} must be an integer, got {value!r}")
-        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
-            raise TypeError(f"config p must be a real number, got {self.p!r}")
+        for name in ("p", "q"):
+            if not _is_number(value := getattr(self, name)):
+                raise TypeError(f"config {name} must be a real number, got {value!r}")
+        if not self.q >= 1.0:  # NaN fails too
+            raise ValueError(f"config q must be >= 1 or inf, got {self.q!r}")
         _check_dimension(self.n)
         if self.m < 1:
             raise ValueError(f"target dimension m must be >= 1, got {self.m}")
@@ -207,9 +209,14 @@ class SearchConfig:
                 raise ValueError(f"certificate config {key} must be {fixed}, got {value!r}")
         if data["q"] in ("inf", "Infinity"):
             data["q"] = math.inf
-        if isinstance(data["q"], bool) or not isinstance(data["q"], (int, float)):
+        if not _is_number(data["q"]):
             raise ValueError(f"certificate config q must be a number or 'inf', got {data['q']!r}")
         return cls(**data)
+
+
+def _is_number(value, types=(int, float)) -> bool:
+    """Whether `value` is one of `types` and not a bool, which is an int too."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _check_keys(data, what: str, required, allowed=None) -> None:
@@ -229,16 +236,15 @@ def _check_keys(data, what: str, required, allowed=None) -> None:
 class WitnessKind:
     """What a functional reads: a function, a family, vectors or a martingale.
 
-    `name` is the certificate's `witness_kind`; `build` turns a raw array of
-    `shape(n, m)` into the validated witness that `sides` reads; `load` does
-    the same for parsed JSON; both raise `ValueError` on a malformed input.
-    `dims` gives a witness's (n, m) for its report, and `raw` the array (or,
-    for a martingale, the view of increments) that the builders read.
+    `name` is the certificate's `witness_kind`, and `shape(n, m)` the shape
+    of the raw array that the search climbs and `sides` reads.  `load` turns
+    parsed JSON into the validated witness that `eval` reads, raising
+    `ValueError` on a malformed input; `dims` gives its (n, m) and `raw` its
+    array (or, for a martingale, its view of increments).
     """
 
     name: str
     shape: Callable[[int, int], tuple[int, ...]]
-    build: Callable[[np.ndarray], object]
     load: Callable[[object], object]
     dims: Callable[[object], tuple[int, int]]
     raw: Callable[[object], object]
@@ -294,36 +300,21 @@ def _cube_table(n: int, m: int) -> tuple[int, int]:
     return (1 << n, m)
 
 
-# Each `build` looks up its constructor at call time, so a wrapper installed
-# on the class or module name (as a tracer does) sees every call.
 _FUNCTION = WitnessKind(
-    "function",
-    _cube_table,
-    lambda table: HypercubeFunction.from_values(table),
-    _load_function,
-    lambda f: (f.n, f.m),
-    lambda f: f.values,
+    "function", _cube_table, _load_function, lambda f: (f.n, f.m), lambda f: f.values
 )
 _FAMILY = WitnessKind(
     "family",
     lambda n, m: (n, 1 << n, m),
-    lambda stack: FunctionFamily(tuple(HypercubeFunction.from_values(t) for t in stack)),
     _load_family,
     lambda family: (family.n, family.m),
     FunctionFamily.stacked,
 )
-_VECTORS = WitnessKind(
-    "vectors", lambda n, m: (n, m), _vector_table, _load_vectors, np.shape, lambda v: v
-)
+_VECTORS = WitnessKind("vectors", lambda n, m: (n, m), _load_vectors, np.shape, lambda v: v)
 # The martingale functionals search over functions, read as their dyadic
 # martingales, so their certificates name the witness kind "function".
 _MARTINGALE = WitnessKind(
-    "function",
-    _cube_table,
-    lambda table: make_dyadic_martingale(HypercubeFunction.from_values(table)),
-    _load_martingale,
-    lambda M: (M.steps, M.m),
-    _Increments.of,
+    "function", _cube_table, _load_martingale, lambda M: (M.steps, M.m), _Increments.of
 )
 
 
@@ -334,12 +325,13 @@ class Functional:
     `build(x, n, p, space, plan) -> (lhs, rhs)` is its definition: both
     sides as `_Side`s on raw witness arrays x with leading batch axes, a
     value per row and its gradient with respect to x when asked.  The
-    search climbs it on (B, *shape) batches.  `sides(witness, p, space,
-    plan) -> (lhs, rhs)` is the certified value, for `eval`, certificates
-    and re-checks: the builder's values on the one witness, or, when `pair`
-    is set, that pair's values.  Only pisier sets it, to its public
-    `pisier_lhs`/`pisier_rhs`, which run the same kernels: the benchmark's
-    traced run counts pisier's certified evaluations through them, as
+    search climbs it on (B, *shape) batches.  `sides(x, n, p, space, plan)
+    -> (lhs, rhs)` is the certified value, for `eval`, certificates and
+    re-checks, on one validated raw witness x (or view of increments): the
+    builder's values, or, when `pair` is set, that pair's values.  Only
+    pisier sets it, to `pisier_lhs`/`pisier_rhs` on a `HypercubeFunction`
+    of x, which run the same kernels: the benchmark's traced run counts
+    pisier's certified evaluations through them, as
     `benchmarks/tests/test_benchmark.py::test_patching_reaches_every_import_site_and_is_undone`
     requires.  With `exact_signs` the sign averages enumerate every sign
     vector, whatever plan is asked for.
@@ -355,14 +347,14 @@ class Functional:
         """The plan `sides` runs with when `plan` is asked for."""
         return replace(plan, mode="exact") if self.exact_signs else plan
 
-    def sides(self, witness, p: float, space: NormSpace, plan) -> tuple[float, float]:
+    def sides(self, x, n: int, p: float, space: NormSpace, plan) -> tuple[float, float]:
         if self.pair is not None:
-            return self.pair(witness, p, space, plan)
-        n, _ = self.kind.dims(witness)
-        return _values(self.build(self.kind.raw(witness), n, p, space, plan))
+            return self.pair(x, n, p, space, plan)
+        return _values(self.build(x, n, p, space, plan))
 
 
-def _pisier_sides(f, p, space, plan):
+def _pisier_sides(table, n, p, space, plan):
+    f = HypercubeFunction.from_values(table)
     return pisier_lhs(f, p, space), pisier_rhs(f, p, space, plan)
 
 
@@ -407,9 +399,9 @@ def functional_report(
     """
     entry = functional_entry(name, p)
     plan = entry.plan(plan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs = entry.sides(witness, p, space, plan)
     n, m = entry.kind.dims(witness)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = entry.sides(entry.kind.raw(witness), n, p, space, plan)
     report = InequalityReport.build(name, lhs, rhs, n, m, float(p), space.q, plan)
     if not all(math.isfinite(value) for value in (lhs, rhs, report.ratio or 0.0)):
         raise ValueError(
@@ -441,6 +433,14 @@ class RatioCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatioCertificate":
         _check_keys(data, "certificate", [f.name for f in fields(cls)])
+        for keys, what, fits in (
+            (("functional", "witness_kind", "digest"), "a string", lambda v: isinstance(v, str)),
+            (("lhs", "rhs", "ratio"), "a number", _is_number),
+            (("discarded_restarts",), "an integer >= 0", lambda v: _is_number(v, int) and v >= 0),
+        ):
+            for key in keys:
+                if not fits(data[key]):
+                    raise ValueError(f"certificate {key} must be {what}, got {data[key]!r}")
         with _reading("certificate"):
             return cls(
                 functional=data["functional"],
@@ -450,7 +450,7 @@ class RatioCertificate:
                 rhs=float(data["rhs"]),
                 ratio=float(data["ratio"]),
                 config=SearchConfig.from_json_dict(data["config"]),
-                discarded_restarts=int(data["discarded_restarts"]),
+                discarded_restarts=data["discarded_restarts"],
                 digest=data["digest"],
             )
 
@@ -464,18 +464,12 @@ def _freeze(nested):
     return nested
 
 
-def _thaw(nested):
-    if isinstance(nested, tuple):
-        return [_thaw(item) for item in nested]
-    return nested
-
-
 def _certificate_digest(functional: str, witness_kind: str, witness, config: SearchConfig) -> str:
     payload = json.dumps(
         {
             "functional": functional,
             "witness_kind": witness_kind,
-            "witness": _thaw(witness),
+            "witness": witness,  # tuples dump as the arrays they were read from
             "config": config.to_json_dict(),
         },
         sort_keys=True,
@@ -487,12 +481,12 @@ def _certificate_digest(functional: str, witness_kind: str, witness, config: Sea
 class SearchObjective:
     """The ratio of one table functional at a fixed config, on flat vectors.
 
-    `sides` evaluates one witness through the functional's `sides`, for
-    certificates.  Calling the objective and `gradient` evaluate a (B, dim)
-    batch of flat vectors on raw arrays, through the functional's builder;
-    they flag degenerate and non-finite rows one by one.  `batch_rows` is
-    the most rows the search puts in one batch: by default as many as
-    `_BATCH_ENTRIES` allows, and at least one.
+    `sides` evaluates one flat witness through the functional's `sides`, on
+    its raw array, for certificates.  Calling the objective and `gradient`
+    evaluate a (B, dim) batch of flat vectors on raw arrays, through the
+    functional's builder; they flag degenerate and non-finite rows one by
+    one.  `batch_rows` is the most rows the search puts in one batch: by
+    default as many as `_BATCH_ENTRIES` allows, and at least one.
     """
 
     def __init__(self, config: SearchConfig, batch_rows: int | None = None) -> None:
@@ -509,8 +503,8 @@ class SearchObjective:
 
     def sides(self, flat: np.ndarray) -> tuple[float, float]:
         """(lhs, rhs) at the witness whose raw array is `flat`."""
-        witness = self.entry.kind.build(flat.reshape(self.shape))
-        return self.entry.sides(witness, self.config.p, self.space, self.plan)
+        config = self.config
+        return self.entry.sides(flat.reshape(self.shape), config.n, config.p, self.space, self.plan)
 
     def raw_sides(self, batch: np.ndarray) -> tuple[_Side, _Side]:
         """(lhs, rhs) of a (B, dim) batch on raw arrays: values per row, and
@@ -720,6 +714,8 @@ def reevaluate_certificate(cert: RatioCertificate) -> InequalityReport:
     flat = cert.witness_array().reshape(-1)
     if flat.size != objective.dimension:
         raise CertificateMismatchError("witness size does not match the declared shape")
+    if not np.isfinite(flat).all():
+        raise ValueError("certificate witness contains non-finite entries")
     lhs, rhs = objective.sides(flat)
     # Written so that a NaN anywhere fails: every comparison with NaN is False.
     scale = max(abs(cert.lhs), abs(cert.rhs), 1e-30)

@@ -12,8 +12,8 @@ The four martingale functionals (umd, umd-plus, umd-minus,
 martingale-type) are defined here once, by raw builders that read one
 view of increments, `_Increments`: built from any `MartingaleSequence`
 for `eval` and the ratios below, or from raw functions, as their dyadic
-martingales, for the search.  The ratios are the builders' values on one
-martingale.
+martingales, for the search and its certificates.  The ratios are the
+builders' values on one martingale.
 """
 
 from __future__ import annotations

@@ -785,6 +785,46 @@ class TestCheckCommand:
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert f"{key} must be" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("discarded_restarts", 2.7),
+            ("discarded_restarts", "3"),
+            ("discarded_restarts", -4),
+            ("discarded_restarts", True),
+            ("lhs", "0.5"),
+            ("rhs", True),
+            ("ratio", None),
+            ("functional", 3),
+            ("witness_kind", ["function"]),
+            ("digest", 7),
+        ],
+    )
+    def test_malformed_certificate_field_is_an_input_error_naming_it(
+        self, key, value, tmp_path, capsys
+    ):
+        cert = json.loads(self.UMD_FIXTURE.read_text())
+        cert[key] = value
+        path = tmp_path / "cert.json"
+        if key == "digest":
+            write_json(path, cert)
+        else:
+            self.write_resealed(cert, path)
+        code, out, err = self.run_check(path, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: certificate {key} must be ") and err.count("\n") == 1
+
+    def test_umd_recheck_builds_no_filtration_or_martingale(self, monkeypatch, capsys):
+        # The witness is read raw, as the increments of its dyadic martingale.
+        def refuse(*args):
+            raise AssertionError("a martingale object was built")
+
+        FiniteFiltration.dyadic.cache_clear()
+        monkeypatch.setattr(MartingaleSequence, "__post_init__", refuse)
+        monkeypatch.setattr(MartingaleSequence, "_trusted", classmethod(refuse))
+        assert self.run_check(self.UMD_FIXTURE, capsys)[0] == 0
+        assert FiniteFiltration.dyadic.cache_info().misses == 0
+
     def test_negative_seed_flag_is_an_input_error_naming_it(self, capsys):
         code = main(["--command", "estimate", "--seed", "-1"])
         out, err = capsys.readouterr()

@@ -17,13 +17,17 @@ from walshcube.estimators import (
     SearchConfig,
     SearchObjective,
     _certificate_digest,
+    functional_report,
     load_certificate,
     maximize_ratio,
     reevaluate_certificate,
     save_certificate,
     scan_dimension,
 )
+from walshcube.hypercube import HypercubeFunction
 from walshcube.inequalities import pisier_envelope
+from walshcube.martingales import FiniteFiltration, MartingaleSequence
+from walshcube.norms import FunctionFamily
 
 FAST = dict(restarts=2, iterations=120, probes=50)
 
@@ -55,6 +59,20 @@ class TestSearchConfig:
     def test_type_exponent_gate(self):
         with pytest.raises(ValueError, match="requires p in"):
             SearchConfig(functional="rademacher-type", n=2, m=2, p=2.5, q=1.0, **FAST)
+
+    @pytest.mark.parametrize("q", ["inf", "2", None, True, [2.0]])
+    def test_q_of_another_type_is_refused_naming_it(self, q):
+        with pytest.raises(TypeError, match="config q must be a real number"):
+            SearchConfig(functional="pisier", n=2, m=1, p=2.0, q=q, **FAST)
+
+    @pytest.mark.parametrize("q", [0.5, 0, -math.inf, math.nan])
+    def test_q_below_one_is_refused_naming_it(self, q):
+        with pytest.raises(ValueError, match=r"config q must be >= 1 or inf"):
+            SearchConfig(functional="pisier", n=2, m=1, p=2.0, q=q, **FAST)
+
+    @pytest.mark.parametrize("q", [1, 1.0, 2.5, math.inf])
+    def test_q_of_at_least_one_is_accepted(self, q):
+        assert SearchConfig(functional="pisier", n=2, m=1, p=2.0, q=q).space().q == q
 
     def test_json_round_trip_with_infinite_q(self):
         cfg = SearchConfig(functional="pisier", n=3, m=2, p=2.0, q=math.inf)
@@ -340,6 +358,27 @@ class TestAnalyticGradients:
         assert sum(rows) <= 150
 
 
+def _record_constructions(monkeypatch) -> list:
+    """The names of the witness objects built from here on, in order."""
+    built = []
+    FiniteFiltration.dyadic.cache_clear()  # so a filtration cached earlier is recorded too
+    for cls in (HypercubeFunction, FunctionFamily, MartingaleSequence, FiniteFiltration):
+
+        def recording(self, original=cls.__post_init__, name=cls.__name__):
+            built.append(name)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", recording)
+    trusted = MartingaleSequence._trusted.__func__
+
+    def recording_trusted(cls, *args):
+        built.append("MartingaleSequence")
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(MartingaleSequence, "_trusted", classmethod(recording_trusted))
+    return built
+
+
 def _oracle_config(name, q, **budget):
     p = 1.5 if name.endswith("-type") else 2.5
     budget = {"restarts": 3, "iterations": 10, "probes": 20, **budget}
@@ -388,6 +427,28 @@ class TestBatchedSearch:
             for k, row in enumerate(batch):
                 one = [side.value[0] for side in objective.raw_sides(row[None])]
                 assert objective.sides(row) == (four[0][k], four[1][k]) == tuple(one)
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    def test_eval_route_has_the_bits_of_the_certificate_route(self, name):
+        # `eval` loads a validated witness (a martingale through
+        # `make_dyadic_martingale`); certificates read the raw array.
+        p = 1.5 if name.endswith("-type") else 2.5
+        for n, m, q in itertools.product((1, 2, 3, 4), (1, 3), (1.0, 2.0, 3.0, math.inf)):
+            objective = SearchObjective(SearchConfig(functional=name, n=n, m=m, p=p, q=q))
+            flat = np.random.default_rng([n, m, 17]).standard_normal(objective.dimension)
+            kind = objective.entry.kind
+            key = {"function": "values", "family": "functions", "vectors": "vectors"}[kind.name]
+            witness = kind.load({key: flat.reshape(objective.shape).tolist()})
+            report = functional_report(name, witness, p, objective.space, objective.config.plan())
+            assert (report.lhs, report.rhs) == objective.sides(flat), (n, m, q)
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    def test_certified_values_read_the_raw_witness(self, name, monkeypatch):
+        # Only pisier's library pair builds an object: one HypercubeFunction
+        # per certified value, in the search and in the re-check.
+        built = _record_constructions(monkeypatch)
+        reevaluate_certificate(maximize_ratio(_oracle_config(name, 3.0, restarts=1, iterations=2)))
+        assert built == (["HypercubeFunction"] * 2 if name == "pisier" else [])
 
     def test_probes_and_restarts_above_the_row_cap(self):
         cfg = replace(_oracle_config("corollary2", 3.0, probes=40, restarts=20, iterations=3), n=4)
