@@ -45,6 +45,7 @@ import math
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -232,24 +233,6 @@ def _check_keys(data, what: str, required, allowed=None) -> None:
         raise ValueError(f"{what} has the unknown key {unknown[0]!r}")
 
 
-@dataclass(frozen=True)
-class WitnessKind:
-    """What a functional reads: a function, a family, vectors or a martingale.
-
-    `name` is the certificate's `witness_kind`, and `shape(n, m)` the shape
-    of the raw array that the search climbs and `sides` reads.  `load` turns
-    parsed JSON into the validated witness that `eval` reads, raising
-    `ValueError` on a malformed input; `dims` gives its (n, m) and `raw` its
-    array (or, for a martingale, its view of increments).
-    """
-
-    name: str
-    shape: Callable[[int, int], tuple[int, ...]]
-    load: Callable[[object], object]
-    dims: Callable[[object], tuple[int, int]]
-    raw: Callable[[object], object]
-
-
 def _json_list(data, key: str) -> list:
     """The list under `key` of a parsed JSON object; anything else is an input error."""
     if not isinstance(data, dict):
@@ -270,30 +253,36 @@ def _reading(what: str):
         raise ValueError(f"malformed {what} input: {err}") from err
 
 
-def _load_function(data) -> HypercubeFunction:
-    _json_list(data, "values")
-    with _reading("function"):
-        return HypercubeFunction.from_json_dict(data)
+@dataclass(frozen=True)
+class WitnessKind:
+    """What a functional reads: a function, a family, vectors or a martingale.
+
+    `name` is the certificate's `witness_kind`, and `shape(n, m)` the shape
+    of the raw array that the search climbs and `sides` reads.  `load`
+    turns parsed JSON, an object with a list under `key`, into the
+    validated witness that `eval` reads, through `read`; a malformed input
+    is a one-line `ValueError`.  `dims` gives the witness's (n, m) and
+    `raw` its array (or, for a martingale, its view of increments).
+    """
+
+    name: str
+    shape: Callable[[int, int], tuple[int, ...]]
+    key: str
+    read: Callable[[dict], object]
+    dims: Callable[[object], tuple[int, int]]
+    raw: Callable[[object], object]
+
+    def load(self, data):
+        _json_list(data, self.key)
+        with _reading(self.name):
+            return self.read(data)
 
 
-def _load_family(data) -> FunctionFamily:
-    _json_list(data, "functions")
-    with _reading("family"):
-        return FunctionFamily.from_json_dict(data)
-
-
-def _load_vectors(data) -> np.ndarray:
-    with _reading("vectors"):
-        return _vector_table(_json_list(data, "vectors"))
-
-
-def _load_martingale(data) -> MartingaleSequence:
+def _read_martingale(data: dict) -> MartingaleSequence:
     """A martingale file, or a plain function read as its dyadic martingale."""
-    if isinstance(data, dict) and "filtration" in data:
-        _json_list(data, "values")
-        with _reading("martingale"):
-            return MartingaleSequence.from_json_dict(data)
-    return make_dyadic_martingale(_load_function(data))
+    if "filtration" in data:
+        return MartingaleSequence.from_json_dict(data)
+    return make_dyadic_martingale(HypercubeFunction.from_json_dict(data))
 
 
 def _cube_table(n: int, m: int) -> tuple[int, int]:
@@ -301,20 +290,22 @@ def _cube_table(n: int, m: int) -> tuple[int, int]:
 
 
 _FUNCTION = WitnessKind(
-    "function", _cube_table, _load_function, lambda f: (f.n, f.m), lambda f: f.values
+    "function", _cube_table, "values", HypercubeFunction.from_json_dict,
+    attrgetter("n", "m"), attrgetter("values"),
 )
 _FAMILY = WitnessKind(
-    "family",
-    lambda n, m: (n, 1 << n, m),
-    _load_family,
-    lambda family: (family.n, family.m),
-    FunctionFamily.stacked,
+    "family", lambda n, m: (n, 1 << n, m), "functions", FunctionFamily.from_json_dict,
+    attrgetter("n", "m"), FunctionFamily.stacked,
 )
-_VECTORS = WitnessKind("vectors", lambda n, m: (n, m), _load_vectors, np.shape, lambda v: v)
+_VECTORS = WitnessKind(
+    "vectors", lambda n, m: (n, m), "vectors", lambda data: _vector_table(data["vectors"]),
+    np.shape, lambda v: v,
+)
 # The martingale functionals search over functions, read as their dyadic
 # martingales, so their certificates name the witness kind "function".
 _MARTINGALE = WitnessKind(
-    "function", _cube_table, _load_martingale, lambda M: (M.steps, M.m), _Increments.of
+    "function", _cube_table, "values", _read_martingale,
+    lambda M: (M.steps, M.m), _Increments.of,
 )
 
 
@@ -711,12 +702,14 @@ def reevaluate_certificate(cert: RatioCertificate) -> InequalityReport:
         raise CertificateMismatchError(
             f"witness kind {cert.witness_kind!r} does not fit functional {config.functional!r}"
         )
-    flat = cert.witness_array().reshape(-1)
-    if flat.size != objective.dimension:
-        raise CertificateMismatchError("witness size does not match the declared shape")
-    if not np.isfinite(flat).all():
+    witness = cert.witness_array()
+    if witness.shape != objective.shape:
+        raise CertificateMismatchError(
+            f"witness of shape {witness.shape} where {config.functional} reads {objective.shape}"
+        )
+    if not np.isfinite(witness).all():
         raise ValueError("certificate witness contains non-finite entries")
-    lhs, rhs = objective.sides(flat)
+    lhs, rhs = objective.sides(witness.reshape(-1))
     # Written so that a NaN anywhere fails: every comparison with NaN is False.
     scale = max(abs(cert.lhs), abs(cert.rhs), 1e-30)
     if not (abs(lhs - cert.lhs) <= 1e-9 * scale and abs(rhs - cert.rhs) <= 1e-9 * scale):

@@ -4,7 +4,9 @@ Every inequality functional measures through this layer: a `NormSpace`
 fixes the finite-dimensional target ell_q^m, `lp_norm` takes the L_p norm
 over the uniform cube measure, and `rademacher_average` averages the norm
 of signed combinations of a function family over sign vectors, either by
-exact enumeration or by a deterministic counter-based Monte Carlo.
+exact enumeration or by a deterministic counter-based Monte Carlo.  Every
+exponent is checked by a `PRange`, every vector length by `NormSpace`, and
+every ell_q norm has the bits of `_norms_of_absolute`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ EXACT_THRESHOLD = 10  # the most members `RademacherAveragePlan.auto` enumerates
 
 DEFAULT_SAMPLES = 20000  # the sample budget of a plan, a search and the command line
 
-_CHUNK = 1024  # sign vectors per block; fixed so reduction order never varies
+# Sign vectors per block: at most 1024, and per row at most 2^22 combination
+# entries (32 MiB); fixed by the table's shape, so reduction order never varies.
+_CHUNK = 1024
+_BLOCK_ENTRIES = 1 << 22
 
 
 class DegenerateInputError(ValueError):
@@ -71,10 +76,14 @@ class PRange:
 
 # The exponents each functional accepts, for the library functions and the
 # functional table alike: [1, inf) for pisier's deviation functional, (1, 2]
-# for the type exponents, and (1, inf) for the rest.
+# for the type exponents, and (1, inf) for the rest.  Beneath them, an L_p
+# norm takes p in [1, inf] and a raw side any finite p > 0.  Every exponent,
+# NaN included, is checked by one of these ranges.
 DEVIATION_P = PRange(1.0, math.inf, low_closed=True)
 TYPE_P = PRange(1.0, 2.0, high_closed=True)
 OPEN_P = PRange(1.0, math.inf)
+NORM_P = PRange(1.0, math.inf, low_closed=True, high_closed=True)
+SIDE_P = PRange(0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -100,9 +109,13 @@ class NormSpace:
 
     def norms(self, table: np.ndarray) -> np.ndarray:
         """ell_q norms along the last axis."""
+        self._check_length(table)
+        return _norms_of_absolute(np.abs(table), self.q)
+
+    def _check_length(self, table: np.ndarray) -> None:
+        """A one-line error unless the last axis of `table` holds vectors in R^m."""
         if table.shape[-1] != self.m:
             raise ValueError(f"vectors of length {table.shape[-1]} in ell_q^{self.m}")
-        return _norms_of_absolute(np.abs(table), self.q)
 
 
 @dataclass(frozen=True)
@@ -234,13 +247,6 @@ def sample_sign_masks(seed: int, count: int, n: int) -> np.ndarray:
     return (_mix64(state) & np.uint64((1 << n) - 1)).astype(np.int64)
 
 
-def _check_p_finite(p: float) -> float:
-    p = float(p)
-    if not (p > 0.0) or math.isinf(p):
-        raise ValueError(f"exponent p must be finite and positive, got {p}")
-    return p
-
-
 def lp_norm(f: HypercubeFunction, p: float, space: NormSpace) -> float:
     """(mean over the cube of ||f(eps)||_X^p)^(1/p); max over the cube for p = inf."""
     return _lp_value(f.values, p, space)
@@ -250,11 +256,8 @@ def _lp_value(table: np.ndarray, p: float, space: NormSpace, weights=None) -> fl
     """The L_p norm of a (points, m) table under point `weights` (uniform by
     default): the value of `lp_norm_gradient` for finite p, the largest
     pointwise norm for p = inf."""
-    p = float(p)
-    if math.isinf(p):
+    if math.isinf(NORM_P.check(p, "the L_p norm")):
         return float(space.norms(table).max())
-    if p < 1.0:
-        raise ValueError(f"L_p norm needs p >= 1 or p = inf, got {p}")
     return float(lp_norm_gradient(table, p, space, weights).value)
 
 
@@ -309,13 +312,13 @@ def lp_norm_gradient(
     """(sum_k w_k ||t_k||_q^p)^(1/p) for raw (..., points, m) tables, with its gradient.
 
     Leading axes are a batch: the value has their shape and the gradient
-    the shape of `table`.  The point weights default to the uniform
-    1/points.  At the kinks the gradient takes sign(t) (q = 1) and the
-    coordinate that `argmax` picks (q = inf); a zero row contributes nothing.
+    the shape of `table`.  p is any finite p > 0.  The point weights default
+    to the uniform 1/points.  At the kinks the gradient takes sign(t) (q = 1)
+    and the coordinate that `argmax` picks (q = inf); a zero row contributes
+    nothing.
     """
-    p = _check_p_finite(p)
-    if table.shape[-1] != space.m:
-        raise ValueError(f"vectors of length {table.shape[-1]} in ell_q^{space.m}")
+    p = SIDE_P.check(p, "the raw L_p norm")
+    space._check_length(table)
     if weights is None:
         weights = np.full(table.shape[-2], 1.0 / table.shape[-2])
 
@@ -379,14 +382,14 @@ def _sign_masks(count: int, plan: RademacherAveragePlan) -> np.ndarray:
     return sample_sign_masks(plan.seed, plan.samples, count)
 
 
-def _sign_blocks(count: int, masks: np.ndarray):
+def _sign_blocks(count: int, masks: np.ndarray, chunk: int = _CHUNK):
     """Sign matrices for chunks of fixed size in ascending mask/sample order.
 
     The fixed chunking keeps every reduction over patterns deterministic
     regardless of any internal parallelism.
     """
-    for start in range(0, len(masks), _CHUNK):
-        yield sign_matrix(count, masks[start : start + _CHUNK])
+    for start in range(0, len(masks), chunk):
+        yield sign_matrix(count, masks[start : start + chunk])
 
 
 def _pattern_norms(tables: np.ndarray, q: float, masks: np.ndarray, with_derivative=False):
@@ -400,10 +403,11 @@ def _pattern_norms(tables: np.ndarray, q: float, masks: np.ndarray, with_derivat
     """
     *lead, count, points, m = tables.shape
     flat = np.ascontiguousarray(tables.reshape(*lead, count, points * m))
+    chunk = min(_CHUNK, max(1, _BLOCK_ENTRIES // (points * m)))
     # One combination buffer per call; repeated fresh allocations
     # of the combination table dominate the cost otherwise.
-    buffer = np.empty((*lead, min(_CHUNK, len(masks)), points * m))
-    for signs in _sign_blocks(count, masks):
+    buffer = np.empty((*lead, min(chunk, len(masks)), points * m))
+    for signs in _sign_blocks(count, masks, chunk):
         view = buffer[..., : len(signs), :]
         np.matmul(signs, flat, out=view)
         combos = view.reshape(*lead, len(signs), points, m)
@@ -443,9 +447,8 @@ def signed_combination_average_gradient(
     patterns in the same chunks, and the backward step of a chunk is
     signs.T @ (pointwise cotangents).
     """
-    p = _check_p_finite(p)
-    if tables.shape[-1] != space.m:
-        raise ValueError(f"tables into R^{tables.shape[-1]} measured in ell_q^{space.m}")
+    p = SIDE_P.check(p, "the sign average")
+    space._check_length(tables)
     return _sign_average(tables, p, space, _sign_masks(tables.shape[-3], plan), weights)
 
 
@@ -493,10 +496,7 @@ def _norms_of_absolute(table: np.ndarray, q: float) -> np.ndarray:
         return _reduce_last(np.maximum, table)
     if q == 1.0:
         return _reduce_last(np.add, table)
-    if q == 2.0:
-        np.multiply(table, table, out=table)
-        return np.sqrt(_reduce_last(np.add, table))
-    np.power(table, q, out=table)
+    table **= q  # not np.power: numpy's `**` squares q = 2 exactly, and roots 1/q = 1/2 by sqrt
     return _reduce_last(np.add, table) ** (1.0 / q)
 
 

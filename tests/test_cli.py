@@ -753,6 +753,28 @@ class TestCheckCommand:
         assert code == 1 and out == ""
         assert err == "certificate does not hold: functional 'pisier' is not the config's 'umd'\n"
 
+    def test_flattened_witness_does_not_hold(self, tmp_path, capsys):
+        # The (16, 2) umd witness written as its 32 numbers, under a resealed
+        # digest, has the size of the search's shape but not the shape.
+        cert = json.loads(self.UMD_FIXTURE.read_text())
+        cert["witness"] = [value for row in cert["witness"] for value in row]
+        path = tmp_path / "cert.json"
+        self.write_resealed(cert, path)
+        code, out, err = self.run_check(path, capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            "certificate does not hold: witness of shape (32,) where umd reads (16, 2)\n"
+        )
+
+    def test_ragged_witness_is_an_input_error(self, tmp_path, capsys):
+        cert = json.loads(self.UMD_FIXTURE.read_text())
+        cert["witness"][3] = cert["witness"][3][:1]
+        path = tmp_path / "cert.json"
+        self.write_resealed(cert, path)
+        code, out, err = self.run_check(path, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -437,8 +437,7 @@ class TestBatchedSearch:
             objective = SearchObjective(SearchConfig(functional=name, n=n, m=m, p=p, q=q))
             flat = np.random.default_rng([n, m, 17]).standard_normal(objective.dimension)
             kind = objective.entry.kind
-            key = {"function": "values", "family": "functions", "vectors": "vectors"}[kind.name]
-            witness = kind.load({key: flat.reshape(objective.shape).tolist()})
+            witness = kind.load({kind.key: flat.reshape(objective.shape).tolist()})
             report = functional_report(name, witness, p, objective.space, objective.config.plan())
             assert (report.lhs, report.rhs) == objective.sides(flat), (n, m, q)
 

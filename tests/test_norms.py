@@ -1,12 +1,15 @@
 """Measurement layer: ell_q targets, L_p norms, Rademacher averages."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import walshcube.norms as norms
 from walshcube.hypercube import HypercubeFunction
+from walshcube.martingales import martingale_lp_norm
 from walshcube.norms import (
     FunctionFamily,
     NormSpace,
@@ -15,6 +18,7 @@ from walshcube.norms import (
     _sign_blocks,
     _sign_masks,
     lp_norm,
+    lp_norm_gradient,
     rademacher_average,
     sample_sign_masks,
     signed_combination_average,
@@ -117,6 +121,79 @@ class TestLpNorm:
             lp_norm(f, 0.5, NormSpace(2, 2.0))
         with pytest.raises(ValueError):
             lp_norm(f, 2.0, NormSpace(3, 2.0))
+
+
+class TestOneRuleEach:
+    """Every exponent goes through one `PRange` and every vector length through
+    one `NormSpace` check, each a one-line error naming what it refuses."""
+
+    SPACE = NormSpace(2, 3.0)
+    TABLES = np.random.default_rng(9).standard_normal((2, 4, 2))
+    PLAN = RademacherAveragePlan()
+    NORM = ("the L_p norm", "[1, inf]")
+    RAW_NORM = ("the raw L_p norm", "(0, inf)")
+    AVERAGE = ("the sign average", "(0, inf)")
+    CALLS = {
+        "lp_norm": (lambda p: lp_norm(random_function(2, 2), p, TestOneRuleEach.SPACE), NORM),
+        "martingale_lp_norm": (
+            lambda p: martingale_lp_norm(
+                TestOneRuleEach.TABLES[0], p, TestOneRuleEach.SPACE, np.full(4, 0.25)
+            ),
+            NORM,
+        ),
+        "lp_norm_gradient": (
+            lambda p: lp_norm_gradient(TestOneRuleEach.TABLES, p, TestOneRuleEach.SPACE),
+            RAW_NORM,
+        ),
+        "signed_combination_average": (
+            lambda p: signed_combination_average(
+                TestOneRuleEach.TABLES, p, TestOneRuleEach.SPACE, TestOneRuleEach.PLAN
+            ),
+            AVERAGE,
+        ),
+        "signed_combination_average_gradient": (
+            lambda p: signed_combination_average_gradient(
+                TestOneRuleEach.TABLES, p, TestOneRuleEach.SPACE, TestOneRuleEach.PLAN
+            ),
+            AVERAGE,
+        ),
+        "rademacher_average": (
+            lambda p: rademacher_average(
+                random_family(2, 2), p, TestOneRuleEach.SPACE, TestOneRuleEach.PLAN
+            ),
+            AVERAGE,
+        ),
+    }
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf], ids=str)
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_exponent_refusal_names_its_domain(self, name, p):
+        call, (what, domain) = self.CALLS[name]
+        if p == math.inf and domain.endswith("]"):
+            assert call(p) > 0.0  # the L_p norms take p = inf
+            return
+        with pytest.raises(ValueError) as refused:
+            call(p)
+        assert str(refused.value) == f"{what} requires p in {domain}, got {p}"
+
+    def test_infinite_exponent_gives_the_largest_pointwise_norm(self):
+        f = random_function(4, 3, seed=2)
+        space = NormSpace(3, 1.5)
+        assert lp_norm(f, math.inf, space) == space.norms(f.values).max()
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_wrong_vector_length_has_one_message(self, p):
+        f = random_function(2, 3)
+        space = NormSpace(2, 2.0)
+        calls = (
+            lambda: space.norms(f.values),
+            lambda: lp_norm(f, p, space),
+            lambda: signed_combination_average(f.values[None], 2.0, space, self.PLAN),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == "vectors of length 3 in ell_q^2"
 
 
 class TestFunctionFamily:
@@ -252,6 +329,34 @@ class TestHalvedSignSweep:
         value, gradient = sign_average_per_mask(tables, 2.5, q, sample_sign_masks(11, samples, count))
         assert side.value == pytest.approx(value, rel=1e-12)
         assert_allclose(side.gradient(), gradient, rtol=1e-12, atol=1e-12 * np.abs(gradient).max())
+
+
+class TestSweepMemory:
+    def test_a_block_holds_at_most_2_22_combination_entries(self, monkeypatch):
+        # One member over a 2^20-point scalar table: a block of 1,024 sign
+        # patterns would hold 8 GiB of combinations, so each block holds 4.
+        blocks = []
+        sign_matrix = norms.sign_matrix
+
+        def recorded(count, masks):
+            blocks.append(len(masks))
+            return sign_matrix(count, masks)
+
+        monkeypatch.setattr(norms, "sign_matrix", recorded)
+        tables = np.random.default_rng(4).standard_normal((1, 1 << 20, 1))
+        plan = RademacherAveragePlan(mode="monte-carlo", samples=8, seed=3)
+        tracemalloc.start()
+        try:
+            value = signed_combination_average(tables, 2.0, NormSpace(1, 2.0), plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks == [4, 4]
+        # A block's combinations, norms and powers, and the last block's, live
+        # at once: 4.25 blocks of 2^22 entries with the weights, 6.25 at 8 rows.
+        assert peak < 5 * (8 << 22)
+        # Every sign of one member gives |t|: the average is the L_2 norm of t.
+        assert value == pytest.approx(np.sqrt(np.mean(tables**2)), rel=1e-12)
 
 
 class TestRademacherAverageMonteCarlo:
