@@ -116,6 +116,8 @@ def _load_json(path: str | None):
             return json.load(handle)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+        except RecursionError as err:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from err
 
 
 def cmd_verify(args) -> int:

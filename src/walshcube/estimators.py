@@ -1,18 +1,19 @@
 """The functional table and the random-restart ascent for extremal witnesses.
 
 Each of the 11 two-sided functionals is defined once, by a raw builder
-beside its library form: the cube functionals in `inequalities`, the
-martingale functionals in `martingales`.  Its table entry adds the kind
-of witness it reads and the exponents p it accepts (the range constants
-of `norms`, which the library functions check too).  The search climbs
-the builder on batches; `sides` gives the certified value on one raw
-witness array, validated once at the boundary, for `eval` (through
-`functional_report`), `estimate`, `scan` and certificate re-checks: the
-builder's values, or, for pisier, its public lhs/rhs pair on a
-`HypercubeFunction` of the table, which runs the same kernels.  `verify`'s
-`batched-vs-single` check confirms that both agree bit for bit.  The four
-martingale functionals read a view of increments: of a function's dyadic
-martingale, or, for `eval`, of a `MartingaleSequence`.
+beside its library form, whose sides are the builder's values: the cube
+functionals in `inequalities`, the martingale functionals in
+`martingales`.  Its table entry adds the kind of witness it reads and the
+exponents p it accepts (the range constants of `norms`, which the library
+functions check too).  The search climbs the builder on batches; `sides`
+gives the certified value on one raw witness array, validated once at the
+boundary, for `eval` (through `functional_report`), `estimate`, `scan`
+and certificate re-checks: the builder's values, or, for pisier, its
+public lhs/rhs pair on a `HypercubeFunction` of the table, whose
+`pisier_rhs` composes the public kernels of the builder's right side.
+`verify`'s `batched-vs-single` check confirms that both agree bit for
+bit.  The four martingale functionals read a view of increments: of a
+function's dyadic martingale, or, for `eval`, of a `MartingaleSequence`.
 
 The search maximizes log(lhs/rhs) by gradient ascent with a halving line
 search.  It works on batches: the probes and restart points are drawn and
@@ -321,8 +322,9 @@ class Functional:
     re-checks, on one validated raw witness x (or view of increments): the
     builder's values, or, when `pair` is set, that pair's values.  Only
     pisier sets it, to `pisier_lhs`/`pisier_rhs` on a `HypercubeFunction`
-    of x, which run the same kernels: the benchmark's traced run counts
-    pisier's certified evaluations through them, as
+    of x (its builder's left side, and its right side's public kernels):
+    the benchmark's traced run counts pisier's certified evaluations
+    through them, as
     `benchmarks/tests/test_benchmark.py::test_patching_reaches_every_import_site_and_is_undone`
     requires.  With `exact_signs` the sign averages enumerate every sign
     vector, whatever plan is asked for.
@@ -432,6 +434,10 @@ class RatioCertificate:
             for key in keys:
                 if not fits(data[key]):
                     raise ValueError(f"certificate {key} must be {what}, got {data[key]!r}")
+        try:  # numpy refuses ragged, non-numeric and over-64-deep lists before `_freeze` recurses
+            np.asarray(data["witness"], dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"certificate witness is not a numeric array: {err}") from err
         with _reading("certificate"):
             return cls(
                 functional=data["functional"],

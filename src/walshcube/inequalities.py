@@ -3,17 +3,15 @@
 Each cube functional is defined here once, by its raw builder (the
 `_*_build` functions at the end): both sides on raw witness arrays with
 leading batch axes, with their gradients, for the search in `estimators`
-and for the certified value.  The library form sits beside it, as two
-sides (`*_lhs`, `*_rhs`) or as a ratio (`k_convexity_ratio`,
-`rademacher_type_ratio`).  The two ratios are the builder's values on
-one witness.  The five lhs/rhs pairs (pisier, theorem1, corollary2,
-stein, hn-remark) are still written out, for the library and its
-acceptance tests; they compose the same raw-array operators and norm
-kernels, so a side computed here has the bits of the builder's value, as
-the tests check.  The functional table certifies the four family
-functionals through their builders and only pisier through its pair.
-Every library function checks p against the same range constants as the
-table.  A witnessed ratio is a certified lower bound for the
+and for the certified value.  The five lhs/rhs builders (pisier, theorem1,
+corollary2, stein, hn-remark) each pair two named raw sides.  The library
+form sits beside them, as two sides (`*_lhs`, `*_rhs`) or as a ratio
+(`k_convexity_ratio`, `rademacher_type_ratio`), and each is the value of
+its builder's side on one witness.  `pisier_rhs` alone composes the two
+public kernels of its builder's side, `derivative_stack` and
+`signed_combination_average`, which the benchmark's tracer counts.  Every
+library function checks p against the same range constants as the
+functional table.  A witnessed ratio is a certified lower bound for the
 corresponding space constant; upper bounds are out of reach for any
 finite search and are never claimed.
 
@@ -41,7 +39,6 @@ from .norms import (
     NormSpace,
     RademacherAveragePlan,
     _checked_ratio,
-    _lp_value,
     _values,
     lp_norm_gradient,
     rademacher_average,
@@ -167,7 +164,7 @@ def pisier_envelope(n: int) -> float:
 def pisier_lhs(f: HypercubeFunction, p: float, space: NormSpace) -> float:
     """|| f - mean f ||_{L_p}."""
     p = DEVIATION_P.check(p, "the deviation functional")
-    return _lp_value(f.values - _condition(f.values, f.n, 0), p, space)
+    return float(_deviation_norm(f.values, f.n, p, space, None).value)
 
 
 def pisier_rhs(
@@ -196,8 +193,7 @@ def pisier_report(
 def theorem1_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i (E_i f_i - E_{i-1} f_i) ||_{L_p} for the coordinate filtration."""
     p = OPEN_P.check(p, "the martingale-difference functional")
-    total = _difference_each(family.stacked(), family.n).sum(axis=-3)
-    return _lp_value(total, p, space)
+    return float(_difference_norm(family.stacked(), family.n, p, space, None).value)
 
 
 def theorem1_rhs(
@@ -205,13 +201,13 @@ def theorem1_rhs(
 ) -> float:
     """Sign-averaged norm of sum_i delta_i d_i f_i."""
     p = OPEN_P.check(p, "the martingale-difference functional")
-    return signed_combination_average(_derivative_each(family.stacked(), family.n), p, space, plan)
+    return float(_derivative_average(family.stacked(), family.n, p, space, plan).value)
 
 
 def corollary2_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
     p = OPEN_P.check(p, "the inverse-Laplacian functional")
-    return _lp_value(_inverse_laplacian_sum(family.stacked(), family.n), p, space)
+    return float(_inverse_laplacian_norm(family.stacked(), family.n, p, space, None).value)
 
 
 def _inverse_laplacian_sum(stack: np.ndarray, n: int) -> np.ndarray:
@@ -233,8 +229,7 @@ def stein_lhs(
 ) -> float:
     """Sign-averaged norm of sum_i delta_i E_i f_i over the coordinate filtration."""
     p = OPEN_P.check(p, "the conditional-expectation functional")
-    projected = _condition_each(family.stacked(), family.n)
-    return signed_combination_average(projected, p, space, plan)
+    return float(_condition_average(family.stacked(), family.n, p, space, plan).value)
 
 
 def stein_rhs(
@@ -320,59 +315,59 @@ def rademacher_type_ratio(vectors: np.ndarray, s: float, space: NormSpace) -> fl
     return _checked_ratio(*sides, "all-zero vectors have no type ratio")
 
 
-# Raw builders, `build(x, n, p, space, plan) -> (lhs, rhs)` as `_Side`s on
-# (..., *shape) witness arrays.  The linear maps are self-adjoint, so each
-# backward step applies the forward map (or, from a stack to one table, its
-# member-wise sum).
+# Raw sides, `side(x, n, p, space, plan) -> _Side`, and raw builders,
+# `build(x, n, p, space, plan) -> (lhs, rhs)`, on (..., *shape) witness
+# arrays.  The linear maps are self-adjoint, so each backward step applies
+# the forward map (or, from a stack to one table, its member-wise sum).
 
 
-def _pisier_build(f, n, p, space, plan):
-    rhs = signed_combination_average_gradient(_derivative_each(_repeat(f, n), n), p, space, plan)
-    lhs = lp_norm_gradient(f - _condition(f, n, 0), p, space)
-    return (
-        lhs.map(lambda g: g - _condition(g, n, 0)),
-        rhs.map(lambda g: _derivative_each(g, n).sum(axis=-3)),
-    )
+def _deviation_norm(f, n, p, space, plan):
+    side = lp_norm_gradient(f - _condition(f, n, 0), p, space)
+    return side.map(lambda g: g - _condition(g, n, 0))
+
+
+def _pisier_average(f, n, p, space, plan):
+    """Sign average of sum_i delta_i d_i f for one function f."""
+    side = signed_combination_average_gradient(_derivative_each(_repeat(f, n), n), p, space, plan)
+    return side.map(lambda g: _derivative_each(g, n).sum(axis=-3))
+
+
+def _difference_norm(family, n, p, space, plan):
+    side = lp_norm_gradient(_difference_each(family, n).sum(axis=-3), p, space)
+    return side.map(lambda g: _level_differences(_dyadic_levels(g, n)))
 
 
 def _derivative_average(family, n, p, space, plan):
-    """The shared right side of theorem1 and corollary2: sign average of d_i f_i."""
+    """Sign average of sum_i delta_i d_i f_i: the right side of theorem1 and corollary2."""
     side = signed_combination_average_gradient(_derivative_each(family, n), p, space, plan)
     return side.map(lambda g: _derivative_each(g, n))
 
 
-def _inverse_laplacian_norm(family, n, p, space):
-    """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
+def _inverse_laplacian_norm(family, n, p, space, plan):
     multiplier = _laplacian_multiplier(n, -1.0)
     side = lp_norm_gradient(_inverse_laplacian_sum(family, n), p, space)
     return side.map(lambda g: _derivative_each(_repeat(_walsh_multiply(g, n, multiplier), n), n))
 
 
-def _theorem1_build(family, n, p, space, plan):
-    lhs = lp_norm_gradient(_difference_each(family, n).sum(axis=-3), p, space)
-    return (
-        lhs.map(lambda g: _level_differences(_dyadic_levels(g, n))),
-        _derivative_average(family, n, p, space, plan),
-    )
+def _condition_average(family, n, p, space, plan):
+    side = signed_combination_average_gradient(_condition_each(family, n), p, space, plan)
+    return side.map(lambda g: _condition_each(g, n))
 
 
-def _corollary2_build(family, n, p, space, plan):
-    return _inverse_laplacian_norm(family, n, p, space), _derivative_average(
-        family, n, p, space, plan
-    )
+def _member_average(family, n, p, space, plan):
+    return signed_combination_average_gradient(family, p, space, plan)
 
 
-def _stein_build(family, n, p, space, plan):
-    lhs = signed_combination_average_gradient(_condition_each(family, n), p, space, plan)
-    return (
-        lhs.map(lambda g: _condition_each(g, n)),
-        signed_combination_average_gradient(family, p, space, plan),
-    )
+def _paired(lhs, rhs):
+    """The builder whose two sides are the raw sides `lhs` and `rhs`."""
+    return lambda x, n, p, space, plan: (lhs(x, n, p, space, plan), rhs(x, n, p, space, plan))
 
 
-def _hn_remark_build(family, n, p, space, plan):
-    rhs = signed_combination_average_gradient(family, p, space, plan)
-    return _inverse_laplacian_norm(family, n, p, space), rhs
+_pisier_build = _paired(_deviation_norm, _pisier_average)
+_theorem1_build = _paired(_difference_norm, _derivative_average)
+_corollary2_build = _paired(_inverse_laplacian_norm, _derivative_average)
+_stein_build = _paired(_condition_average, _member_average)
+_hn_remark_build = _paired(_inverse_laplacian_norm, _member_average)
 
 
 def _k_convexity_build(f, n, r, space, plan):

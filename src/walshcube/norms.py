@@ -463,11 +463,13 @@ def _sign_average(tables, p, space, masks, weights=None) -> _Side:
         total = np.zeros(lead)
         gradient = np.zeros((*lead, count, points * m)) if with_gradient else None
         for signs, pointwise, derivative in _pattern_norms(tables, space.q, masks, with_gradient):
-            summed, raised = _weighted_powers(pointwise, p, weights, with_gradient)
-            total += summed
+            raised = pointwise ** (p - 1.0)  # w ||.||^(p-1), the factors of the gradient
+            raised *= weights
             if with_gradient:
-                cotangent = raised[..., None] * derivative
-                gradient += signs.T @ cotangent.reshape(*lead, len(signs), -1)
+                gradient += signs.T @ (raised[..., None] * derivative).reshape(*lead, len(signs), -1)
+            pointwise *= raised  # the terms w ||.||^p
+            total += pointwise.reshape(*lead, -1).sum(axis=-1)
+            del pointwise, derivative, raised  # freed before the next block is built
         value = np.float_power(total / float(len(masks)), 1.0 / p)
         if with_gradient:
             gradient *= _root_factor(value, p, float(len(masks)))[..., None, None]
@@ -475,16 +477,6 @@ def _sign_average(tables, p, space, masks, weights=None) -> _Side:
         return value, gradient
 
     return _Side(sweep)
-
-
-def _weighted_powers(pointwise, p, weights, keep_raised: bool):
-    """Per batch row, the sum of w ||.||^p over patterns and points and, when
-    `keep_raised`, the factors w ||.||^(p-1) that scale its gradient
-    (otherwise their buffer holds the summed terms)."""
-    raised = pointwise ** (p - 1.0)
-    raised *= weights
-    terms = raised * pointwise if keep_raised else np.multiply(raised, pointwise, out=raised)
-    return terms.reshape(*terms.shape[:-2], -1).sum(axis=-1), raised
 
 
 def _norms_of_absolute(table: np.ndarray, q: float) -> np.ndarray:

@@ -1000,3 +1000,36 @@ class TestTransformCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+class TestDeeplyNestedInput:
+    def nested(self, depth):
+        value = 1.0
+        for _ in range(depth):
+            value = [value]
+        return value
+
+    @pytest.mark.parametrize(
+        "command",
+        [["eval", "--functional", "pisier", "--q", "2"], ["check"], ["transform"]],
+        ids=["eval", "check", "transform"],
+    )
+    def test_json_nested_past_the_decoder_is_an_input_error(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"values": ' + "[" * depth + "]" * depth + "}")
+        code = main(["--command", *command, "--in", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"input error: {path}: JSON nested too deeply to read\n"
+
+    def test_witness_nested_past_any_kind_is_an_input_error(self, tmp_path, capsys):
+        cert = json.loads(TestCheckCommand.UMD_FIXTURE.read_text())
+        cert["witness"] = self.nested(600)
+        path = tmp_path / "cert.json"
+        write_json(path, cert)
+        code = main(["--command", "check", "--in", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("input error: certificate witness is not a numeric array")
+        assert err.count("\n") == 1

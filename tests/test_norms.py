@@ -352,11 +352,28 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         assert blocks == [4, 4]
-        # A block's combinations, norms and powers, and the last block's, live
-        # at once: 4.25 blocks of 2^22 entries with the weights, 6.25 at 8 rows.
-        assert peak < 5 * (8 << 22)
+        # A block's combinations, norms and powers live at once, and the last
+        # block's are freed first: 3.25 blocks of 2^22 entries with the weights.
+        assert peak < 3.5 * (8 << 22)
         # Every sign of one member gives |t|: the average is the L_2 norm of t.
         assert value == pytest.approx(np.sqrt(np.mean(tables**2)), rel=1e-12)
+
+    def test_the_gradient_sweep_frees_each_block_before_the_next(self):
+        tables = np.random.default_rng(4).standard_normal((1, 1 << 20, 1))
+        plan = RademacherAveragePlan(mode="monte-carlo", samples=8, seed=3)
+        tracemalloc.start()
+        try:
+            side = signed_combination_average_gradient(tables, 2.0, NormSpace(1, 2.0), plan)
+            gradient = side.gradient()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 6.5 blocks of 2^22 entries measured: the combinations, the norms'
+        # derivative and its temporaries, and the (1, 2^20) gradient.
+        assert peak < 8 * (8 << 22)
+        # Every sign of one member gives |t|: the gradient of the L_2 norm of t.
+        expected = tables / np.sqrt(np.mean(tables**2)) / tables.shape[-2]
+        assert_allclose(gradient, expected, rtol=1e-10, atol=0.0)
 
 
 class TestRademacherAverageMonteCarlo:
