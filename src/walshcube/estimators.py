@@ -50,7 +50,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, _check_dimension
+from .hypercube import HypercubeFunction, _check_dimension, _echo
 from .inequalities import (
     InequalityReport,
     _corollary2_build,
@@ -85,7 +85,6 @@ from .norms import (
     NormSpace,
     PRange,
     RademacherAveragePlan,
-    _check_seed,
     _Side,
     _values,
 )
@@ -124,12 +123,17 @@ _BATCH_ENTRIES = 1 << 15
 _MAX_WITNESS_ENTRIES = 1 << 20
 
 
+def _check_entries(size: int, what: str) -> None:
+    """An input error unless `what`, which holds `size` entries, fits the witness bound."""
+    if size > _MAX_WITNESS_ENTRIES:
+        raise ValueError(f"{what} holds {size} entries; at most {_MAX_WITNESS_ENTRIES} are allowed")
+
+
 def _check_table_budget(n: int, m: int, what: str) -> None:
     """An input error unless n is in [1, MAX_DIMENSION] and a (2^n, m) table
-    holds at most `_MAX_WITNESS_ENTRIES` entries; `what` names the tables."""
+    fits `_check_entries`; `what` names the tables."""
     _check_dimension(n)
-    if m << n > _MAX_WITNESS_ENTRIES:
-        raise ValueError(f"{what} tables of 2^{n} x {m} exceed {_MAX_WITNESS_ENTRIES} entries")
+    _check_entries(m << n, f"a {what} table of 2^{n} x {m}")
 
 
 class CertificateMismatchError(ValueError):
@@ -144,9 +148,11 @@ class SearchFailedError(RuntimeError):
 class SearchConfig:
     """Shape, exponents and budgets for one extremal search: the search's
     only settings, whose defaults `cli` reads.  A field of the wrong type
-    or range is a one-line error that names it.  p is checked against the
-    range in the functional's table entry, here and only here; an unknown
-    functional is an error when the search starts.  A certificate's digest
+    or range is a one-line error.  The ranges of m and q are `NormSpace`'s,
+    and those of plan_mode, plan_samples and seed `RademacherAveragePlan`'s:
+    both are built here.  p is checked against the range in the
+    functional's table entry, here and only here; an unknown functional is
+    an error when the search starts.  A certificate's digest
     covers its functional, witness kind and witness and this config, whose
     JSON adds `step` and `tol` at the fixed values of `_FIXED_CONFIG`; a
     re-check also requires the functional and the kind to be the config's.
@@ -167,26 +173,18 @@ class SearchConfig:
     def __post_init__(self) -> None:
         for name in ("n", "m", "restarts", "iterations", "probes", "seed", "plan_samples"):
             if not _is_number(value := getattr(self, name), int):
-                raise TypeError(f"config {name} must be an integer, got {value!r}")
+                raise TypeError(f"config {name} must be an integer, got {_echo(value)}")
         for name in ("p", "q"):
             if not _is_number(value := getattr(self, name)):
-                raise TypeError(f"config {name} must be a real number, got {value!r}")
-        if not self.q >= 1.0:  # NaN fails too
-            raise ValueError(f"config q must be >= 1 or inf, got {self.q!r}")
+                raise TypeError(f"config {name} must be a real number, got {_echo(value)}")
         _check_dimension(self.n)
-        if self.m < 1:
-            raise ValueError(f"target dimension m must be >= 1, got {self.m}")
-        entry = _FUNCTIONALS.get(self.functional)
-        size = math.prod(entry.kind.shape(self.n, self.m)) if entry else 0
-        if size > _MAX_WITNESS_ENTRIES:
-            raise ValueError(
-                f"a {self.functional} witness at n={self.n}, m={self.m} holds {size} entries;"
-                f" the search allows at most {_MAX_WITNESS_ENTRIES}"
-            )
+        self.space()  # m and q, by `NormSpace`
+        self.plan()  # plan_mode, plan_samples and seed, by `RademacherAveragePlan`
         if self.restarts < 1 or self.iterations < 1 or self.probes < 1:
             raise ValueError("restarts, iterations and probes must all be >= 1")
-        _check_seed(self.seed)
-        if entry:
+        if entry := _FUNCTIONALS.get(self.functional):
+            size = math.prod(entry.kind.shape(self.n, self.m))
+            _check_entries(size, f"a {self.functional} witness at n={self.n}, m={self.m}")
             entry.p_range.check(self.p, self.functional)
 
     def space(self) -> NormSpace:
@@ -208,11 +206,13 @@ class SearchConfig:
         data = dict(data)
         for key, fixed in _FIXED_CONFIG.items():
             if (value := data.pop(key, fixed)) != fixed:
-                raise ValueError(f"certificate config {key} must be {fixed}, got {value!r}")
+                raise ValueError(f"certificate config {key} must be {fixed}, got {_echo(value)}")
         if data["q"] in ("inf", "Infinity"):
             data["q"] = math.inf
         if not _is_number(data["q"]):
-            raise ValueError(f"certificate config q must be a number or 'inf', got {data['q']!r}")
+            raise ValueError(
+                f"certificate config q must be a number or 'inf', got {_echo(data['q'])}"
+            )
         return cls(**data)
 
 
@@ -228,18 +228,17 @@ def _check_keys(data, what: str, required, allowed=None) -> None:
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
     for key in required:
         if key not in data:
-            raise ValueError(f"{what} lacks the key {key!r}")
+            raise ValueError(f"{what} lacks the key {_echo(key)}")
     unknown = [key for key in data if allowed is not None and key not in allowed]
     if unknown:
-        raise ValueError(f"{what} has the unknown key {unknown[0]!r}")
+        raise ValueError(f"{what} has the unknown key {_echo(unknown[0])}")
 
 
 def _json_list(data, key: str) -> list:
     """The list under `key` of a parsed JSON object; anything else is an input error."""
-    if not isinstance(data, dict):
-        raise ValueError(f"input must be a JSON object, got {type(data).__name__}")
+    _check_keys(data, "input", [])
     if not isinstance(data.get(key), list):
-        raise ValueError(f"input field {key!r} must be a list")
+        raise ValueError(f"input field {_echo(key)} must be a list")
     return data[key]
 
 
@@ -372,7 +371,7 @@ def _entry(name: str) -> Functional:
     """The table entry of functional `name`; an unknown name is an input error."""
     entry = _FUNCTIONALS.get(name)
     if entry is None:
-        raise ValueError(f"unknown functional {name!r}; choose one of {FUNCTIONAL_NAMES}")
+        raise ValueError(f"unknown functional {_echo(name)}; choose one of {FUNCTIONAL_NAMES}")
     return entry
 
 
@@ -433,7 +432,7 @@ class RatioCertificate:
         ):
             for key in keys:
                 if not fits(data[key]):
-                    raise ValueError(f"certificate {key} must be {what}, got {data[key]!r}")
+                    raise ValueError(f"certificate {key} must be {what}, got {_echo(data[key])}")
         try:  # numpy refuses ragged, non-numeric and over-64-deep lists before `_freeze` recurses
             np.asarray(data["witness"], dtype=np.float64)
         except (TypeError, ValueError) as err:
@@ -633,7 +632,7 @@ def _nondegenerate_draws(objective: SearchObjective, rng, count: int):
                 if misses == _MAX_MISSES:
                     config = objective.config
                     raise SearchFailedError(
-                        f"could not draw a nondegenerate input for {config.functional!r} "
+                        f"could not draw a nondegenerate input for {_echo(config.functional)} "
                         f"with shape (n={config.n}, m={config.m})"
                     )
                 continue
@@ -701,12 +700,13 @@ def reevaluate_certificate(cert: RatioCertificate) -> InequalityReport:
     config = cert.config
     if cert.functional != config.functional:
         raise CertificateMismatchError(
-            f"functional {cert.functional!r} is not the config's {config.functional!r}"
+            f"functional {_echo(cert.functional)} is not the config's {_echo(config.functional)}"
         )
     objective = SearchObjective(config)
     if objective.kind != cert.witness_kind:
         raise CertificateMismatchError(
-            f"witness kind {cert.witness_kind!r} does not fit functional {config.functional!r}"
+            f"witness kind {_echo(cert.witness_kind)} does not fit functional"
+            f" {_echo(config.functional)}"
         )
     witness = cert.witness_array()
     if witness.shape != objective.shape:

@@ -28,6 +28,7 @@ arrays they compute to `_own`, which checks them and sets them read-only.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -51,14 +52,22 @@ __all__ = [
 ]
 
 
+# A refusal shows an input value through `_echo`: its repr, cut to about 60
+# characters, so a malformed field cannot fill the error line.
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxother = 60
+_echo = _ECHO.repr
+
+
 def _check_dimension(n: int) -> None:
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension n must be in [1, {MAX_DIMENSION}], got {n}")
 
 
-def _coerce_table(values: np.ndarray, what: str) -> tuple[int, int, np.ndarray]:
-    """Validate a dense (2^n, m) table and return (n, m, read-only float64 copy)."""
-    return _check_table(np.array(values, dtype=np.float64, order="C"), what)
+def _check_index(value: int, low: int, high: int, what: str) -> None:
+    """An input error unless `value`, a `what`, lies in low..high (both included)."""
+    if not low <= value <= high:
+        raise ValueError(f"{what} {value} out of range {low}..{high}")
 
 
 def _check_table(table: np.ndarray, what: str) -> tuple[int, int, np.ndarray]:
@@ -97,6 +106,20 @@ def _check_declared(data: dict, n: int, m: int) -> None:
         raise ValueError(f"declared m={data['m']} does not match row length {m}")
 
 
+def _post_init_table(self) -> None:
+    """`__post_init__` of both table classes: copy the table (the third
+    field), check it, and check it against the declared (n, m)."""
+    name = fields(self)[2].name
+    table = np.array(getattr(self, name), dtype=np.float64, order="C")
+    n, m, table = _check_table(table, self._what)
+    if n != self.n or m != self.m:
+        raise ValueError(
+            f"declared shape (n={self.n}, m={self.m}) does not match "
+            f"{self._what} table of {table.shape[0]} rows x {table.shape[1]} columns"
+        )
+    object.__setattr__(self, name, table)
+
+
 def _own(cls, table: np.ndarray):
     """`cls(n, m, table)` for a float64 table the caller has just computed: same checks, no copy."""
     obj = object.__new__(cls)
@@ -117,15 +140,7 @@ class HypercubeFunction:
     m: int
     values: np.ndarray
     _what = "function"
-
-    def __post_init__(self) -> None:
-        n, m, table = _coerce_table(self.values, self._what)
-        if n != self.n or m != self.m:
-            raise ValueError(
-                f"declared shape (n={self.n}, m={self.m}) does not match "
-                f"table of {table.shape[0]} rows x {table.shape[1]} columns"
-            )
-        object.__setattr__(self, "values", table)
+    __post_init__ = _post_init_table
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "HypercubeFunction":
@@ -141,8 +156,7 @@ class HypercubeFunction:
     def character(cls, n: int, subset: int, vector: np.ndarray) -> "HypercubeFunction":
         """The rank-one function w_A(eps) * v for A given as a bitmask."""
         _check_dimension(n)
-        if not 0 <= subset < (1 << n):
-            raise ValueError(f"subset bitmask {subset} out of range for n={n}")
+        _check_index(subset, 0, (1 << n) - 1, "subset bitmask")
         vec = np.atleast_1d(np.asarray(vector, dtype=np.float64))
         signs = _character_column(subset, n)
         return cls.from_values(signs[:, None] * vec[None, :])
@@ -191,15 +205,7 @@ class WalshSpectrum:
     m: int
     coefficients: np.ndarray
     _what = "spectrum"
-
-    def __post_init__(self) -> None:
-        n, m, table = _coerce_table(self.coefficients, self._what)
-        if n != self.n or m != self.m:
-            raise ValueError(
-                f"declared shape (n={self.n}, m={self.m}) does not match "
-                f"coefficient table of {table.shape[0]} rows x {table.shape[1]} columns"
-            )
-        object.__setattr__(self, "coefficients", table)
+    __post_init__ = _post_init_table
 
     @classmethod
     def from_coefficients(cls, coefficients: np.ndarray) -> "WalshSpectrum":
@@ -207,8 +213,7 @@ class WalshSpectrum:
         return cls(n, m, coefficients)
 
     def coefficient(self, subset: int) -> np.ndarray:
-        if not 0 <= subset < (1 << self.n):
-            raise ValueError(f"subset bitmask {subset} out of range for n={self.n}")
+        _check_index(subset, 0, (1 << self.n) - 1, "subset bitmask")
         return self.coefficients[subset]
 
     def to_json_dict(self) -> dict:
@@ -230,8 +235,7 @@ class SignAssignment:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        if not 0 <= self.bitmask < (1 << self.n):
-            raise ValueError(f"bitmask {self.bitmask} out of range for n={self.n}")
+        _check_index(self.bitmask, 0, (1 << self.n) - 1, "bitmask")
 
     def signs(self) -> np.ndarray:
         """The vector (delta_1, ..., delta_n) as floats."""
@@ -258,10 +262,8 @@ def subset_sizes(n: int) -> np.ndarray:
 def evaluate_walsh_character(subset: int, point: int, n: int | None = None) -> int:
     """w_A(eps) = (-1)^popcount(A & k) for subset mask A and point index k."""
     if n is not None:
-        if not 0 <= subset < (1 << n):
-            raise ValueError(f"subset bitmask {subset} out of range for n={n}")
-        if not 0 <= point < (1 << n):
-            raise ValueError(f"point index {point} out of range for n={n}")
+        _check_index(subset, 0, (1 << n) - 1, "subset bitmask")
+        _check_index(point, 0, (1 << n) - 1, "point index")
     return -1 if int(subset & point).bit_count() & 1 else 1
 
 

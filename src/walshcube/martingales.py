@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hypercube import MAX_DIMENSION, HypercubeFunction, SignAssignment
+from .hypercube import HypercubeFunction, SignAssignment, _check_dimension, _check_index, _echo
 from .norms import (
     OPEN_P,
     TYPE_P,
@@ -73,7 +73,7 @@ class FiniteFiltration:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         levels = tuple(np.asarray(lvl, dtype=np.int64) for lvl in self.levels)
         if self.kind not in ("dyadic-hypercube", "tree"):
-            raise ValueError(f"unknown filtration kind {self.kind!r}")
+            raise ValueError(f"unknown filtration kind {_echo(self.kind)}")
         if len(levels) != self.n + 1:
             raise ValueError(f"need {self.n + 1} levels for {self.n} steps, got {len(levels)}")
         size = probs.shape[0]
@@ -121,8 +121,7 @@ class FiniteFiltration:
         Filtrations are immutable, so recent ones are cached and shared; the
         cache is small because one at n = 20 holds about 180 MB of levels.
         """
-        if not 1 <= n <= MAX_DIMENSION:
-            raise ValueError(f"dyadic filtration needs n in [1, {MAX_DIMENSION}], got {n}")
+        _check_dimension(n)
         size = 1 << n
         points = np.arange(size, dtype=np.int64)
         levels = tuple(points & ((1 << i) - 1) for i in range(n + 1))
@@ -141,8 +140,7 @@ class FiniteFiltration:
 
     def condition(self, table: np.ndarray, level: int) -> np.ndarray:
         """Probability-weighted cell averages of a (size, m) value table."""
-        if not 0 <= level <= self.n:
-            raise ValueError(f"level {level} out of range 0..{self.n}")
+        _check_index(level, 0, self.n, "level")
         cells, size, m = self.levels[level], self.size, table.shape[1]
         # Ids are below the point count (construction relabels larger ones),
         # so `size` cells always suffice.  One bincount over (cell, column)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import MAX_DIMENSION, HypercubeFunction, _check_declared, sign_matrix
+from .hypercube import MAX_DIMENSION, HypercubeFunction, _check_declared, _echo, sign_matrix
 
 __all__ = [
     "DegenerateInputError",
@@ -98,7 +98,7 @@ class NormSpace:
 
     def __post_init__(self) -> None:
         if self.m < 1:
-            raise ValueError("target dimension m must be >= 1")
+            raise ValueError(f"target dimension m must be >= 1, got {self.m}")
         q = float(self.q)
         if not (q >= 1.0):
             raise ValueError(f"norm index q must satisfy q >= 1, got {q}")
@@ -196,7 +196,7 @@ class RademacherAveragePlan:
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "monte-carlo"):
-            raise ValueError(f"unknown plan mode {self.mode!r}")
+            raise ValueError(f"unknown plan mode {_echo(self.mode)}")
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
         _check_seed(self.seed)

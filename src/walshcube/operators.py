@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, _fwht, _own, subset_sizes
+from .hypercube import HypercubeFunction, _check_index, _fwht, _own, subset_sizes
 
 __all__ = [
     "Permutation",
@@ -55,23 +55,16 @@ class Permutation:
 
     def prefix_mask(self, level: int) -> int:
         """Bitmask of the coordinate set {pi(1), ..., pi(level)}."""
-        if not 0 <= level <= self.n:
-            raise ValueError(f"level {level} out of range 0..{self.n}")
+        _check_index(level, 0, self.n, "level")
         mask = 0
         for j in self.image[:level]:
             mask |= 1 << (j - 1)
         return mask
 
 
-def _check_coordinate(f: HypercubeFunction, i: int) -> int:
-    if not 1 <= i <= f.n:
-        raise ValueError(f"coordinate {i} out of range 1..{f.n}")
-    return 1 << (i - 1)
-
-
 def _flipped(f: HypercubeFunction, i: int) -> np.ndarray:
     """f(eps with coordinate i flipped), through the flip table of `_derivative_each`."""
-    _check_coordinate(f, i)
+    _check_index(i, 1, f.n, "coordinate")
     _, flips = _member_flips(f.n)
     return f.values[flips[i - 1]]
 
@@ -98,8 +91,7 @@ def conditional_expectation(f: HypercubeFunction, level: int) -> HypercubeFuncti
     trailing coordinates occupy the high bits of the point index, so the
     average is a single mean over the leading reshape axis.
     """
-    if not 0 <= level <= f.n:
-        raise ValueError(f"level {level} out of range 0..{f.n}")
+    _check_index(level, 0, f.n, "level")
     if level == f.n:
         return f
     return _own(HypercubeFunction, _condition(f.values, f.n, level))
@@ -134,7 +126,7 @@ def rademacher_projection(f: HypercubeFunction) -> HypercubeFunction:
 
 def martingale_difference(f: HypercubeFunction, i: int) -> HypercubeFunction:
     """The i-th dyadic martingale difference of f against the coordinate filtration."""
-    _check_coordinate(f, i)
+    _check_index(i, 1, f.n, "coordinate")
     return conditional_expectation(f, i) - conditional_expectation(f, i - 1)
 
 

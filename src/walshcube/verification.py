@@ -30,6 +30,7 @@ from .estimators import (
 from .hypercube import (
     HypercubeFunction,
     WalshSpectrum,
+    _echo,
     _fwht,
     character_matrix,
     walsh_forward,
@@ -160,7 +161,7 @@ def run_verification_suite(
     `ValueError` before anything is drawn.
     """
     if corrupt is not None and corrupt not in _TOLERANCES:
-        raise ValueError(f"unknown check {corrupt!r} to corrupt")
+        raise ValueError(f"unknown check {_echo(corrupt)} to corrupt")
     _check_table_budget(n, m, "verify")
     _check_seed(seed)
     rng = np.random.default_rng(seed)

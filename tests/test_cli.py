@@ -889,6 +889,38 @@ class TestCheckCommand:
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
 
+    def test_zero_plan_samples_is_an_input_error(self, tmp_path, capsys):
+        cert = json.loads(self.UMD_FIXTURE.read_text())
+        cert["config"]["plan_samples"] = 0
+        path = tmp_path / "cert.json"
+        self.write_resealed(cert, path)
+        assert self.run_check(path, capsys) == (2, "", "input error: sample count must be >= 1\n")
+
+    @pytest.mark.parametrize(
+        "where, key, exit_code",
+        [
+            ("config", "seed", 2),
+            ("config", None, 2),
+            ("certificate", "lhs", 2),
+            ("config", "plan_mode", 2),
+            ("certificate", "functional", 1),
+        ],
+        ids=["seed", "config-key", "lhs", "plan_mode", "functional"],
+    )
+    def test_a_long_value_is_echoed_in_one_short_line(
+        self, where, key, exit_code, tmp_path, capsys
+    ):
+        # A refusal shows about 60 characters of a value, never the whole of it;
+        # `key` None puts the long string in as a config key of its own.
+        long = "x" * 1_000_000
+        cert = json.loads(self.UMD_FIXTURE.read_text())
+        (cert["config"] if where == "config" else cert)[key or long] = long
+        path = tmp_path / "cert.json"
+        self.write_resealed(cert, path)
+        code, out, err = self.run_check(path, capsys)
+        assert code == exit_code and out == ""
+        assert err.count("\n") == 1 and len(err.encode()) <= 300
+
 
 def test_infinite_q_is_written_as_inf(sample_function, capsys):
     assert run_eval("pisier", sample_function, "--q", "inf") == 0

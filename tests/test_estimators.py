@@ -67,8 +67,19 @@ class TestSearchConfig:
 
     @pytest.mark.parametrize("q", [0.5, 0, -math.inf, math.nan])
     def test_q_below_one_is_refused_naming_it(self, q):
-        with pytest.raises(ValueError, match=r"config q must be >= 1 or inf"):
+        with pytest.raises(ValueError, match=r"norm index q must satisfy q >= 1, got "):
             SearchConfig(functional="pisier", n=2, m=1, p=2.0, q=q, **FAST)
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [({"plan_samples": 0}, "sample count must be >= 1"),
+         ({"plan_mode": "bogus"}, "unknown plan mode 'bogus'")],
+        ids=["samples", "mode"],
+    )
+    def test_a_plan_outside_its_rules_is_refused_when_built(self, plan, message):
+        with pytest.raises(ValueError) as error:
+            SearchConfig(functional="pisier", n=2, m=1, p=2.0, q=2.0, **plan)
+        assert str(error.value) == message
 
     @pytest.mark.parametrize("q", [1, 1.0, 2.5, math.inf])
     def test_q_of_at_least_one_is_accepted(self, q):

@@ -21,6 +21,7 @@ from walshcube.hypercube import (
     walsh_inverse_naive,
 )
 
+from walshcube.martingales import FiniteFiltration
 from walshcube.norms import FunctionFamily
 from walshcube.operators import (
     Permutation,
@@ -105,6 +106,36 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             SignAssignment(n=2, bitmask=4)
         assert_allclose(SignAssignment(n=3, bitmask=0b101).signs(), [-1.0, 1.0, -1.0])
+
+
+F3 = random_function(3, 2)
+INDEX_SITES = {
+    "character": (lambda v: HypercubeFunction.character(3, v, [1.0]), "subset bitmask", 0, 7),
+    "coefficient": (lambda v: walsh_forward(F3).coefficient(v), "subset bitmask", 0, 7),
+    "sign-assignment": (lambda v: SignAssignment(n=3, bitmask=v), "bitmask", 0, 7),
+    "character-subset": (lambda v: evaluate_walsh_character(v, 0, 3), "subset bitmask", 0, 7),
+    "character-point": (lambda v: evaluate_walsh_character(0, v, 3), "point index", 0, 7),
+    "prefix-mask": (lambda v: Permutation.identity(3).prefix_mask(v), "level", 0, 3),
+    "partial-derivative": (lambda v: partial_derivative(F3, v), "coordinate", 1, 3),
+    "averaging": (lambda v: averaging_operator(F3, v), "coordinate", 1, 3),
+    "martingale-difference": (lambda v: martingale_difference(F3, v), "coordinate", 1, 3),
+    "conditional-expectation": (lambda v: conditional_expectation(F3, v), "level", 0, 3),
+    "filtration-condition": (
+        lambda v: FiniteFiltration.dyadic(3).condition(F3.values, v), "level", 0, 3
+    ),
+}
+
+
+@pytest.mark.parametrize("site", INDEX_SITES)
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_every_index_site_states_one_range_message(site, side):
+    call, what, low, high = INDEX_SITES[site]
+    value = low - 1 if side == "below" else high + 1
+    with pytest.raises(ValueError) as error:
+        call(value)
+    assert str(error.value) == f"{what} {value} out of range {low}..{high}"
+    call(low)  # both ends are in range
+    call(high)
 
 
 class TestWalshCharacter:

@@ -71,6 +71,12 @@ class TestFiniteFiltration:
         assert filtration.levels[2].tolist() == [k & 0b11 for k in range(8)]
         assert filtration.levels[3].tolist() == list(range(8))
 
+    @pytest.mark.parametrize("n", [0, 21])
+    def test_dyadic_dimension_is_the_cube_rule(self, n):
+        with pytest.raises(ValueError) as error:
+            FiniteFiltration.dyadic(n)
+        assert str(error.value) == f"dimension n must be in [1, 20], got {n}"
+
     def test_rejects_non_refining_levels(self):
         with pytest.raises(ValueError, match="refine"):
             FiniteFiltration.tree(

@@ -1,6 +1,7 @@
 """The package namespace: every exported name exists where it is exported,
-no module keeps an unused import or private name, and the declared numpy
-floor provides the functions the package calls."""
+no module keeps an unused import or private name, no refusal echoes a value
+with `!r`, and the declared numpy floor provides the functions the package
+calls."""
 
 import ast
 import importlib
@@ -88,6 +89,22 @@ def test_every_private_top_level_name_is_referenced():
             if not any(defined in names for _, other, names in nodes if other is not node):
                 unreferenced.append(f"{module}.{defined}")
     assert not unreferenced
+
+
+def test_no_raise_echoes_a_value_with_repr():
+    # A refusal shows an input value through `hypercube._echo`, which cuts it
+    # to about 60 characters; a `!r` field would print it whole.
+    echoing = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and any(
+            isinstance(child, ast.FormattedValue) and child.conversion == ord("r")
+            for child in ast.walk(node)
+        )
+    ]
+    assert not echoing
 
 
 def test_declared_numpy_floor_is_2():
