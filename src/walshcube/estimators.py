@@ -50,7 +50,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, _check_dimension, _echo
+from .hypercube import HypercubeFunction, _check_dimension, _clipped, _echo
 from .inequalities import (
     InequalityReport,
     _corollary2_build,
@@ -436,7 +436,7 @@ class RatioCertificate:
         try:  # numpy refuses ragged, non-numeric and over-64-deep lists before `_freeze` recurses
             np.asarray(data["witness"], dtype=np.float64)
         except (TypeError, ValueError) as err:
-            raise ValueError(f"certificate witness is not a numeric array: {err}") from err
+            raise ValueError(f"certificate witness is not a numeric array: {_clipped(err)}") from err
         with _reading("certificate"):
             return cls(
                 functional=data["functional"],

@@ -59,6 +59,12 @@ _ECHO.maxstring = _ECHO.maxother = 60
 _echo = _ECHO.repr
 
 
+def _clipped(err: Exception) -> str:
+    """The text of `err` cut to about 60 characters, as `_echo` cuts a value."""
+    text = str(err)
+    return text if len(text) <= 60 else f"{text[:57]}..."
+
+
 def _check_dimension(n: int) -> None:
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension n must be in [1, {MAX_DIMENSION}], got {n}")
@@ -93,7 +99,10 @@ def _table_dims(values) -> tuple[np.ndarray, int, int]:
     """`values` as a float64 array (no copy when it is one), with the (n, m)
     its shape declares; `_check_table` rejects any shape that is not
     (2^n, m) or (2^n,)."""
-    values = np.asarray(values, dtype=np.float64)
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except ValueError as err:  # numpy's text quotes the entry whole
+        raise ValueError(_clipped(err)) from err
     rows, m = (values.shape + (1, 1))[:2]
     return values, rows.bit_length() - 1, m
 

@@ -41,8 +41,11 @@ DEFAULT_SAMPLES = 20000  # the sample budget of a plan, a search and the command
 
 # Sign vectors per block: at most 1024, and per row at most 2^22 combination
 # entries (32 MiB); fixed by the table's shape, so reduction order never varies.
+# Within a block the combinations are built a tile of points at a time, about
+# 2^17 entries (1 MiB, inside a core's L2) when the block holds more.
 _CHUNK = 1024
 _BLOCK_ENTRIES = 1 << 22
+_TILE_ENTRIES = 1 << 17
 
 
 class DegenerateInputError(ValueError):
@@ -392,29 +395,55 @@ def _sign_blocks(count: int, masks: np.ndarray, chunk: int = _CHUNK):
         yield sign_matrix(count, masks[start : start + chunk])
 
 
-def _pattern_norms(tables: np.ndarray, q: float, masks: np.ndarray, with_derivative=False):
+def _pattern_norms(
+    tables: np.ndarray, q: float, masks: np.ndarray, with_derivative=False, tile=_TILE_ENTRIES
+):
     """Per sign pattern and point, || sum_i delta_i t_i ||_q: the one loop over
     sign patterns, for the sign averages, their gradient and the umd maximum.
 
     Yields (signs, pointwise, derivative) per chunk of `_sign_blocks` for
     stacked (..., count, points, m) tables; leading axes are a batch.
     `derivative`, the norms' gradient with respect to the combinations, is
-    None unless asked for; the norms have the same bits either way.
+    None unless asked for; the norms have the same bits either way.  Each
+    chunk's combinations pass through one reused buffer of about `tile`
+    entries, a tile of points at a time, and every entry keeps the
+    summation order of one whole-table `matmul`.
     """
     *lead, count, points, m = tables.shape
     flat = np.ascontiguousarray(tables.reshape(*lead, count, points * m))
     chunk = min(_CHUNK, max(1, _BLOCK_ENTRIES // (points * m)))
-    # One combination buffer per call; repeated fresh allocations
-    # of the combination table dominate the cost otherwise.
-    buffer = np.empty((*lead, min(chunk, len(masks)), points * m))
+    rows = min(chunk, len(masks))
+    # Equal tiles of a power of two of at least 2 points: one column sends
+    # `matmul` to a matrix-vector product and a short last tile to another
+    # kernel, and both sum in another order.
+    width = 1 << max(1, (tile // (rows * m * math.prod(lead))).bit_length() - 1)
+    if width >= points or points % width:
+        width = points
+    buffer = np.empty((*lead, rows, width * m))
     for signs in _sign_blocks(count, masks, chunk):
         view = buffer[..., : len(signs), :]
-        np.matmul(signs, flat, out=view)
-        combos = view.reshape(*lead, len(signs), points, m)
-        if with_derivative:
-            yield signs, *_norms_with_derivative(combos, q)
-        else:
-            yield signs, _norms_of_absolute(np.abs(combos, out=combos), q), None
+        if width == points:  # one tile: its norms are the chunk's, not copied
+            yield signs, *_tile_norms(signs, flat, view, m, q, with_derivative)
+            continue
+        pointwise = np.empty((*lead, len(signs), points))
+        derivative = np.empty((*lead, len(signs), points, m)) if with_derivative else None
+        for start in range(0, points, width):
+            columns = flat[..., start * m : (start + width) * m]
+            norms, slope = _tile_norms(signs, columns, view, m, q, with_derivative)
+            pointwise[..., start : start + width] = norms
+            if with_derivative:
+                derivative[..., start : start + width, :] = slope
+        yield signs, pointwise, derivative
+
+
+def _tile_norms(signs, columns, view, m, q, with_derivative):
+    """The norms, and their derivative or None, of the combinations
+    `signs @ columns` of one tile of points, built in `view`."""
+    np.matmul(signs, columns, out=view)
+    combos = view.reshape(*view.shape[:-1], -1, m)
+    if with_derivative:
+        return _norms_with_derivative(combos, q)
+    return _norms_of_absolute(np.abs(combos, out=combos), q), None
 
 
 def signed_combination_average(

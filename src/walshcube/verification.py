@@ -4,13 +4,14 @@ Each check compares two independently computed quantities (an operator
 identity, a spectral action, an equality case, the search's analytic
 gradient against a central difference, its batched evaluation against
 `sides` and against one row at a time, the halved exact sign sweeps
-against every pattern, the cache-blocked butterfly against one block
-holding the whole table, the one-pass dyadic martingale against the
-object operators level by level, or the search's batched halving ladders
-against the same search one row at a time) and reports its largest deviation
-against the stated tolerance.  The `corrupt` hook injects a
-1e-3 fault into the named check so that pipelines can prove the suite
-actually fails when an operator regresses.
+against every pattern, the cache-blocked butterfly and the point-tiled
+sign sweep against one block or tile holding the whole table, the
+one-pass dyadic martingale against the object operators level by level,
+or the search's batched halving ladders against the same search one row
+at a time) and reports its largest deviation against the stated
+tolerance.  The `corrupt` hook injects a 1e-3 fault into the named check
+so that pipelines can prove the suite actually fails when an operator
+regresses.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .norms import (
     NormSpace,
     RademacherAveragePlan,
     _check_seed,
+    _pattern_norms,
     _sign_average,
     lp_norm,
     rademacher_average,
@@ -107,6 +109,7 @@ _TOLERANCES = {
     "blocked-vs-whole-butterfly": 0.0,
     "dyadic-levels-vs-operators": 0.0,
     "ladder-vs-one-row-search": 0.0,
+    "tiled-vs-whole-sweep": 0.0,
 }
 CHECK_NAMES = tuple(_TOLERANCES)
 
@@ -412,6 +415,22 @@ def run_verification_suite(
     ladder, one_row = (_certify(SearchObjective(config, rows)).to_json() for rows in (None, 1))
     differing = sum(a != b for a, b in zip(ladder, one_row)) + abs(len(ladder) - len(one_row))
     note("ladder-vs-one-row-search", float(differing))
+
+    # The sign sweep's combinations built about eight tiles of points at a
+    # time against one tile holding the whole table, for the norms alone and
+    # with their derivative: the number of entries whose bits differ.
+    count, points = min(n, 6), 1 << min(n, 7)
+    tables = rng.standard_normal((count, points, m))
+    masks = np.arange(1 << (count - 1))
+    whole, differing = len(masks) * points * m, 0.0
+    for q, with_derivative in ((2.0, False), (math.inf, True)):
+        tiled, one = (
+            _pattern_norms(tables, q, masks, with_derivative, tile) for tile in (whole // 8, whole)
+        )
+        for (_, *arrays), (_, *expected) in zip(tiled, one):
+            pairs = [(a, b) for a, b in zip(arrays, expected) if a is not None]
+            differing += sum(_differing_bits(a, b) for a, b in pairs)
+    note("tiled-vs-whole-sweep", differing)
 
     if corrupt is not None:
         worst[corrupt] += _FAULT

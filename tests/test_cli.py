@@ -424,6 +424,16 @@ class TestEvalCommand:
         assert done.stderr.startswith("input error: ") and done.stderr.count("\n") == 1
         assert "not finite" in done.stderr
 
+    def test_a_long_string_in_the_table_is_echoed_in_one_short_line(self, tmp_path, capsys):
+        # numpy's conversion error quotes the entry it cannot read, at any length.
+        path = tmp_path / "long.json"
+        write_json(path, {"values": [[1.0], ["x" * 100_000]]})
+        code = run_eval("pisier", path)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("input error: could not convert string to float")
+        assert err.count("\n") == 1 and len(err.encode()) <= 300
+
 
 class TestEvalThroughTheLibrary:
     @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
@@ -919,6 +929,17 @@ class TestCheckCommand:
         self.write_resealed(cert, path)
         code, out, err = self.run_check(path, capsys)
         assert code == exit_code and out == ""
+        assert err.count("\n") == 1 and len(err.encode()) <= 300
+
+    def test_a_long_string_in_the_witness_is_echoed_in_one_short_line(self, tmp_path, capsys):
+        # Refused while the witness is read, before its digest is compared.
+        cert = json.loads(self.UMD_FIXTURE.read_text())
+        cert["witness"][0][0] = "x" * 100_000
+        path = tmp_path / "cert.json"
+        write_json(path, cert)
+        code, out, err = self.run_check(path, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: certificate witness is not a numeric array")
         assert err.count("\n") == 1 and len(err.encode()) <= 300
 
 

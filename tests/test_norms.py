@@ -1,5 +1,6 @@
 """Measurement layer: ell_q targets, L_p norms, Rademacher averages."""
 
+import functools
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import walshcube.martingales as martingales
 import walshcube.norms as norms
 from walshcube.hypercube import HypercubeFunction
 from walshcube.martingales import martingale_lp_norm
@@ -14,6 +16,7 @@ from walshcube.norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _pattern_norms,
     _sign_average,
     _sign_blocks,
     _sign_masks,
@@ -352,9 +355,10 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         assert blocks == [4, 4]
-        # A block's combinations, norms and powers live at once, and the last
-        # block's are freed first: 3.25 blocks of 2^22 entries with the weights.
-        assert peak < 3.5 * (8 << 22)
+        # A block's norms and powers live at once, its combinations pass a
+        # 2^17-entry tile at a time, and the last block's are freed first:
+        # 2.31 blocks of 2^22 entries with the weights and the tile.
+        assert peak < 2.5 * (8 << 22)
         # Every sign of one member gives |t|: the average is the L_2 norm of t.
         assert value == pytest.approx(np.sqrt(np.mean(tables**2)), rel=1e-12)
 
@@ -368,12 +372,77 @@ class TestSweepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 6.5 blocks of 2^22 entries measured: the combinations, the norms'
-        # derivative and its temporaries, and the (1, 2^20) gradient.
-        assert peak < 8 * (8 << 22)
+        # 4.84 blocks of 2^22 entries measured: the norms, their derivative
+        # and its temporaries, and the (1, 2^20) gradient; the combinations
+        # pass a 2^17-entry tile at a time.
+        assert peak < 5.5 * (8 << 22)
         # Every sign of one member gives |t|: the gradient of the L_2 norm of t.
         expected = tables / np.sqrt(np.mean(tables**2)) / tables.shape[-2]
         assert_allclose(gradient, expected, rtol=1e-10, atol=0.0)
+
+
+class TestPointTiledSweep:
+    """Within a chunk of sign patterns the combinations are built a tile of
+    points at a time, and every entry keeps the bits of one whole tile."""
+
+    def sweeps(self, monkeypatch, tile, tables, p, q, masks):
+        tiled = functools.partial(_pattern_norms, tile=tile)
+        monkeypatch.setattr(norms, "_pattern_norms", tiled)
+        monkeypatch.setattr(martingales, "_pattern_norms", tiled)
+        space = NormSpace(tables.shape[-1], q)
+        probs = np.full(tables.shape[-2], 1.0 / tables.shape[-2])
+        with_gradient = _sign_average(tables, p, space, masks)
+        gradient = with_gradient.gradient()
+        return (
+            _sign_average(tables, p, space, masks).value,
+            with_gradient.value,
+            gradient,
+            martingales._largest_transform(tables, p, space, probs, masks),
+        )
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+    @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
+    def test_small_tiles_have_the_bits_of_one_whole_tile(self, monkeypatch, m, q, p, mode, lead):
+        count, points = 5, 64
+        tables = np.random.default_rng([m, len(lead)]).standard_normal((*lead, count, points, m))
+        masks = np.arange(1 << (count - 1)) if mode == "exact" else sample_sign_masks(9, 37, count)
+        whole = self.sweeps(monkeypatch, 1 << 40, tables, p, q, masks)
+        for tile in (1, 8 * len(masks) * m * math.prod(lead)):  # tiles of 2 and of 8 points
+            tiled = self.sweeps(monkeypatch, tile, tables, p, q, masks)
+            for got, expected in zip(tiled, whole):
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "lead, points, m, tile, width",
+        [
+            ((), 1 << 12, 3, norms._TILE_ENTRIES, 1 << 11),
+            ((3,), 1 << 12, 2, norms._TILE_ENTRIES, 1 << 10),
+            ((), 64, 1, 1, 2),
+            ((), 12, 3, 4 * 16 * 3, 4),
+            ((), 12, 3, 8 * 16 * 3, 12),
+            ((), 1 << 10, 2, norms._TILE_ENTRIES, 1 << 10),
+        ],
+        ids=["two-tiles", "batch", "pairs", "three-tiles", "uneven-is-whole", "fits-one-tile"],
+    )
+    def test_tiles_are_equal_powers_of_two_of_at_least_two_points(
+        self, monkeypatch, lead, points, m, tile, width
+    ):
+        widths = []
+        matmul = np.matmul
+
+        def recorded(signs, combos, out):
+            widths.append(combos.shape[-1] // m)
+            return matmul(signs, combos, out=out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        tables = np.random.default_rng(5).standard_normal((*lead, 5, points, m))
+        [(_, pointwise, _)] = _pattern_norms(tables, 2.0, np.arange(16), tile=tile)
+        assert pointwise.shape == (*lead, 16, points)
+        assert widths == [width] * (points // width)
+        assert width == points or (width >= 2 and width & (width - 1) == 0)
 
 
 class TestRademacherAverageMonteCarlo:
