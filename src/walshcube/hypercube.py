@@ -285,13 +285,17 @@ def _character_column(subset: int, n: int) -> np.ndarray:
 def character_matrix(n: int) -> np.ndarray:
     """The full 2^n x 2^n matrix W[a, k] = w_A(eps_k).  O(4^n) memory; n <= 10.
 
-    w_A(eps_k) is the parity (-1)^popcount(j) of j = A & k, so the matrix is
-    one gather from the 2^n parities by the indices A & k.
+    Sylvester doubling: the matrix on 2^(b+1) indices is the one on 2^b copied
+    right and down and negated bottom right, so its entries are exactly +-1.
     """
     if n > 10:
         raise ValueError("dense character matrix is limited to n <= 10")
-    idx = np.arange(1 << n, dtype=np.uint16)
-    return _character_column((1 << n) - 1, n)[np.bitwise_and.outer(idx, idx)]
+    w = np.empty((1 << n, 1 << n))
+    w[0, 0] = 1.0
+    for h in (1 << b for b in range(n)):
+        w[:h, h : 2 * h] = w[h : 2 * h, :h] = w[:h, :h]
+        np.negative(w[:h, :h], out=w[h : 2 * h, h : 2 * h])
+    return w
 
 
 _BLOCK = 1 << 16  # float64 entries per scratch buffer of `_fwht`: 512 KiB, two fit in L2

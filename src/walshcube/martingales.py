@@ -28,6 +28,7 @@ from .hypercube import HypercubeFunction, SignAssignment, _check_dimension, _che
 from .norms import (
     OPEN_P,
     TYPE_P,
+    _TILE_ENTRIES,
     NormSpace,
     RademacherAveragePlan,
     _checked_ratio,
@@ -396,7 +397,7 @@ def umd_ratio(
 
 
 def _largest_transform(
-    diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray, masks=None
+    diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray, masks=None, tile=_TILE_ENTRIES
 ) -> np.ndarray:
     """The signs of the first pattern (ascending bitmask) whose transform
     || sum_i delta_i d_i ||_{L_p} is the largest, among the patterns whose
@@ -410,10 +411,11 @@ def _largest_transform(
     if masks is None:
         masks = _sign_masks(diffs.shape[-3], RademacherAveragePlan(mode="exact"))
     best = best_signs = None
-    for signs, pointwise, _ in _pattern_norms(diffs, space.q, masks):
+    chunks = _pattern_norms(diffs, space.q, masks, lambda norms, *_: (norms**p, None), tile=tile)
+    for signs, powers, _ in chunks:
         # Only ranks the patterns.  Many tie by symmetry, and the rounding of
         # this reduction picks among them, so it fixes the search's witnesses.
-        powered = pointwise**p @ probs
+        powered = powers @ probs
         top, k = powered.max(axis=-1), powered.argmax(axis=-1)
         if best is None:
             best, best_signs = top, signs[k]

@@ -395,9 +395,7 @@ def _sign_blocks(count: int, masks: np.ndarray, chunk: int = _CHUNK):
         yield sign_matrix(count, masks[start : start + chunk])
 
 
-def _pattern_norms(
-    tables: np.ndarray, q: float, masks: np.ndarray, with_derivative=False, tile=_TILE_ENTRIES
-):
+def _pattern_norms(tables, q, masks, finish, with_derivative=False, tile=_TILE_ENTRIES):
     """Per sign pattern and point, || sum_i delta_i t_i ||_q: the one loop over
     sign patterns, for the sign averages, their gradient and the umd maximum.
 
@@ -407,43 +405,42 @@ def _pattern_norms(
     None unless asked for; the norms have the same bits either way.  Each
     chunk's combinations pass through one reused buffer of about `tile`
     entries, a tile of points at a time, and every entry keeps the
-    summation order of one whole-table `matmul`.
+    summation order of one whole-table `matmul`.  The chunks hold what
+    `finish(pointwise, derivative, start)` returns for each tile, whose
+    points begin at `start`: elementwise work alone, while it is in cache.
     """
     *lead, count, points, m = tables.shape
     flat = np.ascontiguousarray(tables.reshape(*lead, count, points * m))
     chunk = min(_CHUNK, max(1, _BLOCK_ENTRIES // (points * m)))
     rows = min(chunk, len(masks))
-    # Equal tiles of a power of two of at least 2 points: one column sends
-    # `matmul` to a matrix-vector product and a short last tile to another
-    # kernel, and both sum in another order.
-    width = 1 << max(1, (tile // (rows * m * math.prod(lead))).bit_length() - 1)
-    if width >= points or points % width:
-        width = points
+    width = points
+    if tables.size * rows > tile * count:  # more than one tile
+        # Equal tiles of a power of two of at least 2 points: one column or a
+        # short last tile sends `matmul` to a kernel that sums in another order.
+        width = 1 << max(1, (tile // (rows * m * math.prod(lead))).bit_length() - 1)
+        width = points if points % width else width
     buffer = np.empty((*lead, rows, width * m))
     for signs in _sign_blocks(count, masks, chunk):
         view = buffer[..., : len(signs), :]
-        if width == points:  # one tile: its norms are the chunk's, not copied
-            yield signs, *_tile_norms(signs, flat, view, m, q, with_derivative)
-            continue
-        pointwise = np.empty((*lead, len(signs), points))
-        derivative = np.empty((*lead, len(signs), points, m)) if with_derivative else None
+        combos = view.reshape(*view.shape[:-1], width, m)
+        if width < points:  # tiles finish in their own arrays: a strided slice is slower
+            pointwise = np.empty((*lead, len(signs), points))
+            derivative = np.empty((*lead, len(signs), points, m)) if with_derivative else None
         for start in range(0, points, width):
-            columns = flat[..., start * m : (start + width) * m]
-            norms, slope = _tile_norms(signs, columns, view, m, q, with_derivative)
-            pointwise[..., start : start + width] = norms
+            np.matmul(signs, flat[..., start * m : (start + width) * m], out=view)
             if with_derivative:
-                derivative[..., start : start + width, :] = slope
+                norms, slope = finish(*_norms_with_derivative(combos, q), start)
+            else:
+                np.abs(combos, out=combos)
+                norms, slope = finish(_norms_of_absolute(combos, q), None, start)
+            if width == points:  # one tile: its arrays are the chunk's, not copied
+                pointwise, derivative = norms, slope
+            else:
+                pointwise[..., start : start + width] = norms
+                if with_derivative:
+                    derivative[..., start : start + width, :] = slope
         yield signs, pointwise, derivative
-
-
-def _tile_norms(signs, columns, view, m, q, with_derivative):
-    """The norms, and their derivative or None, of the combinations
-    `signs @ columns` of one tile of points, built in `view`."""
-    np.matmul(signs, columns, out=view)
-    combos = view.reshape(*view.shape[:-1], -1, m)
-    if with_derivative:
-        return _norms_with_derivative(combos, q)
-    return _norms_of_absolute(np.abs(combos, out=combos), q), None
+        del pointwise, derivative, norms, slope  # freed before the next chunk is built
 
 
 def signed_combination_average(
@@ -481,24 +478,30 @@ def signed_combination_average_gradient(
     return _sign_average(tables, p, space, _sign_masks(tables.shape[-3], plan), weights)
 
 
-def _sign_average(tables, p, space, masks, weights=None) -> _Side:
-    """The sign average over the patterns `masks`: the plan's from
-    `_sign_masks`, or any others for an oracle."""
+def _sign_average(tables, p, space, masks, weights=None, tile=_TILE_ENTRIES) -> _Side:
+    """The sign average over the patterns `masks` (the plan's from `_sign_masks`, or
+    any others for an oracle); each tile finishes its terms and cotangents."""
     if weights is None:
         weights = np.full(tables.shape[-2], 1.0 / tables.shape[-2])
+
+    def finish(pointwise, derivative, start):
+        raised = pointwise ** (p - 1.0)  # w ||.||^(p-1), the factors of the gradient
+        raised *= weights[start : start + raised.shape[-1]]
+        if derivative is not None:
+            derivative *= raised[..., None]
+        pointwise *= raised
+        return pointwise, derivative
 
     def sweep(with_gradient: bool):
         *lead, count, points, m = tables.shape
         total = np.zeros(lead)
         gradient = np.zeros((*lead, count, points * m)) if with_gradient else None
-        for signs, pointwise, derivative in _pattern_norms(tables, space.q, masks, with_gradient):
-            raised = pointwise ** (p - 1.0)  # w ||.||^(p-1), the factors of the gradient
-            raised *= weights
+        chunks = _pattern_norms(tables, space.q, masks, finish, with_gradient, tile)
+        for signs, terms, slopes in chunks:
             if with_gradient:
-                gradient += signs.T @ (raised[..., None] * derivative).reshape(*lead, len(signs), -1)
-            pointwise *= raised  # the terms w ||.||^p
-            total += pointwise.reshape(*lead, -1).sum(axis=-1)
-            del pointwise, derivative, raised  # freed before the next block is built
+                gradient += signs.T @ slopes.reshape(*lead, len(signs), -1)
+            total += terms.reshape(*lead, -1).sum(axis=-1)
+            del terms, slopes  # freed before the next block is built
         value = np.float_power(total / float(len(masks)), 1.0 / p)
         if with_gradient:
             gradient *= _root_factor(value, p, float(len(masks)))[..., None, None]

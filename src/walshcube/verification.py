@@ -416,21 +416,22 @@ def run_verification_suite(
     differing = sum(a != b for a, b in zip(ladder, one_row)) + abs(len(ladder) - len(one_row))
     note("ladder-vs-one-row-search", float(differing))
 
-    # The sign sweep's combinations built about eight tiles of points at a
-    # time against one tile holding the whole table, for the norms alone and
-    # with their derivative: the number of entries whose bits differ.
+    # The sign sweep in two tiles of points against one tile: its norms at
+    # q = 2, and at q = inf what the tiles finish (the sign average's value and
+    # gradient, the umd maximum's signs): the number of entries whose bits differ.
     count, points = min(n, 6), 1 << min(n, 7)
     tables = rng.standard_normal((count, points, m))
-    masks = np.arange(1 << (count - 1))
-    whole, differing = len(masks) * points * m, 0.0
-    for q, with_derivative in ((2.0, False), (math.inf, True)):
-        tiled, one = (
-            _pattern_norms(tables, q, masks, with_derivative, tile) for tile in (whole // 8, whole)
-        )
-        for (_, *arrays), (_, *expected) in zip(tiled, one):
-            pairs = [(a, b) for a, b in zip(arrays, expected) if a is not None]
-            differing += sum(_differing_bits(a, b) for a, b in pairs)
-    note("tiled-vs-whole-sweep", differing)
+    masks, weights = np.arange(1 << (count - 1)), rng.dirichlet(np.ones(points))
+
+    def swept(tile):
+        unfinished = _pattern_norms(tables, 2.0, masks, lambda *arrays: arrays[:2], False, tile)
+        yield from (norms for _, norms, _ in unfinished)
+        side = _sign_average(tables, 2.5, NormSpace(m, math.inf), masks, weights, tile)
+        yield from (side.value, side.gradient())
+        yield _largest_transform(tables, 2.5, NormSpace(m, math.inf), weights, masks, tile)
+
+    whole = len(masks) * points * m
+    note("tiled-vs-whole-sweep", sum(map(_differing_bits, swept(whole // 2), swept(whole))))
 
     if corrupt is not None:
         worst[corrupt] += _FAULT

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from walshcube import hypercube
 from walshcube.hypercube import (
     HypercubeFunction,
+    _character_column,
     _fwht,
     WalshSpectrum,
     SignAssignment,
@@ -393,6 +394,13 @@ class TestTransformProperties:
                 [evaluate_walsh_character(a, k, n) for k in range(1 << n)] for a in range(1 << n)
             ]
             assert np.array_equal(w, np.array(expected, dtype=np.float64))
+
+    def test_sylvester_doubling_has_the_bytes_of_the_popcount_gather(self):
+        # The matrix built before: the parities of A & k gathered from one column.
+        for n in range(1, 11):
+            idx = np.arange(1 << n, dtype=np.uint16)
+            gathered = _character_column((1 << n) - 1, n)[np.bitwise_and.outer(idx, idx)]
+            assert character_matrix(n).tobytes() == gathered.tobytes()
 
     def test_character_matrix_is_the_popcount_parity_at_the_largest_size(self):
         w = character_matrix(10)

@@ -1,6 +1,5 @@
 """Measurement layer: ell_q targets, L_p norms, Rademacher averages."""
 
-import functools
 import math
 import tracemalloc
 
@@ -355,10 +354,10 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         assert blocks == [4, 4]
-        # A block's norms and powers live at once, its combinations pass a
-        # 2^17-entry tile at a time, and the last block's are freed first:
-        # 2.31 blocks of 2^22 entries with the weights and the tile.
-        assert peak < 2.5 * (8 << 22)
+        # Only a block's terms live whole: its norms and powers are finished a
+        # tile of 2^17 combination entries at a time, and the last block's
+        # terms are freed first: 1.38 blocks of 2^22 entries with the weights.
+        assert peak < 1.5 * (8 << 22)
         # Every sign of one member gives |t|: the average is the L_2 norm of t.
         assert value == pytest.approx(np.sqrt(np.mean(tables**2)), rel=1e-12)
 
@@ -372,32 +371,112 @@ class TestSweepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 4.84 blocks of 2^22 entries measured: the norms, their derivative
-        # and its temporaries, and the (1, 2^20) gradient; the combinations
-        # pass a 2^17-entry tile at a time.
-        assert peak < 5.5 * (8 << 22)
+        # 2.84 blocks of 2^22 entries measured: the block's terms and
+        # cotangents (no raw derivative), the (1, 2^20) gradient, its matmul's
+        # product and the weights; the combinations, norms and derivative are
+        # finished a 2^17-entry tile at a time.
+        assert peak < 3.25 * (8 << 22)
         # Every sign of one member gives |t|: the gradient of the L_2 norm of t.
         expected = tables / np.sqrt(np.mean(tables**2)) / tables.shape[-2]
         assert_allclose(gradient, expected, rtol=1e-10, atol=0.0)
+
+
+def _unfinished(pointwise, derivative, start):
+    """A tile hook that leaves the norms and their derivative as they are."""
+    return pointwise, derivative
+
+
+def whole_chunk_sweeps(tables, p, q, masks, weights, probs):
+    """The sign average's value, its gradient sweep's value and gradient, and
+    the umd maximum's signs, finished a whole chunk at a time: each consumer's
+    elementwise passes over the norms of one tile holding the whole table."""
+    *lead, count, points, m = tables.shape
+
+    def chunks(with_derivative):
+        return _pattern_norms(tables, q, masks, _unfinished, with_derivative, tile=1 << 40)
+
+    results = []
+    for with_gradient in (False, True):
+        total = np.zeros(lead)
+        gradient = np.zeros((*lead, count, points * m))
+        for signs, pointwise, derivative in chunks(with_gradient):
+            raised = pointwise ** (p - 1.0)
+            raised *= weights
+            if with_gradient:
+                cotangents = raised[..., None] * derivative
+                gradient += signs.T @ cotangents.reshape(*lead, len(signs), -1)
+            pointwise *= raised
+            total += pointwise.reshape(*lead, -1).sum(axis=-1)
+        value = np.float_power(total / float(len(masks)), 1.0 / p)
+        gradient *= norms._root_factor(value, p, float(len(masks)))[..., None, None]
+        results += [value, gradient.reshape(tables.shape)] if with_gradient else [value]
+    best = best_signs = None
+    for signs, pointwise, _ in chunks(False):
+        powered = pointwise**p @ probs
+        top, k = powered.max(axis=-1), powered.argmax(axis=-1)
+        if best is None:
+            best, best_signs = top, signs[k]
+        else:
+            better = top > best
+            best = np.where(better, top, best)
+            best_signs = np.where(better[..., None], signs[k], best_signs)
+    return [*results, best_signs]
+
+
+class TestTileFinishing:
+    """Each tile finishes its own norms (powers, weights and cotangents) with
+    the bits of the whole-chunk passes that did it before."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize(
+        "shape, samples, tile",
+        [
+            ((12, 4096, 2), 256, norms._TILE_ENTRIES),  # desk-eval's Monte Carlo table
+            ((12, 4096, 1), 256, norms._TILE_ENTRIES),
+            ((12, 4096, 3), 256, norms._TILE_ENTRIES),
+            ((6, 256, 3), None, 1 << 10),
+            ((2, 5, 64, 1), 37, 1 << 8),
+        ],
+        ids=["desk-eval", "m1", "m3", "exact", "batch"],
+    )
+    def test_tiled_sweeps_have_the_bits_of_whole_chunk_passes(self, shape, samples, tile, q, p):
+        *lead, count, points, m = shape
+        rng = np.random.default_rng(list(shape))
+        tables = rng.standard_normal(shape)
+        weights, probs = (w / w.sum() for w in rng.uniform(0.5, 1.5, (2, points)))
+        if samples is None:
+            masks = np.arange(1 << (count - 1))
+        else:
+            masks = sample_sign_masks(31, samples, count)
+        space = NormSpace(m, q)
+        side = _sign_average(tables, p, space, masks, weights, tile)
+        gradient = side.gradient()
+        got = [
+            _sign_average(tables, p, space, masks, weights, tile).value,
+            side.value,
+            gradient,
+            martingales._largest_transform(tables, p, space, probs, masks, tile),
+        ]
+        expected = whole_chunk_sweeps(tables, p, q, masks, weights, probs)
+        for a, b in zip(got, expected, strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestPointTiledSweep:
     """Within a chunk of sign patterns the combinations are built a tile of
     points at a time, and every entry keeps the bits of one whole tile."""
 
-    def sweeps(self, monkeypatch, tile, tables, p, q, masks):
-        tiled = functools.partial(_pattern_norms, tile=tile)
-        monkeypatch.setattr(norms, "_pattern_norms", tiled)
-        monkeypatch.setattr(martingales, "_pattern_norms", tiled)
+    def sweeps(self, tile, tables, p, q, masks):
         space = NormSpace(tables.shape[-1], q)
         probs = np.full(tables.shape[-2], 1.0 / tables.shape[-2])
-        with_gradient = _sign_average(tables, p, space, masks)
+        with_gradient = _sign_average(tables, p, space, masks, tile=tile)
         gradient = with_gradient.gradient()
         return (
-            _sign_average(tables, p, space, masks).value,
+            _sign_average(tables, p, space, masks, tile=tile).value,
             with_gradient.value,
             gradient,
-            martingales._largest_transform(tables, p, space, probs, masks),
+            martingales._largest_transform(tables, p, space, probs, masks, tile),
         )
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
@@ -405,13 +484,13 @@ class TestPointTiledSweep:
     @pytest.mark.parametrize("p", [1.5, 2.0])
     @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
-    def test_small_tiles_have_the_bits_of_one_whole_tile(self, monkeypatch, m, q, p, mode, lead):
+    def test_small_tiles_have_the_bits_of_one_whole_tile(self, m, q, p, mode, lead):
         count, points = 5, 64
         tables = np.random.default_rng([m, len(lead)]).standard_normal((*lead, count, points, m))
         masks = np.arange(1 << (count - 1)) if mode == "exact" else sample_sign_masks(9, 37, count)
-        whole = self.sweeps(monkeypatch, 1 << 40, tables, p, q, masks)
+        whole = self.sweeps(1 << 40, tables, p, q, masks)
         for tile in (1, 8 * len(masks) * m * math.prod(lead)):  # tiles of 2 and of 8 points
-            tiled = self.sweeps(monkeypatch, tile, tables, p, q, masks)
+            tiled = self.sweeps(tile, tables, p, q, masks)
             for got, expected in zip(tiled, whole):
                 assert got.tobytes() == expected.tobytes()
 
@@ -439,7 +518,7 @@ class TestPointTiledSweep:
 
         monkeypatch.setattr(np, "matmul", recorded)
         tables = np.random.default_rng(5).standard_normal((*lead, 5, points, m))
-        [(_, pointwise, _)] = _pattern_norms(tables, 2.0, np.arange(16), tile=tile)
+        [(_, pointwise, _)] = _pattern_norms(tables, 2.0, np.arange(16), _unfinished, tile=tile)
         assert pointwise.shape == (*lead, 16, points)
         assert widths == [width] * (points // width)
         assert width == points or (width >= 2 and width & (width - 1) == 0)
