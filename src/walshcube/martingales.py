@@ -1,12 +1,10 @@
 """Finite filtered probability spaces and martingale transform ratios.
 
 Two kinds of filtration are supported: the coordinate filtration of the
-hypercube (uniform measure, level i generated by the first i coordinates)
-and finite rooted trees with arbitrary branching and point masses.  Both
-are stored the same way: one cell-membership table per level plus a
-probability vector.  All estimated constants are witnessed lower bounds
-over this finite class; reports carry the filtration kind so the
-restriction stays visible.
+hypercube (uniform measure, level i generated by the first i coordinates),
+a rule that stores no level tables, and finite rooted trees with arbitrary
+branching and point masses.  All estimated constants are witnessed lower
+bounds over this finite class.
 
 The four martingale functionals (umd, umd-plus, umd-minus,
 martingale-type) are defined here once, by raw builders that read one
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,20 +58,52 @@ MARTINGALE_TOL = 1e-12
 class FiniteFiltration:
     """An increasing sequence of partitions of a finite probability space.
 
-    `levels[i]` maps each sample point to its level-i cell id; level 0 is
-    the trivial partition and each level refines the previous one.
+    `cells(i)` maps each sample point to its level-i cell id; level 0 is
+    the trivial partition and each level refines the previous one.  A tree
+    stores its validated `levels`; the coordinate filtration of C_n (kind
+    "dyadic-hypercube", uniform measure) is a rule and stores none.  It may
+    be given `probabilities`, `levels`, both or neither, and any it gives
+    must equal the rule exactly.
     """
 
     kind: str
     n: int
-    probabilities: np.ndarray
-    levels: tuple[np.ndarray, ...]
+    probabilities: np.ndarray | None = None
+    levels: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.kind == "dyadic-hypercube":
+            self._follow_the_rule()
+        elif self.kind == "tree":
+            self._check_tree()
+        else:
+            raise ValueError(f"unknown filtration kind {_echo(self.kind)}")
+
+    def _follow_the_rule(self) -> None:
+        _check_dimension(self.n)
+        given_probs, given_levels = self.probabilities, self.levels
+        probs = np.full(1 << self.n, 1.0 / (1 << self.n))
+        probs.setflags(write=False)
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "levels", None)
+        same = given_probs is None or np.array_equal(np.asarray(given_probs, np.float64), probs)
+        if given_levels is not None:
+            # One level at a time, so at most one level of the rule's ids exists at once.
+            same = same and len(given_levels) == self.n + 1 and all(
+                np.array_equal(np.asarray(lvl, np.int64), self.cells(i))
+                for i, lvl in enumerate(given_levels)
+            )
+        if not same:
+            raise ValueError(
+                "a dyadic-hypercube filtration must have the levels and probabilities "
+                "of the coordinate filtration; use kind 'tree' otherwise"
+            )
+
+    def _check_tree(self) -> None:
+        if self.probabilities is None or self.levels is None:
+            raise ValueError("a tree filtration needs its probabilities and levels")
         probs = np.asarray(self.probabilities, dtype=np.float64)
         levels = tuple(np.asarray(lvl, dtype=np.int64) for lvl in self.levels)
-        if self.kind not in ("dyadic-hypercube", "tree"):
-            raise ValueError(f"unknown filtration kind {_echo(self.kind)}")
         if len(levels) != self.n + 1:
             raise ValueError(f"need {self.n + 1} levels for {self.n} steps, got {len(levels)}")
         size = probs.shape[0]
@@ -89,8 +118,7 @@ class FiniteFiltration:
                 raise ValueError(f"level {i} table has wrong length")
             if np.any(lvl < 0):
                 raise ValueError("cell ids must be nonnegative")
-        # Relabel sparse ids compactly (order kept) so no table is ever sized
-        # by an id read from the input; dyadic levels are already compact.
+        # Relabel sparse ids compactly (order kept): no table is sized by an input id.
         levels = tuple(
             np.unique(lvl, return_inverse=True)[1] if lvl.max() >= size else lvl
             for lvl in levels
@@ -115,34 +143,25 @@ class FiniteFiltration:
         return self.probabilities.shape[0]
 
     @classmethod
-    @lru_cache(maxsize=8)
     def dyadic(cls, n: int) -> "FiniteFiltration":
-        """The coordinate filtration of C_n: level i groups points by their low i bits.
-
-        Filtrations are immutable, so recent ones are cached and shared; the
-        cache is small because one at n = 20 holds about 180 MB of levels.
-        """
-        _check_dimension(n)
-        size = 1 << n
-        points = np.arange(size, dtype=np.int64)
-        levels = tuple(points & ((1 << i) - 1) for i in range(n + 1))
-        probs = np.full(size, 1.0 / size)
-        return cls(kind="dyadic-hypercube", n=n, probabilities=probs, levels=levels)
+        """The coordinate filtration of C_n: level i groups points by their low i bits."""
+        return cls(kind="dyadic-hypercube", n=n)
 
     @classmethod
     def tree(cls, levels, probabilities) -> "FiniteFiltration":
-        levels = tuple(np.asarray(lvl, dtype=np.int64) for lvl in levels)
-        return cls(
-            kind="tree",
-            n=len(levels) - 1,
-            probabilities=np.asarray(probabilities, dtype=np.float64),
-            levels=levels,
-        )
+        return cls(kind="tree", n=len(levels) - 1, probabilities=probabilities, levels=levels)
+
+    def cells(self, level: int) -> np.ndarray:
+        """Each point's level-`level` cell id: a tree's stored table, or the
+        point's low `level` bits on the coordinate filtration."""
+        _check_index(level, 0, self.n, "level")
+        if self.levels is not None:
+            return self.levels[level]
+        return np.arange(self.size, dtype=np.int64) & ((1 << level) - 1)
 
     def condition(self, table: np.ndarray, level: int) -> np.ndarray:
         """Probability-weighted cell averages of a (size, m) value table."""
-        _check_index(level, 0, self.n, "level")
-        cells, size, m = self.levels[level], self.size, table.shape[1]
+        cells, size, m = self.cells(level), self.size, table.shape[1]
         # Ids are below the point count (construction relabels larger ones),
         # so `size` cells always suffice.  One bincount over (cell, column)
         # bins sums each bin's points in index order, as a per-column one would.
@@ -161,31 +180,12 @@ class FiniteFiltration:
             "kind": self.kind,
             "n": self.n,
             "probabilities": self.probabilities.tolist(),
-            "levels": [lvl.tolist() for lvl in self.levels],
+            "levels": [self.cells(i).tolist() for i in range(self.n + 1)],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteFiltration":
-        kind = data["kind"]
-        if kind == "dyadic-hypercube" and "levels" not in data:
-            return cls.dyadic(int(data["n"]))
-        filtration = cls(
-            kind=kind,
-            n=int(data["n"]),
-            probabilities=np.asarray(data["probabilities"], dtype=np.float64),
-            levels=tuple(np.asarray(lvl, dtype=np.int64) for lvl in data["levels"]),
-        )
-        if kind != "dyadic-hypercube":
-            return filtration
-        # Built only at the size just read, so the comparison allocates no more.
-        dyadic = filtration.size == 1 << filtration.n and cls.dyadic(filtration.n)
-        same = dyadic and np.array_equal(filtration.probabilities, dyadic.probabilities)
-        if same and all(map(np.array_equal, filtration.levels, dyadic.levels)):
-            return dyadic
-        raise ValueError(
-            "a dyadic-hypercube filtration must have the levels and probabilities "
-            "of the coordinate filtration; use kind 'tree' otherwise"
-        )
+        return cls(data["kind"], int(data["n"]), data.get("probabilities"), data.get("levels"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +258,7 @@ class MartingaleSequence:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MartingaleSequence":
         spec, values = data["filtration"], np.asarray(data["values"], dtype=np.float64)
-        if spec["kind"] == "dyadic-hypercube" and "levels" not in spec:
+        if spec["kind"] == "dyadic-hypercube":
             # The filtration is built at its declared size, so the values'
             # shape is checked against that size first.  A matching first
             # axis bounds n by the input's length before 2^n is formed.

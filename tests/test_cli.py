@@ -534,11 +534,9 @@ class TestEvalThroughTheLibrary:
 
 
 class TestDyadicFiltrationFiles:
-    def martingale_file(self, tmp_path, probabilities, levels):
+    def martingale_file(self, tmp_path, **fields):
         path = tmp_path / "M.json"
-        filtration = {
-            "kind": "dyadic-hypercube", "n": 2, "probabilities": probabilities, "levels": levels
-        }
+        filtration = {"kind": "dyadic-hypercube", "n": 2, **fields}
         values = [[[0.0]] * 4, [[1.0], [-1.0], [1.0], [-1.0]], [[2.0], [-2.0], [0.0], [0.0]]]
         write_json(path, {"filtration": filtration, "m": 1, "values": values})
         return path
@@ -546,7 +544,7 @@ class TestDyadicFiltrationFiles:
     def test_mislabelled_tree_is_an_input_error(self, tmp_path, capsys):
         # A legal tree, but not the coordinate filtration its kind claims.
         levels = [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]]
-        path = self.martingale_file(tmp_path, [0.1, 0.2, 0.3, 0.4], levels)
+        path = self.martingale_file(tmp_path, probabilities=[0.1, 0.2, 0.3, 0.4], levels=levels)
         assert run_eval("umd-plus", path) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
@@ -554,15 +552,37 @@ class TestDyadicFiltrationFiles:
 
     def test_non_uniform_probabilities_are_an_input_error(self, tmp_path, capsys):
         levels = FiniteFiltration.dyadic(2).to_json_dict()["levels"]
-        path = self.martingale_file(tmp_path, [0.1, 0.2, 0.3, 0.4], levels)
+        path = self.martingale_file(tmp_path, probabilities=[0.1, 0.2, 0.3, 0.4], levels=levels)
         assert run_eval("umd-plus", path) == 2
         capsys.readouterr()
 
+    def test_non_uniform_probabilities_without_levels_are_an_input_error(self, tmp_path, capsys):
+        # Not read as the uniform measure the kind would otherwise supply.
+        path = tmp_path / "M.json"
+        spec = {"kind": "dyadic-hypercube", "n": 1, "probabilities": [0.9, 0.1]}
+        write_json(path, {"filtration": spec, "m": 1, "values": [[[0], [0]], [[1], [-1]]]})
+        assert run_eval("martingale-type", path) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
+        assert "coordinate filtration" in err
+
     def test_the_coordinate_filtration_written_out_is_accepted(self, tmp_path, capsys):
         spec = FiniteFiltration.dyadic(2).to_json_dict()
-        path = self.martingale_file(tmp_path, spec["probabilities"], spec["levels"])
+        path = self.martingale_file(
+            tmp_path, probabilities=spec["probabilities"], levels=spec["levels"]
+        )
         assert run_eval("umd-plus", path) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("given", [["levels"], ["probabilities"], ["probabilities", "levels"]])
+    @pytest.mark.parametrize("name", ["umd", "martingale-type"])
+    def test_each_rule_field_may_be_omitted(self, given, name, tmp_path, capsys):
+        spec = FiniteFiltration.dyadic(2).to_json_dict()
+        assert run_eval(name, self.martingale_file(tmp_path)) == 0
+        bare = capsys.readouterr().out
+        path = self.martingale_file(tmp_path, **{key: spec[key] for key in given})
+        assert run_eval(name, path) == 0
+        assert capsys.readouterr().out == bare
 
     def test_declared_size_is_checked_before_the_filtration_is_built(self, tmp_path, capsys):
         # 82 bytes declaring 18 steps: the coordinate filtration alone would take 46 MB.
@@ -849,13 +869,12 @@ class TestCheckCommand:
     def test_umd_recheck_builds_no_filtration_or_martingale(self, monkeypatch, capsys):
         # The witness is read raw, as the increments of its dyadic martingale.
         def refuse(*args):
-            raise AssertionError("a martingale object was built")
+            raise AssertionError("a filtration or martingale object was built")
 
-        FiniteFiltration.dyadic.cache_clear()
+        monkeypatch.setattr(FiniteFiltration, "__post_init__", refuse)
         monkeypatch.setattr(MartingaleSequence, "__post_init__", refuse)
         monkeypatch.setattr(MartingaleSequence, "_trusted", classmethod(refuse))
         assert self.run_check(self.UMD_FIXTURE, capsys)[0] == 0
-        assert FiniteFiltration.dyadic.cache_info().misses == 0
 
     def test_negative_seed_flag_is_an_input_error_naming_it(self, capsys):
         code = main(["--command", "estimate", "--seed", "-1"])

@@ -372,7 +372,6 @@ class TestAnalyticGradients:
 def _record_constructions(monkeypatch) -> list:
     """The names of the witness objects built from here on, in order."""
     built = []
-    FiniteFiltration.dyadic.cache_clear()  # so a filtration cached earlier is recorded too
     for cls in (HypercubeFunction, FunctionFamily, MartingaleSequence, FiniteFiltration):
 
         def recording(self, original=cls.__post_init__, name=cls.__name__):

@@ -67,9 +67,10 @@ class TestFiniteFiltration:
     def test_dyadic_levels_follow_low_bits(self):
         filtration = FiniteFiltration.dyadic(3)
         assert filtration.size == 8
-        assert filtration.levels[0].tolist() == [0] * 8
-        assert filtration.levels[2].tolist() == [k & 0b11 for k in range(8)]
-        assert filtration.levels[3].tolist() == list(range(8))
+        assert filtration.levels is None  # a rule: the ids are derived when read
+        assert filtration.cells(0).tolist() == [0] * 8
+        assert filtration.cells(2).tolist() == [k & 0b11 for k in range(8)]
+        assert filtration.cells(3).tolist() == list(range(8))
 
     @pytest.mark.parametrize("n", [0, 21])
     def test_dyadic_dimension_is_the_cube_rule(self, n):
@@ -128,9 +129,20 @@ class TestFiniteFiltration:
         for a, b in zip(back.levels, filtration.levels):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("missing", ["probabilities", "levels"])
+    def test_json_tree_needs_both_fields(self, missing):
+        spec = random_tree_martingale(seed=3).filtration.to_json_dict()
+        del spec[missing]
+        with pytest.raises(ValueError, match="tree filtration needs its probabilities and levels"):
+            FiniteFiltration.from_json_dict(spec)
+
     def test_json_dyadic_kind_must_be_the_coordinate_filtration(self):
         spec = FiniteFiltration.dyadic(2).to_json_dict()
-        assert FiniteFiltration.from_json_dict(spec) is FiniteFiltration.dyadic(2)
+        back, dyadic = FiniteFiltration.from_json_dict(spec), FiniteFiltration.dyadic(2)
+        assert (back.kind, back.n) == (dyadic.kind, dyadic.n)
+        assert np.array_equal(back.probabilities, dyadic.probabilities)
+        for level in range(3):
+            assert np.array_equal(back.cells(level), dyadic.cells(level))
         for key, value in (
             ("probabilities", [0.1, 0.2, 0.3, 0.4]),
             ("levels", [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]]),
@@ -142,6 +154,34 @@ class TestFiniteFiltration:
         small["levels"] = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
         with pytest.raises(ValueError, match="coordinate filtration"):
             FiniteFiltration.from_json_dict(small)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dyadic_round_trips_with_any_rule_field_omitted(self, n):
+        spec = FiniteFiltration.dyadic(n).to_json_dict()
+        assert spec["levels"] == [[k & ((1 << i) - 1) for k in range(1 << n)] for i in range(n + 1)]
+        for omitted in ((), ("levels",), ("probabilities",), ("levels", "probabilities")):
+            partial = {key: value for key, value in spec.items() if key not in omitted}
+            assert FiniteFiltration.from_json_dict(partial).to_json_dict() == spec
+
+    def test_constructor_refuses_levels_its_loader_would_refuse(self):
+        # A legal tree, split on the high bit first: not the coordinate filtration.
+        levels = [[0] * 4, [0, 0, 1, 1], [0, 1, 2, 3]]
+        with pytest.raises(ValueError, match="coordinate filtration"):
+            FiniteFiltration(
+                kind="dyadic-hypercube", n=2, probabilities=[0.25] * 4, levels=levels
+            )
+        assert FiniteFiltration.tree(levels, [0.25] * 4).to_json_dict()["levels"] == levels
+
+    def test_dyadic_20_holds_only_its_point_measure(self):
+        tracemalloc.start()
+        try:
+            filtration = FiniteFiltration.dyadic(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Only the 8 MiB probability vector: no level table is held.
+        assert filtration.probabilities.nbytes == 8 << 20
+        assert peak <= 9 << 20
 
 
 class TestMartingaleSequence:
@@ -237,7 +277,6 @@ class TestDyadicLevels:
 
     def test_martingale_holds_its_output_and_one_level_of_sums(self):
         f = random_function(15, 4, seed=15)
-        FiniteFiltration.dyadic(15)  # cached; its level tables are not the martingale's
         tracemalloc.start()
         try:
             M = make_dyadic_martingale(f)
