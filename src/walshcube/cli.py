@@ -121,9 +121,7 @@ def _load_json(path: str | None):
 
 
 def cmd_verify(args) -> int:
-    results = run_verification_suite(
-        n=args.n, m=args.m, seed=args.seed, corrupt=args.corrupt
-    )
+    results = run_verification_suite(n=args.n, m=args.m, seed=args.seed, corrupt=args.corrupt)
     report = {
         "command": "verify",
         "n": args.n,
@@ -206,9 +204,7 @@ def cmd_scan(args) -> int:
     out = args.output_path if args.output_path is not None else "scan.csv"
     certificates = scan_dimension(config, range(n_lo, n_hi + 1), m_for_n=m_for_n, csv_path=out)
     for cert in certificates:
-        sys.stdout.write(
-            f"n={cert.config.n} m={cert.config.m} ratio={cert.ratio:.9g}\n"
-        )
+        sys.stdout.write(f"n={cert.config.n} m={cert.config.m} ratio={cert.ratio:.9g}\n")
     sys.stdout.write(f"scan table -> {out}\n")
     return EXIT_OK
 

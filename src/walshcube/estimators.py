@@ -50,7 +50,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, _check_dimension, _clipped, _echo
+from .hypercube import HypercubeFunction, _check_dimension, _clipped, _echo, _is_number
 from .inequalities import (
     InequalityReport,
     _corollary2_build,
@@ -214,11 +214,6 @@ class SearchConfig:
                 f"certificate config q must be a number or 'inf', got {_echo(data['q'])}"
             )
         return cls(**data)
-
-
-def _is_number(value, types=(int, float)) -> bool:
-    """Whether `value` is one of `types` and not a bool, which is an int too."""
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _check_keys(data, what: str, required, allowed=None) -> None:

@@ -76,6 +76,18 @@ def _check_index(value: int, low: int, high: int, what: str) -> None:
         raise ValueError(f"{what} {value} out of range {low}..{high}")
 
 
+def _is_number(value, types=(int, float)) -> bool:
+    """Whether `value` is one of `types` and not a bool, which is an int too."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _json_int(data: dict, key: str, what: str) -> int:
+    """The integer `data[key]`; anything else is an input error naming the `what` field."""
+    if not _is_number(value := data[key], int):
+        raise ValueError(f"{what} {key} must be an integer, got {_echo(value)}")
+    return value
+
+
 def _check_table(table: np.ndarray, what: str) -> tuple[int, int, np.ndarray]:
     """Validate a float64 table and return (n, m, the table set read-only)."""
     if table.ndim == 1:
@@ -107,12 +119,13 @@ def _table_dims(values) -> tuple[np.ndarray, int, int]:
     return values, rows.bit_length() - 1, m
 
 
-def _check_declared(data: dict, n: int, m: int) -> None:
-    """An input error unless a reader's optional "n" and "m" fields are (n, m)."""
-    if "n" in data and int(data["n"]) != n:
-        raise ValueError(f"declared n={data['n']} does not match table with 2^{n} rows")
-    if "m" in data and int(data["m"]) != m:
-        raise ValueError(f"declared m={data['m']} does not match row length {m}")
+def _check_declared(data: dict, table):
+    """`table`, read from `data`, once the optional "n" and "m" of `data` are its own."""
+    n, m = table.n, table.m
+    for key, size, of in (("n", n, f"table with 2^{n} rows"), ("m", m, f"row length {m}")):
+        if key in data and _json_int(data, key, "declared") != size:
+            raise ValueError(f"declared {key}={data[key]} does not match {of}")
+    return table
 
 
 def _post_init_table(self) -> None:
@@ -201,9 +214,7 @@ class HypercubeFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HypercubeFunction":
-        f = cls.from_values(data["values"])
-        _check_declared(data, f.n, f.m)
-        return f
+        return _check_declared(data, cls.from_values(data["values"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,9 +241,7 @@ class WalshSpectrum:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WalshSpectrum":
-        s = cls.from_coefficients(data["coefficients"])
-        _check_declared(data, s.n, s.m)
-        return s
+        return _check_declared(data, cls.from_coefficients(data["coefficients"]))
 
 
 @dataclass(frozen=True)

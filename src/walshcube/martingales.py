@@ -11,7 +11,8 @@ martingale-type) are defined here once, by raw builders that read one
 view of increments, `_Increments`: built from any `MartingaleSequence`
 for `eval` and the ratios below, or from raw functions, as their dyadic
 martingales, for the search and its certificates.  The ratios are the
-builders' values on one martingale.
+builders' values on one martingale.  The umd maximum is the `norms` sign
+sweep's max on the increments; no sign-pattern rule is stated here.
 """
 
 from __future__ import annotations
@@ -21,18 +22,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, SignAssignment, _check_dimension, _check_index, _echo
+from .hypercube import (
+    HypercubeFunction,
+    SignAssignment,
+    _check_dimension,
+    _check_index,
+    _echo,
+    _json_int,
+)
 from .norms import (
     OPEN_P,
     TYPE_P,
-    _TILE_ENTRIES,
     NormSpace,
     RademacherAveragePlan,
     _checked_ratio,
+    _largest_transform,
     _lp_value,
-    _pattern_norms,
     _Side,
-    _sign_masks,
+    _transform_norm,
     _values,
     lp_norm_gradient,
     signed_combination_average_gradient,
@@ -90,7 +97,7 @@ class FiniteFiltration:
         if given_levels is not None:
             # One level at a time, so at most one level of the rule's ids exists at once.
             same = same and len(given_levels) == self.n + 1 and all(
-                np.array_equal(np.asarray(lvl, np.int64), self.cells(i))
+                np.array_equal(_cell_ids(lvl, i, self.size), self.cells(i))
                 for i, lvl in enumerate(given_levels)
             )
         if not same:
@@ -103,25 +110,20 @@ class FiniteFiltration:
         if self.probabilities is None or self.levels is None:
             raise ValueError("a tree filtration needs its probabilities and levels")
         probs = np.asarray(self.probabilities, dtype=np.float64)
-        levels = tuple(np.asarray(lvl, dtype=np.int64) for lvl in self.levels)
-        if len(levels) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} levels for {self.n} steps, got {len(levels)}")
-        size = probs.shape[0]
-        if size < 1 or probs.ndim != 1:
+        if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probabilities must be a nonempty vector")
-        if np.any(probs <= 0.0):
+        # Written so that a NaN anywhere fails: every comparison with NaN is False.
+        if not np.all(probs > 0.0):
             raise ValueError("point probabilities must be positive")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if not abs(probs.sum() - 1.0) <= 1e-12:
             raise ValueError("point probabilities must sum to 1 within 1e-12")
-        for i, lvl in enumerate(levels):
-            if lvl.shape != (size,):
-                raise ValueError(f"level {i} table has wrong length")
-            if np.any(lvl < 0):
-                raise ValueError("cell ids must be nonnegative")
+        if len(self.levels) != self.n + 1:
+            raise ValueError(f"need {self.n + 1} levels for {self.n} steps, got {len(self.levels)}")
+        size = probs.size
         # Relabel sparse ids compactly (order kept): no table is sized by an input id.
         levels = tuple(
-            np.unique(lvl, return_inverse=True)[1] if lvl.max() >= size else lvl
-            for lvl in levels
+            np.unique(ids, return_inverse=True)[1] if ids.max() >= size else ids
+            for ids in (_cell_ids(lvl, i, size) for i, lvl in enumerate(self.levels))
         )
         if np.any(levels[0] != levels[0][0]):
             raise ValueError("level 0 must be the trivial partition")
@@ -185,7 +187,17 @@ class FiniteFiltration:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteFiltration":
-        return cls(data["kind"], int(data["n"]), data.get("probabilities"), data.get("levels"))
+        n = _json_int(data, "n", "filtration")
+        return cls(data["kind"], n, data.get("probabilities"), data.get("levels"))
+
+
+def _cell_ids(level, i: int, size: int) -> np.ndarray:
+    """Level `i`'s given ids as int64, one per point, read only here; others are refused."""
+    ids = np.asarray(level)
+    ids = ids.astype(np.int64, copy=False) if ids.dtype.kind in "iu" else None
+    if ids is None or ids.shape != (size,) or np.any(ids < 0):
+        raise ValueError(f"level {i} needs {size} nonnegative integer cell ids, got {_echo(level)}")
+    return ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,17 +274,14 @@ class MartingaleSequence:
             # The filtration is built at its declared size, so the values'
             # shape is checked against that size first.  A matching first
             # axis bounds n by the input's length before 2^n is formed.
-            n = int(spec["n"])
+            n = _json_int(spec, "n", "filtration")
             if not (values.ndim >= 2 and values.shape[0] == n + 1 and values.shape[1] == 1 << n):
                 raise ValueError(
                     f"a dyadic-hypercube filtration of {n} steps needs values of leading "
                     f"shape ({n} + 1, 2^{n}), got {values.shape}"
                 )
-        return cls(
-            filtration=FiniteFiltration.from_json_dict(spec),
-            m=int(data["m"]),
-            values=values,
-        )
+        filtration = FiniteFiltration.from_json_dict(spec)
+        return cls(filtration, _json_int(data, "m", "martingale"), values)
 
 
 def make_dyadic_martingale(f: HypercubeFunction) -> MartingaleSequence:
@@ -396,36 +405,6 @@ def umd_ratio(
     return _checked_ratio(*_values(sides), "constant martingale has no transform ratio")
 
 
-def _largest_transform(
-    diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray, masks=None, tile=_TILE_ENTRIES
-) -> np.ndarray:
-    """The signs of the first pattern (ascending bitmask) whose transform
-    || sum_i delta_i d_i ||_{L_p} is the largest, among the patterns whose
-    last sign is +1 unless `masks` gives others (see `_sign_masks`).
-
-    A pattern and its negation give the same norm, and the one with last
-    sign +1 has the smaller mask, so this is the first largest pattern of
-    all 2^n.  `diffs` is (..., n, size, m); leading axes are a batch, and
-    each row gets its own pattern.  Exact enumeration's member limit applies.
-    """
-    if masks is None:
-        masks = _sign_masks(diffs.shape[-3], RademacherAveragePlan(mode="exact"))
-    best = best_signs = None
-    chunks = _pattern_norms(diffs, space.q, masks, lambda norms, *_: (norms**p, None), tile=tile)
-    for signs, powers, _ in chunks:
-        # Only ranks the patterns.  Many tie by symmetry, and the rounding of
-        # this reduction picks among them, so it fixes the search's witnesses.
-        powered = powers @ probs
-        top, k = powered.max(axis=-1), powered.argmax(axis=-1)
-        if best is None:
-            best, best_signs = top, signs[k]
-        else:  # a later chunk wins only where it is strictly larger
-            better = top > best
-            best = np.where(better, top, best)
-            best_signs = np.where(better[..., None], signs[k], best_signs)
-    return best_signs
-
-
 def umd_maximum_gradient(
     diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray
 ) -> _Side:
@@ -436,20 +415,6 @@ def umd_maximum_gradient(
     pattern `umd_ratio` reports.
     """
     return _transform_norm(diffs, _largest_transform(diffs, p, space, probs), p, space, probs)
-
-
-def _transform_norm(
-    diffs: np.ndarray, signs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray
-) -> _Side:
-    """|| sum_i delta_i d_i ||_{L_p} for (..., n, size, m) increments and
-    (..., n) signs, one pattern per batch row, with its gradient in `diffs`."""
-    *lead, steps, size, m = diffs.shape
-    transform = (signs[..., None, :] @ diffs.reshape(*lead, steps, size * m)).reshape(
-        *lead, size, m
-    )
-    return lp_norm_gradient(transform, p, space, probs).map(
-        lambda g: signs[..., None, None] * g[..., None, :, :]
-    )
 
 
 def umd_plus_ratio(

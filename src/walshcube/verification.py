@@ -48,8 +48,6 @@ from .inequalities import (
 )
 from .martingales import (
     FiniteFiltration,
-    _largest_transform,
-    _transform_norm,
     make_dyadic_martingale,
     martingale_lp_norm,
     umd_minus_ratio,
@@ -61,8 +59,10 @@ from .norms import (
     NormSpace,
     RademacherAveragePlan,
     _check_seed,
+    _largest_transform,
     _pattern_norms,
     _sign_average,
+    _transform_norm,
     lp_norm,
     rademacher_average,
     signed_combination_average_gradient,

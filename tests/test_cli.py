@@ -601,6 +601,44 @@ class TestDyadicFiltrationFiles:
         assert peak < 1 << 20
 
 
+class TestIntegerAndFiniteFields:
+    """Sizes and cell ids are JSON integers and probabilities numbers: nothing
+    is truncated or let through as NaN, and each refusal is one input-error line."""
+
+    VALUES = [[[0.0], [0.0]], [[1.0], [-1.0]]]
+
+    def refusal(self, tmp_path, capsys, name, payload):
+        path = tmp_path / "in.json"
+        write_json(path, payload)
+        assert run_eval(name, path) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
+        return err
+
+    def tree(self, probabilities, levels, m=1):
+        spec = {"kind": "tree", "n": 1, "probabilities": probabilities, "levels": levels}
+        return {"filtration": spec, "m": m, "values": self.VALUES}
+
+    def test_fractional_cell_id(self, tmp_path, capsys):
+        err = self.refusal(tmp_path, capsys, "umd", self.tree([0.5, 0.5], [[0, 0], [0, 1.5]]))
+        assert "level 1 needs 2 nonnegative integer cell ids" in err
+
+    def test_nan_probability(self, tmp_path, capsys):
+        err = self.refusal(tmp_path, capsys, "umd", self.tree([math.nan, 0.5], [[0, 0], [0, 1]]))
+        assert "point probabilities must" in err
+
+    def test_fractional_martingale_m(self, tmp_path, capsys):
+        payload = self.tree([0.5, 0.5], [[0, 0], [0, 1]], m=1.5)
+        err = self.refusal(tmp_path, capsys, "martingale-type", payload)
+        assert "martingale m must be an integer, got 1.5" in err
+
+    @pytest.mark.parametrize("name", ["k-convexity", "umd"])
+    def test_fractional_declared_n(self, name, tmp_path, capsys):
+        payload = {"n": 2.5, "values": [[1.0], [2.0], [3.0], [5.0]]}
+        err = self.refusal(tmp_path, capsys, name, payload)
+        assert "declared n must be an integer, got 2.5" in err
+
+
 def test_umd_beyond_20_steps_fails_before_any_mask_is_built(tmp_path, capsys):
     # Two points and 21 steps, of which only the first moves: the 2^21 sign
     # patterns of exact enumeration would take a 16 MiB mask array.

@@ -98,6 +98,23 @@ class TestConstruction:
         # The one copy is the instance's own.
         assert not np.shares_memory(HypercubeFunction.from_values(values).values, values)
 
+    @pytest.mark.parametrize(
+        "field,value", [("n", 1.9), ("n", True), ("n", "1"), ("n", 1.0), ("m", 1.5), ("m", "1")]
+    )
+    def test_declared_dimensions_are_json_integers(self, field, value):
+        # Each value once read as 1 through int() and passed against a 2 x 1 table.
+        readers = {
+            "values": HypercubeFunction.from_json_dict,
+            "coefficients": WalshSpectrum.from_json_dict,
+            "functions": FunctionFamily.from_json_dict,
+        }
+        for key, read in readers.items():
+            table = [[0.5], [-0.5]]
+            data = {key: [table] if key == "functions" else table, field: value}
+            with pytest.raises(ValueError) as error:
+                read(data)
+            assert str(error.value).startswith(f"declared {field} must be an integer, got ")
+
     def test_values_are_read_only(self):
         f = random_function(2, 1)
         with pytest.raises(ValueError):

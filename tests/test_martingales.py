@@ -1,5 +1,6 @@
 """Filtered spaces, adapted martingales, and transform ratio functionals."""
 
+import json
 import math
 import tracemalloc
 
@@ -14,7 +15,6 @@ from walshcube.martingales import (
     FiniteFiltration,
     MartingaleSequence,
     _Increments,
-    _largest_transform,
     make_dyadic_martingale,
     martingale_lp_norm,
     martingale_type_ratio,
@@ -28,6 +28,7 @@ from walshcube.norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _largest_transform,
     rademacher_average,
 )
 from walshcube.operators import (
@@ -90,6 +91,53 @@ class TestFiniteFiltration:
             FiniteFiltration.tree([[0, 0], [0, 1]], [1.0, 0.0])
         with pytest.raises(ValueError, match="sum to 1"):
             FiniteFiltration.tree([[0, 0], [0, 1]], [0.7, 0.4])
+
+    @pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan]])
+    def test_rejects_nan_probabilities(self, probs):
+        # Every comparison with NaN is False, so a check must be written to pass only on numbers.
+        with pytest.raises(ValueError, match="^point probabilities must"):
+            FiniteFiltration.tree([[0, 0], [0, 1]], probs)
+
+    def test_rejects_scalar_probabilities(self):
+        with pytest.raises(ValueError, match="probabilities must be a nonempty vector"):
+            FiniteFiltration.tree([[0], [0]], 0.5)
+
+    @pytest.mark.parametrize(
+        "kind,levels,level",
+        [
+            ("tree", [[0, 0.9], [0, 1.2]], 0),  # read as [[0, 0], [0, 1]]: a split root passed
+            ("tree", [[0, 0], [0, "1"]], 1),
+            ("tree", [[0, 0], [0, -1]], 1),
+            ("tree", [[0, 0], [0, 1, 2]], 1),
+            ("dyadic-hypercube", [[0, 0], [0, 1.7]], 1),  # read as the rule's [0, 1]
+            ("dyadic-hypercube", [[0, 0], ["0", "1"]], 1),
+        ],
+    )
+    def test_cell_ids_are_nonnegative_integers_one_per_point(self, kind, levels, level):
+        spec = {"kind": kind, "n": 1, "probabilities": [0.5, 0.5], "levels": levels}
+        with pytest.raises(ValueError) as error:
+            FiniteFiltration.from_json_dict(spec)
+        message = str(error.value)
+        assert message.startswith(f"level {level} needs 2 nonnegative integer cell ids, got [")
+        assert "\n" not in message
+
+    def test_integer_cell_ids_keep_their_bits_and_bytes(self):
+        given = [np.array([2, 2, 2]), np.array([2, 0, 1])]
+        filtration = FiniteFiltration.tree(given, [0.25, 0.25, 0.5])
+        for kept, ids in zip(filtration.levels, given):
+            assert kept.dtype == np.int64 and np.array_equal(kept, ids)
+        assert json.dumps(filtration.to_json_dict()) == (
+            '{"kind": "tree", "n": 1, "probabilities": [0.25, 0.25, 0.5], '
+            '"levels": [[2, 2, 2], [2, 0, 1]]}'
+        )
+
+    @pytest.mark.parametrize("kind", ["tree", "dyadic-hypercube"])
+    @pytest.mark.parametrize("n", [1.9, 1.0, True, "1"])
+    def test_json_n_is_an_integer(self, kind, n):
+        spec = {"kind": kind, "n": n, "probabilities": [0.5, 0.5], "levels": [[0, 0], [0, 1]]}
+        with pytest.raises(ValueError) as error:
+            FiniteFiltration.from_json_dict(spec)
+        assert str(error.value).startswith("filtration n must be an integer, got ")
 
     def test_rejects_nontrivial_root(self):
         with pytest.raises(ValueError, match="trivial"):
@@ -547,3 +595,23 @@ def test_huge_cell_ids_behave_like_their_compact_relabelling():
 def test_refinement_check_rejects_a_split_parent_late_in_the_table():
     with pytest.raises(ValueError, match="does not refine"):
         FiniteFiltration.tree([[0] * 6, [0, 0, 0, 1, 1, 1], [0, 1, 2, 3, 4, 2]], [1 / 6] * 6)
+
+
+class TestMartingaleFileIntegers:
+    """The martingale reader takes n and m only as JSON integers."""
+
+    VALUES = [[[0.0], [0.0]], [[1.0], [-1.0]]]
+
+    @pytest.mark.parametrize("n", [1.9, True, "1"])
+    def test_dyadic_n(self, n):
+        data = {"filtration": {"kind": "dyadic-hypercube", "n": n}, "m": 1, "values": self.VALUES}
+        with pytest.raises(ValueError) as error:
+            MartingaleSequence.from_json_dict(data)
+        assert str(error.value).startswith("filtration n must be an integer, got ")
+
+    @pytest.mark.parametrize("m", [1.5, 1.0, True, "1"])
+    def test_m(self, m):
+        data = {"filtration": FiniteFiltration.dyadic(1).to_json_dict(), "m": m, "values": self.VALUES}
+        with pytest.raises(ValueError) as error:
+            MartingaleSequence.from_json_dict(data)
+        assert str(error.value).startswith("martingale m must be an integer, got ")

@@ -1,7 +1,7 @@
 """The package namespace: every exported name exists where it is exported,
-no module keeps an unused import or private name, no refusal echoes a value
-with `!r`, and the declared numpy floor provides the functions the package
-calls."""
+no module keeps an unused import or private name, the sign sweep's rules
+stay in `norms`, no refusal echoes a value with `!r`, and the declared
+numpy floor provides the functions the package calls."""
 
 import ast
 import importlib
@@ -89,6 +89,21 @@ def test_every_private_top_level_name_is_referenced():
             if not any(defined in names for _, other, names in nodes if other is not node):
                 unreferenced.append(f"{module}.{defined}")
     assert not unreferenced
+
+
+def test_the_sign_sweep_rules_stay_in_norms():
+    # Chunks, tiles and halved masks are decided in `norms` alone, where the
+    # sweep's mean and maximum live; `verification` reads them to check tiles.
+    private = {"_pattern_norms", "_sign_masks", "_TILE_ENTRIES"}
+    readers = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        if module not in ("norms", "verification")
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and private & {alias.name for alias in node.names})
+        or (isinstance(node, ast.Attribute) and node.attr in private)
+    ]
+    assert not readers
 
 
 def test_no_raise_echoes_a_value_with_repr():

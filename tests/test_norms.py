@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import walshcube.martingales as martingales
 import walshcube.norms as norms
 from walshcube.hypercube import HypercubeFunction
 from walshcube.martingales import martingale_lp_norm
@@ -15,9 +14,9 @@ from walshcube.norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _largest_transform,
     _pattern_norms,
     _sign_average,
-    _sign_blocks,
     _sign_masks,
     lp_norm,
     lp_norm_gradient,
@@ -313,7 +312,8 @@ class TestHalvedSignSweep:
             # last sign, stays clear.
             masks = _sign_masks(count, EXACT)
             assert np.array_equal(masks, np.arange(1 << (count - 1)))
-            blocks = list(_sign_blocks(count, masks))
+            sweep = _pattern_norms(np.zeros((count, 1, 1)), 2.0, masks, _unfinished)
+            blocks = [signs for signs, _, _ in sweep]
             expected = 1.0 - 2.0 * ((masks[:, None] >> np.arange(count)) & 1)
             assert np.array_equal(np.concatenate(blocks), expected)
             assert all(len(block) <= 1024 for block in blocks)
@@ -456,7 +456,7 @@ class TestTileFinishing:
             _sign_average(tables, p, space, masks, weights, tile).value,
             side.value,
             gradient,
-            martingales._largest_transform(tables, p, space, probs, masks, tile),
+            _largest_transform(tables, p, space, probs, masks, tile),
         ]
         expected = whole_chunk_sweeps(tables, p, q, masks, weights, probs)
         for a, b in zip(got, expected, strict=True):
@@ -476,7 +476,7 @@ class TestPointTiledSweep:
             _sign_average(tables, p, space, masks, tile=tile).value,
             with_gradient.value,
             gradient,
-            martingales._largest_transform(tables, p, space, probs, masks, tile),
+            _largest_transform(tables, p, space, probs, masks, tile),
         )
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
