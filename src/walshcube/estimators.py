@@ -551,7 +551,7 @@ def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig
     decisions it would make alone; a round evaluates only the rows still
     climbing, one gradient batch and then the line search's ladders.  A
     ladder is one value batch of rows x rungs: the next d halvings t, t/2,
-    ..., t/2^(d-1) of every row still searching, where d starts at 1 and
+    ..., t/2^(d-1) of every row still searching, where d starts at 2 and
     doubles each time, capped by `batch_rows` over the rows and by the rungs
     that every row has at or above `_MIN_LINE_STEP`.  A row is settled in
     the ladder that holds its first non-finite rung (the row is discarded)
@@ -578,7 +578,7 @@ def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig
         moving = usable & (norm > 0.0)
         climbing[rows] = False  # until the row accepts a step that improves it enough
         live, direction = rows[moving], gradient[moving] / norm[moving, None]
-        depth = 1
+        depth = 2
         while live.size:
             depth = min(depth, max(1, objective.batch_rows // live.size))
             # Exact halvings t * 2^-j: each rung is the step that many halvings reach.

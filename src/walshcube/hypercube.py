@@ -66,6 +66,9 @@ def _clipped(err: Exception) -> str:
 
 
 def _check_dimension(n: int) -> None:
+    """An input error unless n is an integer (not a bool) in [1, MAX_DIMENSION]."""
+    if not _is_number(n, int):
+        raise ValueError(f"dimension n must be an integer, got {_echo(n)}")
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension n must be in [1, {MAX_DIMENSION}], got {n}")
 

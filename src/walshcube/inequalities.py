@@ -50,11 +50,11 @@ from .operators import (
     _condition_each,
     _degree_one_multiplier,
     _derivative_each,
+    _derivatives,
     _difference_each,
     _dyadic_levels,
     _laplacian_multiplier,
     _level_differences,
-    _repeat,
     _walsh_multiply,
     derivative_stack,
 )
@@ -328,7 +328,7 @@ def _deviation_norm(f, n, p, space, plan):
 
 def _pisier_average(f, n, p, space, plan):
     """Sign average of sum_i delta_i d_i f for one function f."""
-    side = signed_combination_average_gradient(_derivative_each(_repeat(f, n), n), p, space, plan)
+    side = signed_combination_average_gradient(_derivatives(f, n), p, space, plan)
     return side.map(lambda g: _derivative_each(g, n).sum(axis=-3))
 
 
@@ -346,7 +346,7 @@ def _derivative_average(family, n, p, space, plan):
 def _inverse_laplacian_norm(family, n, p, space, plan):
     multiplier = _laplacian_multiplier(n, -1.0)
     side = lp_norm_gradient(_inverse_laplacian_sum(family, n), p, space)
-    return side.map(lambda g: _derivative_each(_repeat(_walsh_multiply(g, n, multiplier), n), n))
+    return side.map(lambda g: _derivatives(_walsh_multiply(g, n, multiplier), n))
 
 
 def _condition_average(family, n, p, space, plan):

@@ -63,7 +63,7 @@ class Permutation:
 
 
 def _flipped(f: HypercubeFunction, i: int) -> np.ndarray:
-    """f(eps with coordinate i flipped), through the flip table of `_derivative_each`."""
+    """f(eps with coordinate i flipped), through the flip table of `_derivatives`."""
     _check_index(i, 1, f.n, "coordinate")
     _, flips = _member_flips(f.n)
     return f.values[flips[i - 1]]
@@ -76,7 +76,7 @@ def partial_derivative(f: HypercubeFunction, i: int) -> HypercubeFunction:
 
 def derivative_stack(f: HypercubeFunction) -> np.ndarray:
     """All n partial derivatives stacked to (n, 2^n, m), for the hot paths."""
-    return _derivative_each(_repeat(f.values, f.n), f.n)
+    return _derivatives(f.values, f.n)
 
 
 def averaging_operator(f: HypercubeFunction, i: int) -> HypercubeFunction:
@@ -153,6 +153,13 @@ def _derivative_each(stack: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (stack - stack[..., members, flips, :])
 
 
+def _derivatives(values: np.ndarray, n: int) -> np.ndarray:
+    """(d_1 f, ..., d_n f) stacked to (..., n, 2^n, m) for (..., 2^n, m) tables f,
+    gathered from f itself: `_derivative_each` of n copies of f, with its bits."""
+    _, flips = _member_flips(n)
+    return 0.5 * (values[..., None, :, :] - values[..., flips, :])
+
+
 def _level_mean(values: np.ndarray, n: int, level: int, out=None) -> np.ndarray:
     """E_level f once per level cell: the (B, 2^level, m) means over the trailing
     n - level coordinates of (..., 2^n, m) tables, batch axes flattened to B.
@@ -208,12 +215,6 @@ def _condition_each(stack: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
 def _difference_each(stack: np.ndarray, n: int) -> np.ndarray:
     """((E_1 - E_0) g_1, ..., (E_n - E_{n-1}) g_n): dyadic martingale differences."""
     return _condition_each(stack, n) - _condition_each(stack, n, shift=1)
-
-
-def _repeat(values: np.ndarray, n: int) -> np.ndarray:
-    """n read-only copies of each (..., 2^n, m) table as a stack, so one-to-n maps
-    reuse the `_each` forms."""
-    return np.broadcast_to(values[..., None, :, :], values.shape[:-2] + (n,) + values.shape[-2:])
 
 
 def _walsh_multiply(values: np.ndarray, n: int, multiplier: np.ndarray) -> np.ndarray:

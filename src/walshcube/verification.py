@@ -406,7 +406,7 @@ def run_verification_suite(
     )
 
     # A tiny search, whose line search evaluates ladders of halvings in one
-    # batch (four rungs deep at this seed), against the same search at one
+    # batch (of two and then four rungs at this seed), against the same search at one
     # row per batch, where every line-search round is one halving of one row:
     # the number of certificate characters that differ.
     config = SearchConfig(

@@ -368,6 +368,26 @@ class TestAnalyticGradients:
         # 2 * 32 rows per step.
         assert sum(rows) <= 150
 
+    def test_first_ladders_save_value_calls(self, monkeypatch):
+        import walshcube.estimators as est
+
+        calls = []
+        original = est.SearchObjective.__call__
+
+        def counting(self, batch):
+            calls.append(len(batch))
+            return original(self, batch)
+
+        monkeypatch.setattr(est.SearchObjective, "__call__", counting)
+        cfg = SearchConfig(
+            functional="pisier", n=4, m=2, p=2.0, q=math.inf, restarts=2, iterations=15,
+            probes=20, seed=1,
+        )
+        maximize_ratio(cfg)
+        # Each round's first ladder holds two rungs per row: 21 value calls
+        # (probes, starts, ladders, final re-evaluation); one rung gave 25.
+        assert len(calls) <= 21
+
 
 def _record_constructions(monkeypatch) -> list:
     """The names of the witness objects built from here on, in order."""
@@ -688,16 +708,17 @@ class TestSearchFailurePaths:
         import walshcube.estimators as est
 
         # The third evaluation of all three restarts is their first line
-        # search; the second restart's candidate there is made non-finite.
+        # search, a ladder of two rungs each in rows (restart, rung); the
+        # second restart's first rung there is made non-finite.
         restart_batches = []
         original = est.SearchObjective.raw_sides
 
         def poisoned(self, batch):
             lhs, rhs = original(self, batch)
-            if len(batch) == 3:
-                restart_batches.append(1)
-                if len(restart_batches) == 3:
-                    lhs.value[1] = np.inf
+            if len(batch) in (3, 6):
+                restart_batches.append(len(batch))
+                if restart_batches == [3, 3, 6]:
+                    lhs.value[2] = np.inf
             return lhs, rhs
 
         monkeypatch.setattr(est.SearchObjective, "raw_sides", poisoned)
@@ -707,6 +728,7 @@ class TestSearchFailurePaths:
         )
         cert = maximize_ratio(cfg)
         assert len(restart_batches) >= 3
+        assert restart_batches[:3] == [3, 3, 6]
         assert cert.discarded_restarts == 1
         # The other two restarts climbed on as they would alone, so the
         # result is at most the oracle's, which keeps all three.

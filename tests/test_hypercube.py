@@ -71,6 +71,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="dimension"):
             HypercubeFunction(n=21, m=1, values=np.zeros((1 << 21, 1)))
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "2", None])
+    def test_library_dimensions_are_integers(self, n):
+        # 1.5 and 2.0 once raised TypeError from a shift, and True passed as n = 1.
+        builds = {
+            "dyadic filtration": lambda: FiniteFiltration(kind="dyadic-hypercube", n=n),
+            "FiniteFiltration.dyadic": lambda: FiniteFiltration.dyadic(n),
+            "character": lambda: HypercubeFunction.character(n, 0, [1.0]),
+            "SignAssignment": lambda: SignAssignment(n, 0),
+        }
+        for name, build in builds.items():
+            with pytest.raises(ValueError) as error:
+                build()
+            assert str(error.value) == f"dimension n must be an integer, got {n!r}", name
+
     def test_each_constructor_and_reader_checks_its_table_once(self, monkeypatch):
         calls = []
         check = hypercube._check_table

@@ -35,7 +35,6 @@ from walshcube.operators import (
     _condition,
     _difference_each,
     _dyadic_levels,
-    _repeat,
     conditional_expectation,
     martingale_difference,
 )
@@ -311,7 +310,8 @@ class TestDyadicLevels:
         for batch in self.BATCHES:
             f = rng.standard_normal(batch + (1 << n, m))
             view = _Increments.dyadic(f, n)
-            assert np.array_equal(view.diffs, _difference_each(_repeat(f, n), n))
+            copies = np.broadcast_to(f[..., None, :, :], batch + (n, 1 << n, m))
+            assert np.array_equal(view.diffs, _difference_each(copies, n))
             assert np.array_equal(view.increment, f - _condition(f, n, 0))
             stacked = np.stack([_condition(f, n, i) for i in range(n + 1)], axis=-3)
             assert np.array_equal(_dyadic_levels(f, n), stacked)

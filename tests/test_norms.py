@@ -14,6 +14,7 @@ from walshcube.norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _exact_signs,
     _largest_transform,
     _pattern_norms,
     _sign_average,
@@ -309,10 +310,10 @@ class TestHalvedSignSweep:
     def test_exact_masks_are_the_patterns_with_last_sign_plus(self):
         for count in range(1, 13):
             # Masks 0, 1, ..., 2^(count-1) - 1 in order: the top bit, the
-            # last sign, stays clear.
-            masks = _sign_masks(count, EXACT)
-            assert np.array_equal(masks, np.arange(1 << (count - 1)))
-            sweep = _pattern_norms(np.zeros((count, 1, 1)), 2.0, masks, _unfinished)
+            # last sign, stays clear.  The exact plan's masks are None.
+            assert _sign_masks(count, EXACT) is None
+            masks = np.arange(1 << (count - 1))
+            sweep = _pattern_norms(np.zeros((count, 1, 1)), 2.0, None, _unfinished)
             blocks = [signs for signs, _, _ in sweep]
             expected = 1.0 - 2.0 * ((masks[:, None] >> np.arange(count)) & 1)
             assert np.array_equal(np.concatenate(blocks), expected)
@@ -331,6 +332,57 @@ class TestHalvedSignSweep:
         value, gradient = sign_average_per_mask(tables, 2.5, q, sample_sign_masks(11, samples, count))
         assert side.value == pytest.approx(value, rel=1e-12)
         assert_allclose(side.gradient(), gradient, rtol=1e-12, atol=1e-12 * np.abs(gradient).max())
+
+
+class TestExactSignTable:
+    def test_rows_are_the_exact_patterns_read_only(self):
+        for count in range(1, 12):
+            table = _exact_signs(count)
+            assert np.array_equal(table, norms.sign_matrix(count, np.arange(1 << (count - 1))))
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    def test_a_second_sweep_builds_no_sign_rows(self, monkeypatch):
+        built = []
+        sign_matrix = norms.sign_matrix
+
+        def recorded(count, masks):
+            built.append(count)
+            return sign_matrix(count, masks)
+
+        monkeypatch.setattr(norms, "sign_matrix", recorded)
+        rng = np.random.default_rng(12)
+        space = NormSpace(2, 3.0)
+        for count in (1, 4, 11):
+            tables = rng.standard_normal((count, 8, 2))
+            probs = np.full(8, 1.0 / 8)
+            for _ in range(2):
+                built.clear()
+                signed_combination_average_gradient(tables, 2.5, space, EXACT).gradient()
+                _largest_transform(tables, 2.5, space, probs)
+            assert built == []
+        # Beyond one chunk of patterns the exact rows are built per chunk.
+        signed_combination_average(rng.standard_normal((12, 2, 2)), 2.5, space, EXACT)
+        assert built == [12, 12]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_the_table_has_the_bits_of_the_masks(self, q):
+        rng = np.random.default_rng(13)
+        space = NormSpace(2, q)
+        for count in (1, 3, 11, 12):
+            tables = rng.standard_normal((2, count, 4, 2))
+            probs = np.full(4, 0.25)
+            masks = np.arange(1 << (count - 1))
+            tabled = _sign_average(tables, 2.5, space, None, probs)
+            built = _sign_average(tables, 2.5, space, masks, probs)
+            assert np.array_equal(tabled.value, built.value)
+            assert np.array_equal(tabled.gradient(), built.gradient())
+            assert np.array_equal(
+                _largest_transform(tables, 2.5, space, probs),
+                _largest_transform(tables, 2.5, space, probs, masks),
+            )
 
 
 class TestSweepMemory:
