@@ -191,10 +191,19 @@ class FiniteFiltration:
         return cls(data["kind"], n, data.get("probabilities"), data.get("levels"))
 
 
+_BOOLEANS = frozenset({bool, np.bool_})
+
+
 def _cell_ids(level, i: int, size: int) -> np.ndarray:
-    """Level `i`'s given ids as int64, one per point, read only here; others are refused."""
+    """Level `i`'s given ids as int64, one per point, read only here; others are refused.
+
+    A boolean is no id, though numpy reads one among integers as 0 or 1: a
+    list is scanned for them by type, at C speed.
+    """
     ids = np.asarray(level)
     ids = ids.astype(np.int64, copy=False) if ids.dtype.kind in "iu" else None
+    if isinstance(level, (list, tuple)) and not _BOOLEANS.isdisjoint(map(type, level)):
+        ids = None
     if ids is None or ids.shape != (size,) or np.any(ids < 0):
         raise ValueError(f"level {i} needs {size} nonnegative integer cell ids, got {_echo(level)}")
     return ids

@@ -345,20 +345,37 @@ def _root_factor(value: np.ndarray, p: float, divisor: float = 1.0) -> np.ndarra
     """value^(1 - p) / divisor where value > 0 and 1 elsewhere: the chain-rule
     factor of a p-th root."""
     positive = value > 0.0
-    factor = np.float_power(value, 1.0 - p, out=np.ones_like(value), where=positive)
-    return np.divide(factor, divisor, out=factor, where=positive)
+    factor = np.float_power(value, 1.0 - p, out=np.ones(np.shape(value)), where=positive)
+    if divisor != 1.0:  # dividing by 1.0 changes no bit
+        np.divide(factor, divisor, out=factor, where=positive)
+    return factor
 
 
 def _norms_with_derivative(table: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     """ell_q norms along the last axis and their derivative with respect to `table`.
 
-    The norms have the bits `_norms_of_absolute` gives them.
+    The norms have the bits `_norms_of_absolute` gives them.  At q = inf the
+    derivative is the sign at the first largest entry (`argmax`'s pick) and
+    0.0 elsewhere; a NaN entry keeps its NaN.
     """
     a = np.abs(table)
     signs = np.sign(table)
     if math.isinf(q):
-        picked = np.arange(table.shape[-1]) == np.argmax(a, axis=-1)[..., None]
-        return _reduce_last(np.maximum, a), np.where(picked, signs, 0.0)
+        norms, m = _reduce_last(np.maximum, a), table.shape[-1]
+        if m >= 8:  # `_reduce_last`'s split: argmax is slow only on a short axis
+            signs *= np.arange(m) == np.argmax(a, axis=-1)[..., None]
+        elif m > 1:  # the first column equal to the maximum, column by column
+            picked = np.empty(a.shape, dtype=bool)
+            ahead = ~np.equal(a[..., 0], norms, out=picked[..., 0])
+            for j in range(1, m - 1):
+                here = np.equal(a[..., j], norms, out=picked[..., j])
+                here &= ahead
+                ahead ^= here  # the rows whose first maximum lies further on
+            picked[..., -1] = ahead
+            signs *= picked
+        # A NaN sign stays NaN, and 0.0 replaces the -0.0 of a negative sign not picked.
+        signs += 0.0
+        return norms, signs
     if q == 1.0:
         return _reduce_last(np.add, a), signs
     norms = _reduce_last(np.add, a**q) ** (1.0 / q)
@@ -598,8 +615,10 @@ def _reduce_last(ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
     m = table.shape[-1]
     if m >= 8:
         return ufunc.reduce(table, axis=-1)
-    out = table[..., 0].copy()
-    for j in range(1, m):
+    if m == 1:
+        return table[..., 0].copy()
+    out = ufunc(table[..., 0], table[..., 1])
+    for j in range(2, m):
         ufunc(out, table[..., j], out=out)
     return out
 

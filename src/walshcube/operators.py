@@ -65,7 +65,7 @@ class Permutation:
 def _flipped(f: HypercubeFunction, i: int) -> np.ndarray:
     """f(eps with coordinate i flipped), through the flip table of `_derivatives`."""
     _check_index(i, 1, f.n, "coordinate")
-    _, flips = _member_flips(f.n)
+    flips, _ = _member_flips(f.n)
     return f.values[flips[i - 1]]
 
 
@@ -139,25 +139,28 @@ def martingale_difference(f: HypercubeFunction, i: int) -> HypercubeFunction:
 
 @lru_cache(maxsize=None)
 def _member_flips(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays that pick g_i(eps with coordinate i flipped) from a stack, all i at once."""
+    """(n, 2^n) index tables of g_i(eps with coordinate i flipped), all i at once:
+    the flipped points of one table, and their rows in a stack's (n 2^n, m) rows."""
     members = np.arange(n)[:, None]
     flips = np.arange(1 << n)[None, :] ^ (1 << members)
-    members.setflags(write=False)
+    rows = flips + (members << n)
     flips.setflags(write=False)
-    return members, flips
+    rows.setflags(write=False)
+    return flips, rows
 
 
 def _derivative_each(stack: np.ndarray, n: int) -> np.ndarray:
     """(d_1 g_1, ..., d_n g_n) for a stacked (..., n, 2^n, m) table, in one gather."""
-    members, flips = _member_flips(n)
-    return 0.5 * (stack - stack[..., members, flips, :])
+    _, rows = _member_flips(n)
+    flat = stack.reshape(*stack.shape[:-3], n << n, stack.shape[-1])
+    return 0.5 * (stack - np.take(flat, rows, axis=-2))
 
 
 def _derivatives(values: np.ndarray, n: int) -> np.ndarray:
     """(d_1 f, ..., d_n f) stacked to (..., n, 2^n, m) for (..., 2^n, m) tables f,
     gathered from f itself: `_derivative_each` of n copies of f, with its bits."""
-    _, flips = _member_flips(n)
-    return 0.5 * (values[..., None, :, :] - values[..., flips, :])
+    flips, _ = _member_flips(n)
+    return 0.5 * (values[..., None, :, :] - np.take(values, flips, axis=-2))
 
 
 def _level_mean(values: np.ndarray, n: int, level: int, out=None) -> np.ndarray:

@@ -183,6 +183,15 @@ def ell_q_norms_by_axis_reduce(table: np.ndarray, q: float) -> np.ndarray:
     return (a**q).sum(axis=-1) ** (1.0 / q)
 
 
+def ell_inf_norms_and_argmax_derivative(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ell_inf norms along the last axis, through numpy's reduce over that axis,
+    and their derivative by `argmax`'s rule: the sign of the first largest
+    entry (or of the first NaN), 0.0 elsewhere."""
+    a = np.abs(table)
+    picked = np.arange(table.shape[-1]) == np.argmax(a, axis=-1)[..., None]
+    return np.maximum.reduce(a, axis=-1), np.where(picked, np.sign(table), 0.0)
+
+
 class _NonFiniteValue(Exception):
     pass
 

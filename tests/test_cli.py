@@ -623,6 +623,11 @@ class TestIntegerAndFiniteFields:
         err = self.refusal(tmp_path, capsys, "umd", self.tree([0.5, 0.5], [[0, 0], [0, 1.5]]))
         assert "level 1 needs 2 nonnegative integer cell ids" in err
 
+    @pytest.mark.parametrize("ids", [[0, True], [False, True]])
+    def test_boolean_cell_id(self, ids, tmp_path, capsys):
+        err = self.refusal(tmp_path, capsys, "umd", self.tree([0.5, 0.5], [[0, 0], ids]))
+        assert "level 1 needs 2 nonnegative integer cell ids" in err
+
     def test_nan_probability(self, tmp_path, capsys):
         err = self.refusal(tmp_path, capsys, "umd", self.tree([math.nan, 0.5], [[0, 0], [0, 1]]))
         assert "point probabilities must" in err
@@ -756,6 +761,11 @@ class TestCheckCommand:
     UMD_FIXTURE = REPO / "data" / "umd_certificate.json"
     UMD_FLAGS = ["--functional", "umd", "--n", "4", "--m", "2", "--p", "2", "--q", "1"]
     UMD_FLAGS += ["--seed", "1", "--restarts", "4", "--iters", "20", "--probes", "50"]
+    # Written by `estimate` with these flags, the search-pisier benchmark's shape,
+    # before the first gradient batch scored the starts: a q = inf search's bytes.
+    INF_FIXTURE = REPO / "data" / "pisier_inf_certificate.json"
+    INF_FLAGS = ["--functional", "pisier", "--n", "4", "--m", "2", "--p", "2", "--q", "inf"]
+    INF_FLAGS += ["--seed", "1", "--restarts", "2", "--iters", "15", "--probes", "20"]
 
     def run_check(self, path, capsys):
         code = main(["--command", "check", "--in", str(path)])
@@ -794,6 +804,15 @@ class TestCheckCommand:
         capsys.readouterr()
         assert path.read_bytes() == self.UMD_FIXTURE.read_bytes()
 
+    def test_fresh_inf_certificate_has_the_committed_bytes(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        assert main(["--command", "estimate", *self.INF_FLAGS, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_bytes() == self.INF_FIXTURE.read_bytes()
+        code, out, err = self.run_check(self.INF_FIXTURE, capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("pisier: ratio ") and out.count("\n") == 1
+
     def test_zero_target_dimension_is_an_input_error(self, tmp_path, capsys):
         # An empty witness under a digest recomputed for m = 0 reaches the search
         # objective unless the config itself is refused.
@@ -806,7 +825,9 @@ class TestCheckCommand:
         assert code == 2 and out == ""
         assert err == "input error: target dimension m must be >= 1, got 0\n"
 
-    @pytest.mark.parametrize("fixture", [FIXTURE, UMD_FIXTURE], ids=["pisier", "umd"])
+    @pytest.mark.parametrize(
+        "fixture", [FIXTURE, UMD_FIXTURE, INF_FIXTURE], ids=["pisier", "umd", "pisier-inf"]
+    )
     def test_committed_certificates_keep_their_bytes(self, fixture):
         assert load_certificate(str(fixture)).to_json() == fixture.read_text()
 

@@ -384,9 +384,11 @@ class TestAnalyticGradients:
             probes=20, seed=1,
         )
         maximize_ratio(cfg)
-        # Each round's first ladder holds two rungs per row: 21 value calls
-        # (probes, starts, ladders, final re-evaluation); one rung gave 25.
-        assert len(calls) <= 21
+        # Each round's first ladder holds two rungs per row, and the first
+        # gradient batch scores the starts: 20 value calls (probes, ladders,
+        # final re-evaluation); a separate value call on the starts gave 21,
+        # and one rung 25.
+        assert len(calls) <= 20
 
 
 def _record_constructions(monkeypatch) -> list:
@@ -438,6 +440,20 @@ class TestBatchedSearch:
                 for side, value, gradient in zip(alone, values, gradients):
                     assert side.value == value[k]
                     assert np.array_equal(side.gradient(), gradient[k])
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+    def test_gradient_ratios_have_the_bits_of_a_value_call(self, name, q):
+        # The ascent scores its starts with their first gradient batch.
+        for m in (1, 2, 3):
+            objective = SearchObjective(replace(_oracle_config(name, q), m=m))
+            batch = np.random.default_rng([m, 37]).standard_normal((5, objective.dimension))
+            batch[3] = 0.0  # degenerate: nan both ways
+            scored, _, usable = objective.gradient(batch)
+            valued, _ = objective(batch)
+            assert np.array_equal(scored.view(np.uint64), valued.view(np.uint64))
+            assert np.isnan(scored[3]) and not usable[3]
+            assert not np.isnan(np.delete(scored, 3)).any()
 
     @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
     def test_sides_have_the_bits_of_batched_rows(self, name):
@@ -661,6 +677,23 @@ class TestLadderOutcomes:
         assert climbed == [ACCEPTS, DISCARDED, NEVER, ACCEPTS]
 
 
+    def test_the_first_gradient_batch_scores_the_starts(self):
+        from walshcube.estimators import _ascend
+
+        # Degenerate at its start (a nan ratio, though finite), better at any step.
+        degenerate = (-1.0, -1.0)
+        script = {**SCRIPT, degenerate: lambda s: (np.nan if s == 0.0 else 5.0, True)}
+        objective = _ScriptedObjective(4, script)
+        starts = np.array([[1.0, *row] for row in (ACCEPTS, degenerate)])
+        x, ratio = _ascend(objective, starts, replace(_oracle_config("pisier", 3.0), iterations=2))
+
+        kind, rows = objective.log[0]
+        assert kind == "gradient" and [row for row, _ in rows] == [ACCEPTS, degenerate]
+        assert objective.ladder(degenerate) == [] and math.isnan(ratio[1])
+        assert np.array_equal(x[1], starts[1])
+        assert ratio[0] == pytest.approx(2.0 - 0.025**2, rel=1e-12)
+
+
 class TestScanDimension:
     def test_hilbert_scan_all_ones(self, tmp_path):
         cfg = SearchConfig(
@@ -707,9 +740,10 @@ class TestSearchFailurePaths:
     def test_non_finite_restarts_are_discarded_and_counted(self, monkeypatch):
         import walshcube.estimators as est
 
-        # The third evaluation of all three restarts is their first line
-        # search, a ladder of two rungs each in rows (restart, rung); the
-        # second restart's first rung there is made non-finite.
+        # The second evaluation of all three restarts (after the gradient
+        # batch that scores them) is their first line search, a ladder of two
+        # rungs each in rows (restart, rung); the second restart's first rung
+        # there is made non-finite.
         restart_batches = []
         original = est.SearchObjective.raw_sides
 
@@ -717,7 +751,7 @@ class TestSearchFailurePaths:
             lhs, rhs = original(self, batch)
             if len(batch) in (3, 6):
                 restart_batches.append(len(batch))
-                if restart_batches == [3, 3, 6]:
+                if restart_batches == [3, 6]:
                     lhs.value[2] = np.inf
             return lhs, rhs
 
@@ -727,8 +761,8 @@ class TestSearchFailurePaths:
             iterations=5, probes=25, seed=1,
         )
         cert = maximize_ratio(cfg)
-        assert len(restart_batches) >= 3
-        assert restart_batches[:3] == [3, 3, 6]
+        assert len(restart_batches) >= 2
+        assert restart_batches[:2] == [3, 6]
         assert cert.discarded_restarts == 1
         # The other two restarts climbed on as they would alone, so the
         # result is at most the oracle's, which keeps all three.

@@ -110,6 +110,10 @@ class TestFiniteFiltration:
             ("tree", [[0, 0], [0, 1, 2]], 1),
             ("dyadic-hypercube", [[0, 0], [0, 1.7]], 1),  # read as the rule's [0, 1]
             ("dyadic-hypercube", [[0, 0], ["0", "1"]], 1),
+            ("tree", [[0, 0], [0, True]], 1),  # read as [[0, 0], [0, 1]]
+            ("tree", [[False, False], [0, 1]], 0),
+            ("tree", [[0, 0], [0, np.True_]], 1),
+            ("dyadic-hypercube", [[0, 0], [0, True]], 1),  # read as the rule's [0, 1]
         ],
     )
     def test_cell_ids_are_nonnegative_integers_one_per_point(self, kind, levels, level):

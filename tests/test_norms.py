@@ -28,6 +28,7 @@ from walshcube.norms import (
 )
 
 from _naive import (
+    ell_inf_norms_and_argmax_derivative,
     ell_q_norms_by_axis_reduce,
     lp_norm_sum,
     rademacher_average_enumerated,
@@ -63,6 +64,44 @@ class TestNormSpace:
         for shape in ((64, m), (5, 16, m)):
             table = rng.standard_normal(shape)
             assert np.array_equal(space.norms(table), ell_q_norms_by_axis_reduce(table, q))
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_reduce_last_has_the_bits_of_ufunc_reduce(self, ufunc, m):
+        # Column by column below 8 columns: one call at m = 2, no copy of column 0.
+        rng = np.random.default_rng([m, 23])
+        for shape in ((64, m), (3, 5, m)):
+            table = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+            table.flat[::7] = np.nan
+            reduced = norms._reduce_last(ufunc, table)
+            expected = ufunc.reduce(table, axis=-1)
+            assert np.array_equal(reduced.view(np.uint64), expected.view(np.uint64))
+            assert not np.shares_memory(reduced, table)  # callers overwrite it
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_max_derivative_is_the_argmax_rule(self, m):
+        # Small integers tie often; rows of zeros and of one repeated value too.
+        rng = np.random.default_rng([m, 29])
+        table = rng.integers(-3, 4, (6, 40, m)).astype(np.float64)
+        table[0, :4] = 0.0
+        table[1, :4] = -2.0
+        for q_table in (table, table * 0.1, -table):
+            norms_, derivative = norms._norms_with_derivative(q_table, math.inf)
+            expected = ell_inf_norms_and_argmax_derivative(q_table)
+            assert np.array_equal(norms_.view(np.uint64), expected[0].view(np.uint64))
+            assert np.array_equal(derivative.view(np.uint64), expected[1].view(np.uint64))
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_a_row_holding_nan_keeps_a_non_finite_derivative(self, m):
+        rng = np.random.default_rng([m, 31])
+        table = rng.integers(-3, 4, (4, 10, m)).astype(np.float64)
+        nan_rows = rng.random((4, 10)) < 0.3
+        table[nan_rows, rng.integers(0, m, nan_rows.sum())] = np.nan
+        norms_, derivative = norms._norms_with_derivative(table, math.inf)
+        expected = ell_inf_norms_and_argmax_derivative(table)
+        assert np.isnan(norms_[nan_rows]).all() and not np.isnan(norms_[~nan_rows]).any()
+        assert not np.isfinite(derivative[nan_rows]).all(axis=-1).any()
+        assert np.array_equal(derivative[~nan_rows], expected[1][~nan_rows])
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 4.0, math.inf])
     def test_norm_axioms_on_samples(self, q):
