@@ -559,9 +559,7 @@ def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig
     the ladder that holds its first non-finite rung (the row is discarded)
     or better rung (the step is accepted): the step a search halving one
     trial at a time stops at, with the same bits.  A row whose ladder
-    reaches the floor stops climbing.  A ladder's cells are judged by whole
-    arrays and its rows settled one by one, so the Python work grows with
-    the rows, not the rungs.  Iterates are renormalized to unit
+    reaches the floor stops climbing.  Iterates are renormalized to unit
     root-mean-square scale (the ratio is scale invariant), so the steps are
     relative in every coordinate.  Returns the final points and their
     ratios, nan for a row discarded on a degenerate or non-finite value or
@@ -585,42 +583,29 @@ def _ascend(objective: SearchObjective, starts: np.ndarray, config: SearchConfig
         moving = usable & (norm > 0.0)
         climbing[:] = False  # until a row accepts a step that improves it enough
         live, direction = rows[moving], gradient[moving] / norm[moving, None]
-        smallest = min(step[live].tolist(), default=1.0)  # the smallest step of a live row
         depth = 2
         while live.size:
             depth = min(depth, max(1, objective.batch_rows // live.size))
-            # Exact halvings t * 2^-j, each the step that many halvings reach, as
-            # many as every row has at or above the floor.
-            rungs = 1
-            while rungs < depth and math.ldexp(smallest, -rungs) >= _MIN_LINE_STEP:
-                rungs += 1
-            steps = np.ldexp(step[live, None], -np.arange(rungs))
+            # Exact halvings t * 2^-j: each rung is the step that many halvings reach.
+            steps = np.ldexp(step[live, None], -np.arange(depth))
+            steps = steps[:, (steps >= _MIN_LINE_STEP).all(axis=0)]
             trial = x[live, None] + steps[..., None] * direction[:, None]
             value, finite = objective(trial.reshape(-1, x.shape[1]))
             value, finite = value.reshape(steps.shape), finite.reshape(steps.shape)
             stops = ~finite | (value > ratio[live, None])
-            going, won, cells, smallest = [], [], [], 1.0
-            for i, (row, rung) in enumerate(zip(live.tolist(), stops.argmax(axis=1).tolist())):
-                if not stops[i, rung]:  # no stop: on from the next halving, above the floor
-                    if (after := math.ldexp(steps[i, -1], -1)) >= _MIN_LINE_STEP:
-                        going.append(i)
-                        step[row] = after
-                        smallest = min(smallest, after)
-                elif not finite[i, rung]:  # a non-finite first stop discards the row
-                    kept[row] = False
-                else:  # a better first stop is accepted
-                    better = value[i, rung]
-                    climbing[row] = (better - ratio[row]) / ratio[row] >= _ASCENT_TOL
-                    ratio[row] = better
-                    step[row] = min(2.0 * steps[i, rung], 1.0)
-                    won.append(row)
-                    cells.append(i * rungs + rung)
-            if won:
-                point = trial.reshape(-1, x.shape[1])[cells]
-                x[won] = point / _rms(point)
-            if not going:
-                break
+            hit, rung = stops.any(axis=1), np.argmax(stops, axis=1)  # each row's first stop
+            accepts = hit & finite[np.arange(live.size), rung]
+            kept[live] = accepts | ~hit  # a first stop that is non-finite discards the row
+            at, rung = np.flatnonzero(accepts), rung[accepts]
+            won, point, better = live[at], trial[at, rung], value[at, rung]
+            climbing[won] = (better - ratio[won]) / ratio[won] >= _ASCENT_TOL
+            x[won], ratio[won] = point / _rms(point), better
+            step[won] = np.minimum(2.0 * steps[at, rung], 1.0)
+            # The other rows go on from their next halving while it is above the floor.
+            after = np.ldexp(steps[:, -1], -1)
+            going = ~hit & (after >= _MIN_LINE_STEP)
             live, direction = live[going], direction[going]
+            step[live] = after[going]
             depth *= 2
     # Evaluate again at the stored (renormalized) points.
     rows = np.flatnonzero(kept)

@@ -356,25 +356,23 @@ def _norms_with_derivative(table: np.ndarray, q: float) -> tuple[np.ndarray, np.
 
     The norms have the bits `_norms_of_absolute` gives them.  At q = inf the
     derivative is the sign at the first largest entry (`argmax`'s pick) and
-    0.0 elsewhere; a NaN entry keeps its NaN.
+    0.0 elsewhere.  Two columns skip `argmax`, which is slow on so short an
+    axis: column 0 is picked where it equals the maximum, else column 1, and
+    the other entry is its sign times 0.  That is `argmax`'s pick on every
+    row without a NaN; a row holding a NaN keeps a NaN but not `argmax`'s
+    bits.
     """
     a = np.abs(table)
     signs = np.sign(table)
     if math.isinf(q):
         norms, m = _reduce_last(np.maximum, a), table.shape[-1]
-        if m >= 8:  # `_reduce_last`'s split: argmax is slow only on a short axis
-            signs *= np.arange(m) == np.argmax(a, axis=-1)[..., None]
-        elif m > 1:  # the first column equal to the maximum, column by column
-            picked = np.empty(a.shape, dtype=bool)
-            ahead = ~np.equal(a[..., 0], norms, out=picked[..., 0])
-            for j in range(1, m - 1):
-                here = np.equal(a[..., j], norms, out=picked[..., j])
-                here &= ahead
-                ahead ^= here  # the rows whose first maximum lies further on
-            picked[..., -1] = ahead
-            signs *= picked
-        # A NaN sign stays NaN, and 0.0 replaces the -0.0 of a negative sign not picked.
-        signs += 0.0
+        if m != 2:
+            picked = np.arange(m) == np.argmax(a, axis=-1)[..., None]
+            return norms, np.where(picked, signs, 0.0)
+        picked = np.empty(a.shape, dtype=bool)
+        np.logical_not(np.equal(a[..., 0], norms, out=picked[..., 0]), out=picked[..., 1])
+        signs *= picked
+        signs += 0.0  # 0.0, not -0.0, for a negative sign not picked
         return norms, signs
     if q == 1.0:
         return _reduce_last(np.add, a), signs
