@@ -46,7 +46,8 @@ import math
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
-from operator import attrgetter
+from functools import cached_property
+from operator import attrgetter, index
 
 import numpy as np
 
@@ -85,7 +86,6 @@ from .norms import (
     NormSpace,
     PRange,
     RademacherAveragePlan,
-    _Side,
     _values,
 )
 
@@ -308,17 +308,20 @@ _MARTINGALE = WitnessKind(
 class Functional:
     """One two-sided functional, defined once for every command.
 
-    `build(x, n, p, space, plan) -> (lhs, rhs)` is its definition: both
-    sides as `_Side`s on raw witness arrays x with leading batch axes, a
-    value per row and its gradient with respect to x when asked.  The
-    search climbs it on (B, *shape) batches.  `sides(x, n, p, space, plan)
-    -> (lhs, rhs)` is the certified value, for `eval`, certificates and
-    re-checks, on one validated raw witness x (or view of increments): the
-    builder's values, or, when `pair` is set, that pair's values.  Only
-    pisier sets it, to `pisier_lhs`/`pisier_rhs` on a `HypercubeFunction`
-    of x (its builder's left side, and its right side's public kernels):
-    the benchmark's traced run counts pisier's certified evaluations
-    through them, as
+    `build(n, p, space, plan, probs=None)` is its definition, prepared once
+    per shape, exponents and plan: the prepared `evaluate(x, with_gradient)
+    -> ((lhs, gradient), (rhs, gradient))` gives both sides on raw witness
+    arrays x with leading batch axes, a value per row and its gradient with
+    respect to x when asked (see `inequalities`).  The search climbs it on
+    (B, *shape) batches.  `sides(x, n, p, space, plan) -> (lhs, rhs)` is
+    the certified value, for `eval`, certificates and re-checks, on one
+    validated raw witness x (or a view of increments, with whose point
+    measure the builder is prepared), once its vectors' length is checked
+    against `space`: the builder's values, or, when `pair`
+    is set, that pair's values.  Only pisier sets it, to
+    `pisier_lhs`/`pisier_rhs` on a `HypercubeFunction` of x (its builder's
+    left side, and its right side's public kernels): the benchmark's traced
+    run counts pisier's certified evaluations through them, as
     `benchmarks/tests/test_benchmark.py::test_patching_reaches_every_import_site_and_is_undone`
     requires.  With `exact_signs` the sign averages enumerate every sign
     vector, whatever plan is asked for.
@@ -335,9 +338,11 @@ class Functional:
         return replace(plan, mode="exact") if self.exact_signs else plan
 
     def sides(self, x, n: int, p: float, space: NormSpace, plan) -> tuple[float, float]:
+        view = isinstance(x, _Increments)
+        space._check_length(x.increment if view else x)
         if self.pair is not None:
             return self.pair(x, n, p, space, plan)
-        return _values(self.build(x, n, p, space, plan))
+        return _values(self.build(n, p, space, plan, x.probs if view else None)(x))
 
 
 def _pisier_sides(table, n, p, space, plan):
@@ -475,9 +480,10 @@ class SearchObjective:
     `sides` evaluates one flat witness through the functional's `sides`, on
     its raw array, for certificates.  Calling the objective and `gradient`
     evaluate a (B, dim) batch of flat vectors on raw arrays, through the
-    functional's builder; they flag degenerate and non-finite rows one by
-    one.  `batch_rows` is the most rows the search puts in one batch: by
-    default as many as `_BATCH_ENTRIES` allows, and at least one.
+    functional's builder, prepared on the first such call and held by the
+    objective alone; they flag degenerate and non-finite rows one by one.
+    `batch_rows` is the most rows the search puts in one batch: by default
+    as many as `_BATCH_ENTRIES` allows, and otherwise a positive integer.
     """
 
     def __init__(self, config: SearchConfig, batch_rows: int | None = None) -> None:
@@ -487,6 +493,8 @@ class SearchObjective:
         self.dimension = math.prod(self.shape)
         if batch_rows is None:
             batch_rows = max(1, _BATCH_ENTRIES // (self.dimension << min(config.n, 10)))
+        elif (batch_rows := _integer(batch_rows, "batch_rows")) < 1:
+            raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
         self.batch_rows = batch_rows
         self.config = config
         self.space = config.space()
@@ -497,11 +505,18 @@ class SearchObjective:
         config = self.config
         return self.entry.sides(flat.reshape(self.shape), config.n, config.p, self.space, self.plan)
 
-    def raw_sides(self, batch: np.ndarray) -> tuple[_Side, _Side]:
-        """(lhs, rhs) of a (B, dim) batch on raw arrays: values per row, and
-        (B, *shape) gradients when asked."""
-        x = batch.reshape((-1,) + self.shape)
-        return self.entry.build(x, self.config.n, self.config.p, self.space, self.plan)
+    @cached_property
+    def _evaluate(self) -> Callable:
+        """The functional's builder prepared for this config: its weights, sign
+        rows, gather tables and kernels, made once (a re-check that only
+        calls `sides` never makes them)."""
+        config = self.config
+        return self.entry.build(config.n, config.p, self.space, self.plan)
+
+    def raw_sides(self, batch: np.ndarray, with_gradient: bool = False):
+        """((lhs, gradient), (rhs, gradient)) of a (B, dim) batch on raw arrays:
+        values per row and, when asked, (B, *shape) gradients (else None)."""
+        return self._evaluate(batch.reshape(-1, *self.shape), with_gradient)
 
     def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(ratio, finite) per row of a (B, dim) batch, without gradients.
@@ -509,7 +524,8 @@ class SearchObjective:
         `finite` is False where lhs or rhs is not finite; `ratio` is lhs/rhs,
         and nan where the row is not finite or rhs is degenerate.
         """
-        return _ratios(*(side.value for side in self.raw_sides(batch)))
+        (lhs, _), (rhs, _) = self.raw_sides(batch)
+        return _ratios(lhs, rhs)
 
     def gradient(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ratio, gradient, usable) per row of a (B, dim) batch.
@@ -518,9 +534,7 @@ class SearchObjective:
         the gradients of log(lhs/rhs) as (B, dim) rows, and `usable` says
         where one holds: the ratio is positive and the gradient finite.
         """
-        lhs, rhs = self.raw_sides(batch)
-        dlhs, drhs = lhs.gradient(), rhs.gradient()
-        lhs, rhs = lhs.value, rhs.value
+        (lhs, dlhs), (rhs, drhs) = self.raw_sides(batch, True)
         column = (-1,) + (1,) * len(self.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             gradient = dlhs / lhs.reshape(column) - drhs / rhs.reshape(column)
@@ -532,7 +546,8 @@ class SearchObjective:
 def _ratios(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lhs/rhs per row (nan where a side is not finite or rhs is degenerate), and finiteness."""
     finite = np.isfinite(lhs) & np.isfinite(rhs)
-    ratio = np.full(len(lhs), np.nan)
+    ratio = np.empty(len(lhs))
+    ratio.fill(np.nan)  # `np.full`'s array without its Python wrapper
     np.divide(lhs, rhs, out=ratio, where=finite & (rhs >= DEGENERATE_EPS))
     return ratio, finite
 
@@ -738,6 +753,17 @@ def reevaluate_certificate(cert: RatioCertificate) -> InequalityReport:
     )
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int when it is an integer (numpy's too, a bool not);
+    anything else is a one-line input error naming `what`, never truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {_echo(value)}")
+
+
 def scan_dimension(
     config: SearchConfig,
     n_values,
@@ -751,7 +777,9 @@ def scan_dimension(
     """
     m_of = (lambda n: config.m) if m_for_n is None else m_for_n
     # Every shape is checked before the first search runs.
-    configs = [replace(config, n=int(n), m=int(m_of(n))) for n in n_values]
+    configs = [
+        replace(config, n=_integer(n, "scan n"), m=_integer(m_of(n), "scan m")) for n in n_values
+    ]
     certificates = [maximize_ratio(shaped) for shaped in configs]
     if csv_path is not None:
         with open(csv_path, "w", newline="", encoding="utf-8") as handle:

@@ -3,8 +3,8 @@
 Each cube functional is defined here once, by its raw builder (the
 `_*_build` functions at the end): both sides on raw witness arrays with
 leading batch axes, with their gradients, for the search in `estimators`
-and for the certified value.  The five lhs/rhs builders (pisier, theorem1,
-corollary2, stein, hn-remark) each pair two named raw sides.  The library
+and for the certified value.  Each builder pairs two named raw sides, each
+prepared once per shape, exponent, target and plan.  The library
 form sits beside them, as two sides (`*_lhs`, `*_rhs`) or as a ratio
 (`k_convexity_ratio`, `rademacher_type_ratio`), and each is the value of
 its builder's side on one witness.  `pisier_rhs` alone composes the two
@@ -39,11 +39,13 @@ from .norms import (
     NormSpace,
     RademacherAveragePlan,
     _checked_ratio,
+    _composed,
+    _lp_side,
+    _plan_average,
+    _uniform,
     _values,
-    lp_norm_gradient,
     rademacher_average,
     signed_combination_average,
-    signed_combination_average_gradient,
 )
 from .operators import (
     _condition,
@@ -55,6 +57,7 @@ from .operators import (
     _dyadic_levels,
     _laplacian_multiplier,
     _level_differences,
+    _member_flips,
     _walsh_multiply,
     derivative_stack,
 )
@@ -161,10 +164,17 @@ def pisier_envelope(n: int) -> float:
     return 2.0 * math.e * math.log(n)
 
 
+def _at(prepare, table: np.ndarray, n: int, p: float, space: NormSpace, plan):
+    """Raw side or builder `prepare`, prepared, at one witness `table`, once
+    its vectors are checked to lie in `space` (a prepared side never checks)."""
+    space._check_length(table)
+    return prepare(n, p, space, plan)(table)
+
+
 def pisier_lhs(f: HypercubeFunction, p: float, space: NormSpace) -> float:
     """|| f - mean f ||_{L_p}."""
     p = DEVIATION_P.check(p, "the deviation functional")
-    return float(_deviation_norm(f.values, f.n, p, space, None).value)
+    return float(_at(_deviation_norm, f.values, f.n, p, space, None)[0])
 
 
 def pisier_rhs(
@@ -193,7 +203,7 @@ def pisier_report(
 def theorem1_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i (E_i f_i - E_{i-1} f_i) ||_{L_p} for the coordinate filtration."""
     p = OPEN_P.check(p, "the martingale-difference functional")
-    return float(_difference_norm(family.stacked(), family.n, p, space, None).value)
+    return float(_at(_difference_norm, family.stacked(), family.n, p, space, None)[0])
 
 
 def theorem1_rhs(
@@ -201,20 +211,20 @@ def theorem1_rhs(
 ) -> float:
     """Sign-averaged norm of sum_i delta_i d_i f_i."""
     p = OPEN_P.check(p, "the martingale-difference functional")
-    return float(_derivative_average(family.stacked(), family.n, p, space, plan).value)
+    return float(_at(_derivative_average, family.stacked(), family.n, p, space, plan)[0])
 
 
 def corollary2_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
     p = OPEN_P.check(p, "the inverse-Laplacian functional")
-    return float(_inverse_laplacian_norm(family.stacked(), family.n, p, space, None).value)
+    return float(_at(_inverse_laplacian_norm, family.stacked(), family.n, p, space, None)[0])
 
 
-def _inverse_laplacian_sum(stack: np.ndarray, n: int) -> np.ndarray:
-    """sum_i Delta^-1 d_i g_i for a stacked (..., n, 2^n, m) table: one Walsh
+def _inverse_laplacian_sum(stack, n: int, rows, multiplier) -> np.ndarray:
+    """sum_i Delta^-1 d_i g_i for a stacked (..., n, 2^n, m) table, given the
+    row table of `_member_flips(n)` and the multiplier of Delta^-1: one Walsh
     multiplier applied to the summed derivatives."""
-    summed = _derivative_each(stack, n).sum(axis=-3)
-    return _walsh_multiply(summed, n, _laplacian_multiplier(n, -1.0))
+    return _walsh_multiply(_derivative_each(stack, rows).sum(axis=-3), n, multiplier)
 
 
 def corollary2_rhs(
@@ -229,7 +239,7 @@ def stein_lhs(
 ) -> float:
     """Sign-averaged norm of sum_i delta_i E_i f_i over the coordinate filtration."""
     p = OPEN_P.check(p, "the conditional-expectation functional")
-    return float(_condition_average(family.stacked(), family.n, p, space, plan).value)
+    return float(_at(_condition_average, family.stacked(), family.n, p, space, plan)[0])
 
 
 def stein_rhs(
@@ -265,10 +275,11 @@ def verify_symmetrization_identity(family: FunctionFamily) -> float:
     for bit in range(n):  # counts[i, S] += counts[i, S | bit] for S without bit
         halves = counts.reshape(n, -1, 2, 1 << bit)
         halves[:, :, 0] += halves[:, :, 1]
-    stack = family.stacked()
-    spectra = _fwht(_derivative_each(stack, n)) / (1 << n)
+    stack, (_, rows) = family.stacked(), _member_flips(n)
+    spectra = _fwht(_derivative_each(stack, rows)) / (1 << n)
     averaged = _fwht((counts[..., None] * spectra).sum(axis=0) / len(perms))
-    return float(np.max(np.abs(averaged - _inverse_laplacian_sum(stack, n))))
+    inverse = _inverse_laplacian_sum(stack, n, rows, _laplacian_multiplier(n, -1.0))
+    return float(np.max(np.abs(averaged - inverse)))
 
 
 def hn_remark_lhs(components: FunctionFamily, p: float, space: NormSpace) -> float:
@@ -289,7 +300,7 @@ def k_convexity_ratio(f: HypercubeFunction, r: float, space: NormSpace) -> float
     """|| Rad f ||_{L_r} / || f ||_{L_r}; witnessed values lower-bound the
     degree-one projection norm."""
     r = OPEN_P.check(r, "the degree-one projection ratio")
-    sides = _values(_k_convexity_build(f.values, f.n, r, space, None))
+    sides = _values(_at(_k_convexity_build, f.values, f.n, r, space, None))
     return _checked_ratio(*sides, "zero function has no projection ratio")
 
 
@@ -311,56 +322,104 @@ def rademacher_type_ratio(vectors: np.ndarray, s: float, space: NormSpace) -> fl
     s = TYPE_P.check(s, "the Rademacher type ratio")
     table = _vector_table(vectors)
     exact = RademacherAveragePlan(mode="exact")
-    sides = _values(_rademacher_type_build(table, len(table), s, space, exact))
+    sides = _values(_at(_rademacher_type_build, table, len(table), s, space, exact))
     return _checked_ratio(*sides, "all-zero vectors have no type ratio")
 
 
-# Raw sides, `side(x, n, p, space, plan) -> _Side`, and raw builders,
-# `build(x, n, p, space, plan) -> (lhs, rhs)`, on (..., *shape) witness
-# arrays.  The linear maps are self-adjoint, so each backward step applies
-# the forward map (or, from a stack to one table, its member-wise sum).
+# Raw sides, `side(n, p, space, plan) -> prepared side`, and raw builders,
+# `build(n, p, space, plan, probs=None) -> evaluate`, each prepared once per
+# shape, exponent, target space and plan.  `evaluate(x, with_gradient=False)
+# -> ((lhs, gradient), (rhs, gradient))` reads (..., *shape) witness arrays
+# with leading batch axes; a prepared side is `norms._lp_side`'s kind, and a
+# gradient is None unless asked for.  `probs` is a martingale view's point
+# measure (see `martingales`); the cube's raw arrays carry the uniform one.
+# The linear maps are self-adjoint, so each backward step applies the
+# forward map (or, from a stack to one table, its member-wise sum).
 
 
-def _deviation_norm(f, n, p, space, plan):
-    side = lp_norm_gradient(f - _condition(f, n, 0), p, space)
-    return side.map(lambda g: g - _condition(g, n, 0))
+def _deviation_norm(n, p, space, plan):
+    centre = lambda f: f - _condition(f, n, 0)
+    return _composed(centre, _lp_side(p, space, _uniform(1 << n)), centre)
 
 
-def _pisier_average(f, n, p, space, plan):
+def _pisier_average(n, p, space, plan):
     """Sign average of sum_i delta_i d_i f for one function f."""
-    side = signed_combination_average_gradient(_derivatives(f, n), p, space, plan)
-    return side.map(lambda g: _derivative_each(g, n).sum(axis=-3))
+    flips, rows = _member_flips(n)
+    average = _plan_average(n, p, space, plan, _uniform(1 << n))
+    return _composed(
+        lambda f: _derivatives(f, flips), average, lambda g: _derivative_each(g, rows).sum(axis=-3)
+    )
 
 
-def _difference_norm(family, n, p, space, plan):
-    side = lp_norm_gradient(_difference_each(family, n).sum(axis=-3), p, space)
-    return side.map(lambda g: _level_differences(_dyadic_levels(g, n)))
+def _difference_norm(n, p, space, plan):
+    return _composed(
+        lambda family: _difference_each(family, n).sum(axis=-3),
+        _lp_side(p, space, _uniform(1 << n)),
+        lambda g: _level_differences(_dyadic_levels(g, n)),
+    )
 
 
-def _derivative_average(family, n, p, space, plan):
+def _derivative_average(n, p, space, plan):
     """Sign average of sum_i delta_i d_i f_i: the right side of theorem1 and corollary2."""
-    side = signed_combination_average_gradient(_derivative_each(family, n), p, space, plan)
-    return side.map(lambda g: _derivative_each(g, n))
+    _, rows = _member_flips(n)
+    each = lambda stack: _derivative_each(stack, rows)
+    return _composed(each, _plan_average(n, p, space, plan, _uniform(1 << n)), each)
 
 
-def _inverse_laplacian_norm(family, n, p, space, plan):
+def _inverse_laplacian_norm(n, p, space, plan):
+    flips, rows = _member_flips(n)
     multiplier = _laplacian_multiplier(n, -1.0)
-    side = lp_norm_gradient(_inverse_laplacian_sum(family, n), p, space)
-    return side.map(lambda g: _derivatives(_walsh_multiply(g, n, multiplier), n))
+    return _composed(
+        lambda family: _inverse_laplacian_sum(family, n, rows, multiplier),
+        _lp_side(p, space, _uniform(1 << n)),
+        lambda g: _derivatives(_walsh_multiply(g, n, multiplier), flips),
+    )
 
 
-def _condition_average(family, n, p, space, plan):
-    side = signed_combination_average_gradient(_condition_each(family, n), p, space, plan)
-    return side.map(lambda g: _condition_each(g, n))
+def _condition_average(n, p, space, plan):
+    each = lambda stack: _condition_each(stack, n)
+    return _composed(each, _plan_average(n, p, space, plan, _uniform(1 << n)), each)
 
 
-def _member_average(family, n, p, space, plan):
-    return signed_combination_average_gradient(family, p, space, plan)
+def _member_average(n, p, space, plan):
+    return _plan_average(n, p, space, plan, _uniform(1 << n))
+
+
+def _projection_norm(n, r, space, plan):
+    """|| Rad f ||_{L_r}."""
+    multiplier = _degree_one_multiplier(n)
+    project = lambda f: _walsh_multiply(f, n, multiplier)
+    return _composed(project, _lp_side(r, space, _uniform(1 << n)), project)
+
+
+def _function_norm(n, r, space, plan):
+    return _lp_side(r, space, _uniform(1 << n))
+
+
+def _type_average(n, s, space, plan):
+    """The sign-averaged || sum_i delta_i x_i ||^s to the power 1/s, for
+    (..., k, m) tables of vectors (n = k), each a table of one point."""
+    return _composed(
+        lambda vectors: vectors[..., None, :],
+        _plan_average(n, s, space, plan, _uniform(1)),
+        lambda g: g[..., 0, :],
+    )
+
+
+def _norm_sum(n, s, space, plan):
+    """The ell_s sum of || x_i ||: an L_s norm with unit point weights."""
+    return _lp_side(s, space, np.ones(n))
 
 
 def _paired(lhs, rhs):
-    """The builder whose two sides are the raw sides `lhs` and `rhs`."""
-    return lambda x, n, p, space, plan: (lhs(x, n, p, space, plan), rhs(x, n, p, space, plan))
+    """The builder whose two sides are the raw sides `lhs` and `rhs`; a cube
+    witness carries the uniform measure, so `probs` is never given here."""
+
+    def build(n, p, space, plan, probs=None):
+        left, right = lhs(n, p, space, plan), rhs(n, p, space, plan)
+        return lambda x, with_gradient=False: (left(x, with_gradient), right(x, with_gradient))
+
+    return build
 
 
 _pisier_build = _paired(_deviation_norm, _pisier_average)
@@ -368,19 +427,5 @@ _theorem1_build = _paired(_difference_norm, _derivative_average)
 _corollary2_build = _paired(_inverse_laplacian_norm, _derivative_average)
 _stein_build = _paired(_condition_average, _member_average)
 _hn_remark_build = _paired(_inverse_laplacian_norm, _member_average)
-
-
-def _k_convexity_build(f, n, r, space, plan):
-    """(|| Rad f ||_{L_r}, || f ||_{L_r})."""
-    multiplier = _degree_one_multiplier(n)
-    lhs = lp_norm_gradient(_walsh_multiply(f, n, multiplier), r, space)
-    return lhs.map(lambda g: _walsh_multiply(g, n, multiplier)), lp_norm_gradient(f, r, space)
-
-
-def _rademacher_type_build(vectors, n, s, space, plan):
-    """(the sign-averaged || sum_i delta_i x_i ||^s to the power 1/s,
-    the ell_s sum of || x_i ||) for (..., k, m) tables of vectors."""
-    lhs = signed_combination_average_gradient(vectors[..., None, :], s, space, plan)
-    # The ell_s sum of norms is an L_s norm with unit point weights.
-    rhs = lp_norm_gradient(vectors, s, space, np.ones(vectors.shape[-2]))
-    return lhs.map(lambda g: g[..., 0, :]), rhs
+_k_convexity_build = _paired(_projection_norm, _function_norm)  # (|| Rad f ||_{L_r}, || f ||_{L_r})
+_rademacher_type_build = _paired(_type_average, _norm_sum)

@@ -17,7 +17,6 @@ sweep's max on the increments; no sign-pattern rule is stated here.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +35,15 @@ from .norms import (
     NormSpace,
     RademacherAveragePlan,
     _checked_ratio,
+    _composed,
     _largest_transform,
+    _lp_side,
     _lp_value,
+    _plan_average,
     _Side,
     _transform_norm,
+    _uniform,
     _values,
-    lp_norm_gradient,
-    signed_combination_average_gradient,
 )
 from .operators import _condition, _difference_each, _dyadic_levels, _level_differences
 
@@ -310,84 +311,104 @@ def martingale_lp_norm(
 
 @dataclass(frozen=True, eq=False)
 class _Increments:
-    """A martingale as the martingale functionals read it, on raw arrays.
-
-    `diffs` holds the increments d_i as (..., steps, size, m), `increment`
-    is M_n - M_0 as (..., size, m) and `probs` the point measure; leading
-    axes are a batch.  `diffs_back` and `increment_back` carry a gradient
-    with respect to `diffs` or `increment` back to the witness.
-    """
+    """A martingale as the martingale functionals read it, for `eval` and the
+    ratios below: its increments d_i as (steps, size, m), M_n - M_0 as
+    (size, m) and its point measure `probs`.  The search passes raw
+    functions instead, read as their dyadic martingales."""
 
     diffs: np.ndarray
     increment: np.ndarray
     probs: np.ndarray
-    diffs_back: Callable = lambda g: g
-    increment_back: Callable = lambda g: g
 
     @classmethod
     def of(cls, M: MartingaleSequence) -> "_Increments":
-        """Any martingale; gradients stay with respect to its increments."""
         return cls(M.differences(), M.increment(), M.filtration.probabilities)
 
-    @classmethod
-    def dyadic(cls, f: np.ndarray, n: int) -> "_Increments":
-        """The dyadic martingales of raw (..., 2^n, m) tables f, with gradients
-        carried back to f (the maps d_i and centring are self-adjoint)."""
-        points = f.shape[-2]
-        levels = _dyadic_levels(f, n)
-        return cls(
-            _level_differences(levels),
-            f - levels[..., 0, :, :],
-            np.full(points, 1.0 / points),
-            lambda g: _difference_each(g, n).sum(axis=-3),
-            lambda g: g - _condition(g, n, 0),
-        )
 
-    @classmethod
-    def read(cls, x, n: int) -> "_Increments":
-        """`x` itself when it is a view already, else the dyadic martingales of raw tables x."""
-        return x if isinstance(x, cls) else cls.dyadic(x, n)
+# Raw builders, `build(n, p, space, plan, probs=None) -> evaluate` as in
+# `inequalities`; x is an `_Increments` view, whose `probs` the builder is
+# prepared with, or raw (..., 2^n, m) functions (the search), read as their
+# dyadic martingales under the uniform measure.  Each side reads one part
+# of the martingale, the increments d_i (`_DIFFS`) or M_n - M_0
+# (`_INCREMENT`), and is prepared as `side(n, p, space, plan, probs)`.
 
-    def increment_norm(self, p: float, space: NormSpace) -> _Side:
-        """|| M_n - M_0 ||_{L_p}."""
-        return lp_norm_gradient(self.increment, p, space, self.probs).map(self.increment_back)
+_DIFFS, _INCREMENT = 0, 1
 
-    def transform_average(self, p: float, space: NormSpace, plan) -> _Side:
-        """The sign-averaged || sum_i delta_i d_i ||_{L_p}."""
-        side = signed_combination_average_gradient(self.diffs, p, space, plan, weights=self.probs)
-        return side.map(self.diffs_back)
+# A gradient with respect to each part, carried back to the raw functions
+# (the maps d_i and centring are self-adjoint).
+_DYADIC_BACK = (
+    lambda g, n: _difference_each(g, n).sum(axis=-3),
+    lambda g, n: g - _condition(g, n, 0),
+)
 
 
-# Raw builders, `build(x, n, p, space, plan) -> (lhs, rhs)` as in
-# `inequalities`; x is an `_Increments` view or raw functions (the search).
+def _dyadic_parts(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The increments d_i, as (..., n, 2^n, m), and M_n - M_0 of the dyadic
+    martingales of raw (..., 2^n, m) functions f."""
+    levels = _dyadic_levels(f, n)
+    return _level_differences(levels), f - levels[..., 0, :, :]
 
 
-def _umd_build(x, n, p, space, plan):
-    """(max over delta of || sum_i delta_i d_i ||_{L_p}, || M_n - M_0 ||_{L_p})."""
-    v = _Increments.read(x, n)
-    lhs = umd_maximum_gradient(v.diffs, p, space, v.probs).map(v.diffs_back)
-    return lhs, v.increment_norm(p, space)
+def _on_martingales(lhs, rhs):
+    """The builder whose sides are `(part, side)` pairs: each side reads its part."""
+
+    def build(n, p, space, plan, probs=None):
+        probs = _uniform(1 << n) if probs is None else probs
+        sides = [(part, side(n, p, space, plan, probs)) for part, side in (lhs, rhs)]
+
+        def evaluate(x, with_gradient=False):
+            raw = not isinstance(x, _Increments)
+            parts = _dyadic_parts(x, n) if raw else (x.diffs, x.increment)
+            result = []
+            for part, side in sides:
+                value, gradient = side(parts[part], with_gradient)
+                if gradient is not None and raw:
+                    gradient = _DYADIC_BACK[part](gradient, n)
+                result.append((value, gradient))
+            return result
+
+        return evaluate
+
+    return build
 
 
-def _umd_plus_build(x, n, p, space, plan):
-    v = _Increments.read(x, n)
-    return v.transform_average(p, space, plan), v.increment_norm(p, space)
+def _increment_norm(n, p, space, plan, probs):
+    """|| M_n - M_0 ||_{L_p}."""
+    return _lp_side(p, space, probs)
 
 
-def _umd_minus_build(x, n, p, space, plan):
-    v = _Increments.read(x, n)
-    return v.increment_norm(p, space), v.transform_average(p, space, plan)
+def _transform_average(n, p, space, plan, probs):
+    """The sign-averaged || sum_i delta_i d_i ||_{L_p}."""
+    return _plan_average(n, p, space, plan, probs)
 
 
-def _martingale_type_build(x, n, s, space, plan):
-    """(|| M_n - M_0 ||_{L_s}, (sum_i || d_i ||_{L_s}^s)^(1/s)): the second is
-    one L_s sum over all (step, point) pairs."""
-    v = _Increments.read(x, n)
-    *lead, steps, size, m = v.diffs.shape
-    total = lp_norm_gradient(
-        v.diffs.reshape(*lead, steps * size, m), s, space, np.tile(v.probs, steps)
+def _transform_maximum(n, p, space, plan, probs):
+    """max over delta of || sum_i delta_i d_i ||_{L_p}, differentiated through
+    each row's first pattern reaching it, the pattern `umd_ratio` reports."""
+    largest, transform = _largest_transform(n, p, space, probs), _transform_norm(p, space, probs)
+    return lambda diffs, with_gradient=False: transform(diffs, largest(diffs), with_gradient)
+
+
+def _step_sum(n, s, space, plan, probs):
+    """(sum_i || d_i ||_{L_s}^s)^(1/s): one L_s sum over all (step, point) pairs."""
+    return _composed(
+        lambda diffs: diffs.reshape(*diffs.shape[:-3], -1, diffs.shape[-1]),
+        _lp_side(s, space, np.tile(probs, n)),
+        lambda g: g.reshape(*g.shape[:-2], n, -1, g.shape[-1]),
     )
-    return v.increment_norm(s, space), total.map(lambda g: v.diffs_back(g.reshape(v.diffs.shape)))
+
+
+_umd_build = _on_martingales((_DIFFS, _transform_maximum), (_INCREMENT, _increment_norm))
+_umd_plus_build = _on_martingales((_DIFFS, _transform_average), (_INCREMENT, _increment_norm))
+_umd_minus_build = _on_martingales((_INCREMENT, _increment_norm), (_DIFFS, _transform_average))
+_martingale_type_build = _on_martingales((_INCREMENT, _increment_norm), (_DIFFS, _step_sum))
+
+
+def _ratio_sides(build, M: MartingaleSequence, p, space, plan) -> tuple[float, float]:
+    """The values of builder `build`'s sides at martingale M."""
+    v = _Increments.of(M)
+    space._check_length(v.increment)
+    return _values(build(M.steps, p, space, plan, v.probs)(v))
 
 
 def umd_ratio(
@@ -403,15 +424,16 @@ def umd_ratio(
     2^(n-1) whose last sign is +1 (delta and -delta give the same norm).
     """
     p = OPEN_P.check(p, "the martingale transform ratio")
-    v = _Increments.of(M)
     if signs is None:
-        sides = _umd_build(v, M.steps, p, space, None)
+        sides = _ratio_sides(_umd_build, M, p, space, None)
     else:
         if signs.n != M.steps:
             raise ValueError(f"sign assignment on {signs.n} steps for a {M.steps}-step martingale")
-        lhs = _transform_norm(v.diffs, signs.signs(), p, space, v.probs)
-        sides = lhs, v.increment_norm(p, space)
-    return _checked_ratio(*_values(sides), "constant martingale has no transform ratio")
+        v = _Increments.of(M)
+        space._check_length(v.increment)
+        lhs = _transform_norm(p, space, v.probs)(v.diffs, signs.signs())
+        sides = _values((lhs, _lp_side(p, space, v.probs)(v.increment)))
+    return _checked_ratio(*sides, "constant martingale has no transform ratio")
 
 
 def umd_maximum_gradient(
@@ -423,7 +445,10 @@ def umd_maximum_gradient(
     differentiated through the first pattern reaching its maximum, the
     pattern `umd_ratio` reports.
     """
-    return _transform_norm(diffs, _largest_transform(diffs, p, space, probs), p, space, probs)
+    space._check_length(diffs)
+    largest = _largest_transform(diffs.shape[-3], p, space, probs)(diffs)
+    side = _transform_norm(p, space, probs)
+    return _Side(lambda with_gradient: side(diffs, largest, with_gradient))
 
 
 def umd_plus_ratio(
@@ -431,7 +456,7 @@ def umd_plus_ratio(
 ) -> float:
     """Sign-averaged transform norm over the final increment norm."""
     p = OPEN_P.check(p, "the martingale transform ratio")
-    sides = _values(_umd_plus_build(_Increments.of(M), M.steps, p, space, plan))
+    sides = _ratio_sides(_umd_plus_build, M, p, space, plan)
     return _checked_ratio(*sides, "constant martingale has no transform ratio")
 
 
@@ -440,12 +465,12 @@ def umd_minus_ratio(
 ) -> float:
     """Final increment norm over the sign-averaged transform norm."""
     p = OPEN_P.check(p, "the martingale transform ratio")
-    sides = _values(_umd_minus_build(_Increments.of(M), M.steps, p, space, plan))
+    sides = _ratio_sides(_umd_minus_build, M, p, space, plan)
     return _checked_ratio(*sides, "sign-averaged transform norm is degenerate")
 
 
 def martingale_type_ratio(M: MartingaleSequence, s: float, space: NormSpace) -> float:
     """|| M_n - M_0 ||_{L_s} over the ell_s sum of increment norms."""
     s = TYPE_P.check(s, "the martingale type ratio")
-    sides = _values(_martingale_type_build(_Increments.of(M), M.steps, s, space, None))
+    sides = _ratio_sides(_martingale_type_build, M, s, space, None)
     return _checked_ratio(*sides, "constant martingale has no type ratio")

@@ -2,14 +2,18 @@
 
 Every inequality functional measures through this layer: a `NormSpace`
 fixes the finite-dimensional target ell_q^m, `lp_norm` takes the L_p norm
-over the uniform cube measure, and one sign sweep (`_pattern_norms`) over
+over the uniform cube measure, and one sign sweep (`_SignSweep`) over
 the sign vectors of exact enumeration or of a deterministic counter-based
 Monte Carlo has two reductions: the mean (`rademacher_average`, the sign
 averages and their gradient) and the max (the umd maximum).  Chunks, tiles,
 halved masks, the exact patterns' sign table and per-tile finishing are
-decided here only.  Every exponent is checked by a `PRange`, every vector
-length by `NormSpace`, and every ell_q norm has the bits of
-`_norms_of_absolute`.
+decided here only.  The raw sides are prepared once per exponent, target
+space, plan and point measure (`_lp_side`, `_sign_average`,
+`_largest_transform`, `_transform_norm`), so that a call does only its
+arithmetic; the public gradient functions prepare one and apply it.  Every
+exponent is checked by a `PRange`, every witness's vector length by
+`NormSpace` where the witness enters, and every ell_q norm has the bits of
+one of `_q_kernels`' kernels.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -117,7 +121,7 @@ class NormSpace:
     def norms(self, table: np.ndarray) -> np.ndarray:
         """ell_q norms along the last axis."""
         self._check_length(table)
-        return _norms_of_absolute(np.abs(table), self.q)
+        return _q_kernels(self.q)[0](np.abs(table))
 
     def _check_length(self, table: np.ndarray) -> None:
         """A one-line error unless the last axis of `table` holds vectors in R^m."""
@@ -265,49 +269,84 @@ def _lp_value(table: np.ndarray, p: float, space: NormSpace, weights=None) -> fl
     return float(lp_norm_gradient(table, p, space, weights).value)
 
 
+def _uniform(points: int) -> np.ndarray:
+    """The uniform weights 1/points of `points` points."""
+    return np.full(points, 1.0 / points)
+
+
 class _Side:
-    """One side of a functional on a batch of raw arrays: its value per row
-    and, when asked, its gradient with respect to the batch.
+    """One side of a functional on a batch of raw arrays, as the public
+    gradient functions return it: its value per row and, when asked, its
+    gradient with respect to the batch, each computed at most once.
 
-    The package's L_p norms and sign averages are computed only this way:
-    `lp_norm`, `martingale_lp_norm` and `signed_combination_average`
-    return the `value` of a batch of one, so a library call, `eval`, a
-    certificate and each row of the search's batches get the same bits.
-
-    `sweep(with_gradient) -> (value, gradient or None)` computes it; a sweep
-    for the gradient yields the value in the same pass, with the same bits
-    as a sweep for the value alone.  Each is computed at most once.
-
-    Every row of a batch gets the bits it gets alone: per-row scalars go
-    through `np.vecdot` (a row's dot product) and `np.float_power` (the C
-    library's power), as a scalar `@` and `**` do, because numpy's
-    vectorized `matmul` and `power` may round the last bit differently.
+    `side(with_gradient) -> (value, gradient or None)` computes it: a
+    prepared side (see `_lp_side`) applied to the arrays.
     """
 
-    def __init__(self, sweep: Callable[[bool], tuple]) -> None:
-        self._sweep = sweep
+    def __init__(self, side: Callable[[bool], tuple]) -> None:
+        self._side = side
         self._value = self._gradient = None
 
     @property
     def value(self) -> np.ndarray:
         if self._value is None:
-            self._value, _ = self._sweep(False)
+            self._value, _ = self._side(False)
         return self._value
 
     def gradient(self) -> np.ndarray:
         if self._gradient is None:
-            self._value, self._gradient = self._sweep(True)
+            self._value, self._gradient = self._side(True)
         return self._gradient
 
-    def map(self, backward: Callable[[np.ndarray], np.ndarray]) -> "_Side":
-        """The same side seen from an earlier input: `backward` maps its gradient there."""
 
-        def sweep(with_gradient: bool):
-            # The gradient first: its sweep gives the value too.
-            gradient = backward(self.gradient()) if with_gradient else None
-            return self.value, gradient
+def _composed(forward: Callable, side: Callable, backward: Callable) -> Callable:
+    """The prepared side of `forward(x)`: its gradient is carried back to x by
+    `backward`, the adjoint of `forward`."""
 
-        return _Side(sweep)
+    def composed(x, with_gradient=False):
+        value, gradient = side(forward(x), with_gradient)
+        return value, None if gradient is None else backward(gradient)
+
+    return composed
+
+
+# Prepared sides.  Each is built once per functional, exponent, target space,
+# plan and point measure, with its exponent checked, its ell_q kernels chosen
+# and its weights and sign rows in hand, and is then called as
+# `side(x, with_gradient=False) -> (value, gradient or None)` on raw
+# (..., *shape) arrays whose leading axes are a batch.  A call is the
+# arithmetic alone: it never checks that its vectors lie in R^m, so every
+# entry point that takes a witness (the public functions, `Functional.sides`)
+# checks its length first, and the search's batches have the config's shape.
+# Every row of a batch gets the bits it gets alone:
+# per-row scalars go through `np.vecdot` (a row's dot product) and
+# `np.float_power` (the C library's power), as a scalar `@` and `**` do,
+# because numpy's vectorized `matmul` and `power` may round the last bit
+# differently.  The package's L_p norms and sign averages are computed only
+# this way, so a library call, `eval`, a certificate and each row of the
+# search's batches get the same bits.
+
+
+def _lp_side(p: float, space: NormSpace, weights: np.ndarray) -> Callable:
+    """(sum_k w_k ||t_k||_q^p)^(1/p) for raw (..., points, m) tables under point
+    `weights`, prepared: see `lp_norm_gradient`."""
+    p = SIDE_P.check(p, "the raw L_p norm")
+    absolute, with_derivative = _q_kernels(space.q)
+    root, lower = 1.0 / p, p - 1.0
+
+    def side(table, with_gradient=False):
+        if with_gradient:
+            pointwise, derivative = with_derivative(table)
+        else:
+            pointwise = absolute(np.abs(table))
+        value = np.float_power(np.vecdot(pointwise**p, weights), root)
+        if not with_gradient:
+            return value, None
+        cotangent = (weights * pointwise**lower)[..., None] * derivative
+        cotangent *= _root_factor(value, p)[..., None, None]
+        return value, cotangent
+
+    return side
 
 
 def lp_norm_gradient(
@@ -323,22 +362,8 @@ def lp_norm_gradient(
     """
     p = SIDE_P.check(p, "the raw L_p norm")
     space._check_length(table)
-    if weights is None:
-        weights = np.full(table.shape[-2], 1.0 / table.shape[-2])
-
-    def sweep(with_gradient: bool):
-        if with_gradient:
-            pointwise, derivative = _norms_with_derivative(table, space.q)
-        else:
-            pointwise = _norms_of_absolute(np.abs(table), space.q)
-        value = np.float_power(np.vecdot(pointwise**p, weights), 1.0 / p)
-        if not with_gradient:
-            return value, None
-        cotangent = (weights * pointwise ** (p - 1.0))[..., None] * derivative
-        cotangent *= _root_factor(value, p)[..., None, None]
-        return value, cotangent
-
-    return _Side(sweep)
+    side = _lp_side(p, space, _uniform(table.shape[-2]) if weights is None else weights)
+    return _Side(lambda with_gradient: side(table, with_gradient))
 
 
 def _root_factor(value: np.ndarray, p: float, divisor: float = 1.0) -> np.ndarray:
@@ -351,34 +376,52 @@ def _root_factor(value: np.ndarray, p: float, divisor: float = 1.0) -> np.ndarra
     return factor
 
 
-def _norms_with_derivative(table: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """ell_q norms along the last axis and their derivative with respect to `table`.
+def _q_kernels(q: float) -> tuple[Callable, Callable]:
+    """The ell_q kernels along the last axis, chosen once per q: the norms of
+    an already-absolute table (which they may overwrite; callers pass
+    scratch buffers), and the norms of a table with their derivative."""
+    if math.isinf(q):
+        return partial(_reduce_last, np.maximum), _max_norms_with_derivative
+    if q == 1.0:
+        return partial(_reduce_last, np.add), _sum_norms_with_derivative
+    return partial(_power_norms, q=q), partial(_power_norms_with_derivative, q=q)
 
-    The norms have the bits `_norms_of_absolute` gives them.  At q = inf the
-    derivative is the sign at the first largest entry (`argmax`'s pick) and
-    0.0 elsewhere.  Two columns skip `argmax`, which is slow on so short an
-    axis: column 0 is picked where it equals the maximum, else column 1, and
-    the other entry is its sign times 0.  That is `argmax`'s pick on every
-    row without a NaN; a row holding a NaN keeps a NaN but not `argmax`'s
-    bits.
+
+def _power_norms(table: np.ndarray, q: float) -> np.ndarray:
+    table **= q  # not np.power: numpy's `**` squares q = 2 exactly, and roots 1/q = 1/2 by sqrt
+    return _reduce_last(np.add, table) ** (1.0 / q)
+
+
+def _power_norms_with_derivative(table: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    a = np.abs(table)
+    norms = _reduce_last(np.add, a**q) ** (1.0 / q)
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0) ** (q - 1.0)
+    return norms, np.sign(table) * a ** (q - 1.0) * scale[..., None]
+
+
+def _sum_norms_with_derivative(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _reduce_last(np.add, np.abs(table)), np.sign(table)
+
+
+def _max_norms_with_derivative(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """At q = inf the derivative is the sign at the first largest entry
+    (`argmax`'s pick) and 0.0 elsewhere.  Two columns skip `argmax`, which is
+    slow on so short an axis: column 0 is picked where it equals the maximum,
+    else column 1, and the other entry is its sign times 0.  That is
+    `argmax`'s pick on every row without a NaN; a row holding a NaN keeps a
+    NaN but not `argmax`'s bits.
     """
     a = np.abs(table)
     signs = np.sign(table)
-    if math.isinf(q):
-        norms, m = _reduce_last(np.maximum, a), table.shape[-1]
-        if m != 2:
-            picked = np.arange(m) == np.argmax(a, axis=-1)[..., None]
-            return norms, np.where(picked, signs, 0.0)
-        picked = np.empty(a.shape, dtype=bool)
-        np.logical_not(np.equal(a[..., 0], norms, out=picked[..., 0]), out=picked[..., 1])
-        signs *= picked
-        signs += 0.0  # 0.0, not -0.0, for a negative sign not picked
-        return norms, signs
-    if q == 1.0:
-        return _reduce_last(np.add, a), signs
-    norms = _reduce_last(np.add, a**q) ** (1.0 / q)
-    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0) ** (q - 1.0)
-    return norms, signs * a ** (q - 1.0) * scale[..., None]
+    norms, m = _reduce_last(np.maximum, a), table.shape[-1]
+    if m != 2:
+        picked = np.arange(m) == np.argmax(a, axis=-1)[..., None]
+        return norms, np.where(picked, signs, 0.0)
+    picked = np.empty(a.shape, dtype=bool)
+    np.logical_not(np.equal(a[..., 0], norms, out=picked[..., 0]), out=picked[..., 1])
+    signs *= picked
+    signs += 0.0  # 0.0, not -0.0, for a negative sign not picked
+    return norms, signs
 
 
 def _sign_masks(count: int, plan: RademacherAveragePlan) -> np.ndarray | None:
@@ -427,56 +470,74 @@ def _sign_rows(count: int, masks: np.ndarray | None, first: int, stop: int) -> n
     return sign_matrix(count, np.arange(first, min(stop, patterns)))
 
 
-def _pattern_norms(tables, q, masks, finish, with_derivative=False, tile=_TILE_ENTRIES):
+class _SignSweep:
     """Per sign pattern and point, || sum_i delta_i t_i ||_q: the one loop over
-    sign patterns, for the sign averages, their gradient and the umd maximum.
+    sign patterns, for the sign averages, their gradient and the umd maximum,
+    prepared for `count` members over `points` points in `space`.
 
-    Yields (signs, pointwise, derivative) per chunk of patterns, in mask
-    order and of a size fixed by the shape (so every reduction over patterns
-    is deterministic), for stacked (..., count, points, m) tables; leading
-    axes are a batch.  `masks` None sweeps the exact patterns.
-    `derivative`, the norms' gradient with respect to the combinations, is
-    None unless asked for; the norms have the same bits either way.  Each
-    chunk's combinations pass through one reused buffer of about `tile`
-    entries, a tile of points at a time, and every entry keeps the
-    summation order of one whole-table `matmul`.  The chunks hold what
-    `finish(pointwise, derivative, start)` returns for each tile, whose
-    points begin at `start`: elementwise work alone, while it is in cache.
+    `run` sweeps stacked (..., count, points, m) tables (leading axes are a
+    batch) in chunks of patterns, in mask order and of a size fixed by the
+    shape, so every reduction over patterns is deterministic; `masks` None
+    sweeps the exact patterns.  A sweep of one chunk, as every search call
+    is, holds its sign rows (the exact table's, or the decoded masks) from
+    here on; a longer one decodes each chunk as it reaches it, so one
+    chunk's rows live at a time.  Each chunk's
+    combinations pass through one reused buffer of about `tile` entries, a
+    tile of points at a time, and every entry keeps the summation order of
+    one whole-table `matmul`.
     """
-    *lead, count, points, m = tables.shape
-    flat = np.ascontiguousarray(tables.reshape(*lead, count, points * m))
-    chunk = min(_CHUNK, max(1, _BLOCK_ENTRIES // (points * m)))
-    patterns = _pattern_count(count, masks)
-    rows = min(chunk, patterns)
-    width = points
-    if tables.size * rows > tile * count:  # more than one tile
-        # Equal tiles of a power of two of at least 2 points: one column or a
-        # short last tile sends `matmul` to a kernel that sums in another order.
-        width = 1 << max(1, (tile // (rows * m * math.prod(lead))).bit_length() - 1)
-        width = points if points % width else width
-    buffer = np.empty((*lead, rows, width * m))
-    for first in range(0, patterns, chunk):
-        signs = _sign_rows(count, masks, first, first + chunk)
-        view = buffer[..., : len(signs), :]
-        combos = view.reshape(*view.shape[:-1], width, m)
-        if width < points:  # tiles finish in their own arrays: a strided slice is slower
-            pointwise = np.empty((*lead, len(signs), points))
-            derivative = np.empty((*lead, len(signs), points, m)) if with_derivative else None
-        for start in range(0, points, width):
-            np.matmul(signs, flat[..., start * m : (start + width) * m], out=view)
-            if with_derivative:
-                norms, slope = finish(*_norms_with_derivative(combos, q), start)
-            else:
-                np.abs(combos, out=combos)
-                norms, slope = finish(_norms_of_absolute(combos, q), None, start)
-            if width == points:  # one tile: its arrays are the chunk's, not copied
-                pointwise, derivative = norms, slope
-            else:
-                pointwise[..., start : start + width] = norms
+
+    def __init__(self, count, points, space, masks, tile=_TILE_ENTRIES) -> None:
+        self.masks, self.tile = masks, tile
+        self.absolute, self.with_derivative = _q_kernels(space.q)
+        self.patterns = _pattern_count(count, masks)
+        self.chunk = min(_CHUNK, max(1, _BLOCK_ENTRIES // (points * space.m)))
+        self.firsts = range(0, self.patterns, self.chunk)
+        self.signs = _sign_rows(count, masks, 0, self.chunk) if len(self.firsts) == 1 else None
+
+    def run(self, tables, finish, reduce, state, with_derivative=False) -> None:
+        """Call `reduce(state, signs, pointwise, derivative)` once per chunk.
+
+        `derivative`, the norms' gradient with respect to the combinations,
+        is None unless asked for; the norms have the same bits either way.
+        The chunk holds what `finish(pointwise, derivative, start)` returns
+        for each tile, whose points begin at `start`: elementwise work alone,
+        while it is in cache.
+        """
+        *lead, count, points, m = tables.shape
+        flat = np.ascontiguousarray(tables.reshape(*lead, count, points * m))
+        rows = min(self.chunk, self.patterns)
+        width = points
+        if tables.size * rows > self.tile * count:  # more than one tile
+            # Equal tiles of a power of two of at least 2 points: one column or a
+            # short last tile sends `matmul` to a kernel that sums in another order.
+            width = 1 << max(1, (self.tile // (rows * m * math.prod(lead))).bit_length() - 1)
+            width = points if points % width else width
+        buffer = np.empty((*lead, rows, width * m))
+        for first in self.firsts:
+            signs = self.signs
+            if signs is None:
+                signs = _sign_rows(count, self.masks, first, first + self.chunk)
+            view = buffer[..., : len(signs), :]
+            combos = view.reshape(*view.shape[:-1], width, m)
+            if width < points:  # tiles finish in their own arrays: a strided slice is slower
+                pointwise = np.empty((*lead, len(signs), points))
+                derivative = np.empty((*lead, len(signs), points, m)) if with_derivative else None
+            for start in range(0, points, width):
+                np.matmul(signs, flat[..., start * m : (start + width) * m], out=view)
                 if with_derivative:
-                    derivative[..., start : start + width, :] = slope
-        yield signs, pointwise, derivative
-        del pointwise, derivative, norms, slope  # freed before the next chunk is built
+                    norms, slope = finish(*self.with_derivative(combos), start)
+                else:
+                    np.abs(combos, out=combos)
+                    norms, slope = finish(self.absolute(combos), None, start)
+                if width == points:  # one tile: its arrays are the chunk's, not copied
+                    pointwise, derivative = norms, slope
+                else:
+                    pointwise[..., start : start + width] = norms
+                    if with_derivative:
+                        derivative[..., start : start + width, :] = slope
+            reduce(state, signs, pointwise, derivative)
+            del pointwise, derivative, norms, slope  # freed before the next chunk is built
 
 
 def signed_combination_average(
@@ -511,96 +572,110 @@ def signed_combination_average_gradient(
     """
     p = SIDE_P.check(p, "the sign average")
     space._check_length(tables)
-    return _sign_average(tables, p, space, _sign_masks(tables.shape[-3], plan), weights)
+    *_, count, points, _ = tables.shape
+    weights = _uniform(points) if weights is None else weights
+    side = _plan_average(count, p, space, plan, weights)
+    return _Side(lambda with_gradient: side(tables, with_gradient))
 
 
-def _sign_average(tables, p, space, masks, weights=None, tile=_TILE_ENTRIES) -> _Side:
-    """The sign average over the patterns `masks` (the plan's from `_sign_masks`, or
-    any others for an oracle); each tile finishes its terms and cotangents."""
-    if weights is None:
-        weights = np.full(tables.shape[-2], 1.0 / tables.shape[-2])
+def _plan_average(count: int, p: float, space: NormSpace, plan, weights) -> Callable:
+    """The sign average of `count` members over the plan's patterns, prepared."""
+    return _sign_average(count, p, space, _sign_masks(count, plan), weights)
+
+
+def _sign_average(count, p, space, masks, weights, tile=_TILE_ENTRIES) -> Callable:
+    """The sign average of `count` members over the patterns `masks` (the
+    plan's from `_sign_masks`, or any others for an oracle) under point
+    `weights`, prepared: each tile finishes its terms and cotangents."""
+    p = SIDE_P.check(p, "the sign average")
+    sweep = _SignSweep(count, len(weights), space, masks, tile)
+    lower, root, patterns = p - 1.0, 1.0 / p, float(sweep.patterns)
 
     def finish(pointwise, derivative, start):
-        raised = pointwise ** (p - 1.0)  # w ||.||^(p-1), the factors of the gradient
+        raised = pointwise**lower  # w ||.||^(p-1), the factors of the gradient
         raised *= weights[start : start + raised.shape[-1]]
         if derivative is not None:
             derivative *= raised[..., None]
         pointwise *= raised
         return pointwise, derivative
 
-    def sweep(with_gradient: bool):
+    def side(tables, with_gradient=False):
         *lead, count, points, m = tables.shape
         total = np.zeros(lead)
         gradient = np.zeros((*lead, count, points * m)) if with_gradient else None
-        chunks = _pattern_norms(tables, space.q, masks, finish, with_gradient, tile)
-        for signs, terms, slopes in chunks:
-            if with_gradient:
-                gradient += signs.T @ slopes.reshape(*lead, len(signs), -1)
-            total += terms.reshape(*lead, -1).sum(axis=-1)
-            del terms, slopes  # freed before the next block is built
-        patterns = float(_pattern_count(count, masks))
-        value = np.float_power(total / patterns, 1.0 / p)
+        sweep.run(tables, finish, _add_chunk, (total, gradient), with_gradient)
+        value = np.float_power(total / patterns, root)
         if with_gradient:
             gradient *= _root_factor(value, p, patterns)[..., None, None]
             gradient = gradient.reshape(tables.shape)
         return value, gradient
 
-    return _Side(sweep)
+    return side
 
 
-def _largest_transform(tables, p, space, weights, masks=None, tile=_TILE_ENTRIES) -> np.ndarray:
-    """The sweep's maximum, as `_sign_average` is its mean: the signs of the
+def _add_chunk(state, signs, terms, slopes) -> None:
+    """The sign average's reduction: a chunk's terms into the total and, with
+    a gradient, signs.T @ its cotangents into the gradient, in place."""
+    total, gradient = state
+    if gradient is not None:
+        gradient += signs.T @ slopes.reshape(*gradient.shape[:-2], len(signs), -1)
+    total += terms.reshape(*total.shape, -1).sum(axis=-1)
+
+
+def _largest_transform(count, p, space, weights, masks=None, tile=_TILE_ENTRIES) -> Callable:
+    """The sweep's maximum, as `_sign_average` is its mean, prepared: for
+    (..., count, points, m) tables under point `weights`, the signs of the
     first pattern (ascending bitmask) whose || sum_i delta_i t_i ||_{L_p} is
     the largest, among the patterns whose last sign is +1 unless `masks`
     gives others (see `_sign_masks`).
 
     A pattern and its negation give the same norm, and the one with last
     sign +1 has the smaller mask, so this is the first largest pattern of
-    all 2^count.  `tables` is (..., count, points, m) under point `weights`;
-    leading axes are a batch, and each row gets its own pattern.  Exact
-    enumeration's member limit applies.
+    all 2^count.  Leading axes are a batch, and each row gets its own
+    pattern.  Exact enumeration's member limit applies.
     """
     if masks is None:  # the exact plan's patterns (None), once its member limit is checked
-        masks = _sign_masks(tables.shape[-3], RademacherAveragePlan(mode="exact"))
-    best = best_signs = None
-    chunks = _pattern_norms(tables, space.q, masks, lambda norms, *_: (norms**p, None), tile=tile)
-    for signs, powers, _ in chunks:
+        masks = _sign_masks(count, RademacherAveragePlan(mode="exact"))
+    sweep = _SignSweep(count, len(weights), space, masks, tile)
+
+    def finish(norms, derivative, start):
+        return norms**p, None
+
+    def keep(best, signs, powers, _):
         # Only ranks the patterns.  Many tie by symmetry, and the rounding of
         # this reduction picks among them, so it fixes the search's witnesses.
         powered = powers @ weights
         top, k = powered.max(axis=-1), powered.argmax(axis=-1)
-        if best is None:
-            best, best_signs = top, signs[k]
+        if best[0] is None:
+            best[:] = top, signs[k]
         else:  # a later chunk wins only where it is strictly larger
-            better = top > best
-            best = np.where(better, top, best)
-            best_signs = np.where(better[..., None], signs[k], best_signs)
-    return best_signs
+            better = top > best[0]
+            best[:] = np.where(better, top, best[0]), np.where(better[..., None], signs[k], best[1])
+
+    def largest(tables):
+        best = [None, None]
+        sweep.run(tables, finish, keep, best)
+        return best[1]
+
+    return largest
 
 
-def _transform_norm(tables, signs, p, space, weights) -> _Side:
+def _transform_norm(p: float, space: NormSpace, weights: np.ndarray) -> Callable:
     """|| sum_i delta_i t_i ||_{L_p} for (..., count, points, m) tables and
-    (..., count) signs, one pattern per batch row, with its gradient in `tables`."""
-    *lead, count, points, m = tables.shape
-    combination = (signs[..., None, :] @ tables.reshape(*lead, count, points * m)).reshape(
-        *lead, points, m
-    )
-    return lp_norm_gradient(combination, p, space, weights).map(
-        lambda g: signs[..., None, None] * g[..., None, :, :]
-    )
+    (..., count) signs, one pattern per batch row, prepared:
+    `side(tables, signs, with_gradient)`, its gradient in `tables`."""
+    norm = _lp_side(p, space, weights)
 
+    def side(tables, signs, with_gradient=False):
+        *lead, count, points, m = tables.shape
+        flat = tables.reshape(*lead, count, points * m)
+        combination = (signs[..., None, :] @ flat).reshape(*lead, points, m)
+        value, gradient = norm(combination, with_gradient)
+        if gradient is not None:
+            gradient = signs[..., None, None] * gradient[..., None, :, :]
+        return value, gradient
 
-def _norms_of_absolute(table: np.ndarray, q: float) -> np.ndarray:
-    """ell_q norms along the last axis of an already-absolute table.
-
-    May overwrite `table`; callers pass scratch buffers.
-    """
-    if math.isinf(q):
-        return _reduce_last(np.maximum, table)
-    if q == 1.0:
-        return _reduce_last(np.add, table)
-    table **= q  # not np.power: numpy's `**` squares q = 2 exactly, and roots 1/q = 1/2 by sqrt
-    return _reduce_last(np.add, table) ** (1.0 / q)
+    return side
 
 
 def _reduce_last(ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
@@ -629,8 +704,9 @@ def rademacher_average(
 
 
 def _values(sides) -> tuple[float, ...]:
-    """The values of `_Side`s built on one witness (no batch axes), as floats."""
-    return tuple(float(side.value) for side in sides)
+    """The values of prepared sides' `(value, gradient)` on one witness (no
+    batch axes), as floats."""
+    return tuple(float(value) for value, _ in sides)
 
 
 def _checked_ratio(lhs: float, rhs: float, degenerate: str) -> float:

@@ -76,7 +76,8 @@ def partial_derivative(f: HypercubeFunction, i: int) -> HypercubeFunction:
 
 def derivative_stack(f: HypercubeFunction) -> np.ndarray:
     """All n partial derivatives stacked to (n, 2^n, m), for the hot paths."""
-    return _derivatives(f.values, f.n)
+    flips, _ = _member_flips(f.n)
+    return _derivatives(f.values, flips)
 
 
 def averaging_operator(f: HypercubeFunction, i: int) -> HypercubeFunction:
@@ -149,18 +150,18 @@ def _member_flips(n: int) -> tuple[np.ndarray, np.ndarray]:
     return flips, rows
 
 
-def _derivative_each(stack: np.ndarray, n: int) -> np.ndarray:
-    """(d_1 g_1, ..., d_n g_n) for a stacked (..., n, 2^n, m) table, in one gather."""
-    _, rows = _member_flips(n)
-    flat = stack.reshape(*stack.shape[:-3], n << n, stack.shape[-1])
-    return 0.5 * (stack - np.take(flat, rows, axis=-2))
+def _derivative_each(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(d_1 g_1, ..., d_n g_n) for a stacked (..., n, 2^n, m) table, in one gather
+    through the row table of `_member_flips(n)`."""
+    flat = stack.reshape(*stack.shape[:-3], rows.size, stack.shape[-1])
+    return 0.5 * (stack - flat.take(rows, axis=-2))
 
 
-def _derivatives(values: np.ndarray, n: int) -> np.ndarray:
+def _derivatives(values: np.ndarray, flips: np.ndarray) -> np.ndarray:
     """(d_1 f, ..., d_n f) stacked to (..., n, 2^n, m) for (..., 2^n, m) tables f,
-    gathered from f itself: `_derivative_each` of n copies of f, with its bits."""
-    flips, _ = _member_flips(n)
-    return 0.5 * (values[..., None, :, :] - np.take(values, flips, axis=-2))
+    gathered from f itself through the flip table of `_member_flips(n)`:
+    `_derivative_each` of n copies of f, with its bits."""
+    return 0.5 * (values[..., None, :, :] - values.take(flips, axis=-2))
 
 
 def _level_mean(values: np.ndarray, n: int, level: int, out=None) -> np.ndarray:

@@ -60,8 +60,8 @@ from .norms import (
     RademacherAveragePlan,
     _check_seed,
     _largest_transform,
-    _pattern_norms,
     _sign_average,
+    _SignSweep,
     _transform_norm,
     lp_norm,
     rademacher_average,
@@ -371,18 +371,18 @@ def run_verification_suite(
         every = np.arange(1 << count)
         target = NormSpace(m, q)
         halved = signed_combination_average_gradient(tables, 2.5, target, exact_plan)
-        full = _sign_average(tables, 2.5, target, every)
+        full, full_gradient = _sign_average(count, 2.5, target, every, probs)(tables, True)
         maxima = [
-            _transform_norm(tables, signs, 2.5, target, probs).value
+            _transform_norm(2.5, target, probs)(tables, signs)[0]
             for signs in (
-                _largest_transform(tables, 2.5, target, probs),
-                _largest_transform(tables, 2.5, target, probs, every),
+                _largest_transform(count, 2.5, target, probs)(tables),
+                _largest_transform(count, 2.5, target, probs, every)(tables),
             )
         ]
         note(
             "halved-vs-full-enumeration",
-            _relative_gap(halved.value, full.value),
-            _relative_gap(halved.gradient(), full.gradient()),
+            _relative_gap(halved.value, full),
+            _relative_gap(halved.gradient(), full_gradient),
             _relative_gap(*maxima),
         )
 
@@ -424,11 +424,15 @@ def run_verification_suite(
     masks, weights = np.arange(1 << (count - 1)), rng.dirichlet(np.ones(points))
 
     def swept(tile):
-        unfinished = _pattern_norms(tables, 2.0, masks, lambda *arrays: arrays[:2], False, tile)
-        yield from (norms for _, norms, _ in unfinished)
-        side = _sign_average(tables, 2.5, NormSpace(m, math.inf), masks, weights, tile)
-        yield from (side.value, side.gradient())
-        yield _largest_transform(tables, 2.5, NormSpace(m, math.inf), weights, masks, tile)
+        norms = []  # each chunk's norms, its tiles unfinished
+        sweep = _SignSweep(count, points, NormSpace(m, 2.0), masks, tile)
+        keep = lambda kept, signs, pointwise, derivative: kept.append(pointwise)
+        sweep.run(tables, lambda *arrays: arrays[:2], keep, norms)
+        yield from norms
+        space = NormSpace(m, math.inf)
+        average = _sign_average(count, 2.5, space, masks, weights, tile)
+        yield from (average(tables)[0], average(tables, True)[1])
+        yield _largest_transform(count, 2.5, space, weights, masks, tile)(tables)
 
     whole = len(masks) * points * m
     note("tiled-vs-whole-sweep", sum(map(_differing_bits, swept(whole // 2), swept(whole))))

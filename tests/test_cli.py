@@ -766,6 +766,10 @@ class TestCheckCommand:
     INF_FIXTURE = REPO / "data" / "pisier_inf_certificate.json"
     INF_FLAGS = ["--functional", "pisier", "--n", "4", "--m", "2", "--p", "2", "--q", "inf"]
     INF_FLAGS += ["--seed", "1", "--restarts", "2", "--iters", "15", "--probes", "20"]
+    # The same search with a 64-sample Monte Carlo plan: its sign rows are the
+    # plan's decoded masks, not the exact table.
+    MC_FIXTURE = REPO / "data" / "pisier_mc_certificate.json"
+    MC_FLAGS = [*INF_FLAGS, "--mode", "mc", "--samples", "64"]
 
     def run_check(self, path, capsys):
         code = main(["--command", "check", "--in", str(path)])
@@ -813,6 +817,16 @@ class TestCheckCommand:
         assert code == 0 and err == ""
         assert out.startswith("pisier: ratio ") and out.count("\n") == 1
 
+    def test_fresh_mc_certificate_has_the_committed_bytes(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        assert main(["--command", "estimate", *self.MC_FLAGS, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_bytes() == self.MC_FIXTURE.read_bytes()
+        assert json.loads(path.read_text())["config"]["plan_mode"] == "monte-carlo"
+        code, out, err = self.run_check(self.MC_FIXTURE, capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("pisier: ratio ") and out.count("\n") == 1
+
     def test_zero_target_dimension_is_an_input_error(self, tmp_path, capsys):
         # An empty witness under a digest recomputed for m = 0 reaches the search
         # objective unless the config itself is refused.
@@ -826,7 +840,9 @@ class TestCheckCommand:
         assert err == "input error: target dimension m must be >= 1, got 0\n"
 
     @pytest.mark.parametrize(
-        "fixture", [FIXTURE, UMD_FIXTURE, INF_FIXTURE], ids=["pisier", "umd", "pisier-inf"]
+        "fixture",
+        [FIXTURE, UMD_FIXTURE, INF_FIXTURE, MC_FIXTURE],
+        ids=["pisier", "umd", "pisier-inf", "pisier-mc"],
     )
     def test_committed_certificates_keep_their_bytes(self, fixture):
         assert load_certificate(str(fixture)).to_json() == fixture.read_text()

@@ -1,6 +1,7 @@
 """Extremal search: probes, ascent, certificates, re-evaluation, scans."""
 
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from walshcube.estimators import (
 from walshcube.hypercube import HypercubeFunction
 from walshcube.inequalities import pisier_envelope
 from walshcube.martingales import FiniteFiltration, MartingaleSequence
-from walshcube.norms import FunctionFamily
+from walshcube.norms import FunctionFamily, NormSpace
 
 FAST = dict(restarts=2, iterations=120, probes=50)
 
@@ -353,9 +354,9 @@ class TestAnalyticGradients:
         rows = []
         original = est.SearchObjective.raw_sides
 
-        def counting(self, batch):
+        def counting(self, batch, with_gradient=False):
             rows.append(len(batch))
-            return original(self, batch)
+            return original(self, batch, with_gradient)
 
         monkeypatch.setattr(est.SearchObjective, "raw_sides", counting)
         cfg = SearchConfig(
@@ -430,16 +431,15 @@ class TestBatchedSearch:
         for q in (3.0, math.inf):
             objective = SearchObjective(_oracle_config(name, q))
             batch = np.random.default_rng([rows, 5]).standard_normal((rows, objective.dimension))
-            values = [side.value for side in objective.raw_sides(batch)]
-            gradients = [side.gradient() for side in objective.raw_sides(batch)]
+            values = [value for value, _ in objective.raw_sides(batch)]
+            gradients = [gradient for _, gradient in objective.raw_sides(batch, True)]
+            config = objective.config
+            build = objective.entry.build(config.n, config.p, objective.space, objective.plan)
             for k, row in enumerate(batch):
-                config = objective.config
-                alone = objective.entry.build(
-                    row.reshape(objective.shape), config.n, config.p, objective.space, objective.plan
-                )
-                for side, value, gradient in zip(alone, values, gradients):
-                    assert side.value == value[k]
-                    assert np.array_equal(side.gradient(), gradient[k])
+                alone = build(row.reshape(objective.shape), True)
+                for (value, gradient), values_k, gradients_k in zip(alone, values, gradients):
+                    assert value == values_k[k]
+                    assert np.array_equal(gradient, gradients_k[k])
 
     @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
     @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
@@ -469,9 +469,9 @@ class TestBatchedSearch:
             )
             objective = SearchObjective(cfg)
             batch = np.random.default_rng([n, m, 11]).standard_normal((4, objective.dimension))
-            four = [side.value for side in objective.raw_sides(batch)]
+            four = [value for value, _ in objective.raw_sides(batch)]
             for k, row in enumerate(batch):
-                one = [side.value[0] for side in objective.raw_sides(row[None])]
+                one = [value[0] for value, _ in objective.raw_sides(row[None])]
                 assert objective.sides(row) == (four[0][k], four[1][k]) == tuple(one)
 
     @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
@@ -486,6 +486,20 @@ class TestBatchedSearch:
             witness = kind.load({kind.key: flat.reshape(objective.shape).tolist()})
             report = functional_report(name, witness, p, objective.space, objective.config.plan())
             assert (report.lhs, report.rhs) == objective.sides(flat), (n, m, q)
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    def test_a_witness_outside_the_space_is_refused(self, name):
+        # `eval` reads the witness's m; a space of another length is refused
+        # before any side is prepared, with the one `NormSpace` message.
+        p = 1.5 if name.endswith("-type") else 2.5
+        objective = SearchObjective(SearchConfig(functional=name, n=2, m=3, p=p, q=2.0))
+        flat = np.random.default_rng(19).standard_normal(objective.dimension)
+        kind = objective.entry.kind
+        witness = kind.load({kind.key: flat.reshape(objective.shape).tolist()})
+        for space in (NormSpace(2, 2.0), NormSpace(4, math.inf)):
+            with pytest.raises(ValueError) as refused:
+                functional_report(name, witness, p, space, objective.plan)
+            assert str(refused.value) == f"vectors of length 3 in ell_q^{space.m}"
 
     @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
     def test_certified_values_read_the_raw_witness(self, name, monkeypatch):
@@ -719,6 +733,149 @@ class TestScanDimension:
         certs = scan_dimension(cfg, [2, 3], m_for_n=lambda n: 2**n)
         assert [c.config.m for c in certs] == [4, 8]
 
+    @pytest.mark.parametrize(
+        "n_values, m_for_n, what",
+        [
+            ([2.9], None, "n"),
+            ([True], None, "n"),
+            ([2], lambda n: 1.7, "m"),
+            ([2], lambda n: True, "m"),
+            (["2"], None, "n"),
+        ],
+        ids=["fractional-n", "boolean-n", "fractional-m", "boolean-m", "string-n"],
+    )
+    def test_dimensions_are_integers_never_truncated(self, n_values, m_for_n, what):
+        cfg = SearchConfig(
+            functional="pisier", n=2, m=1, p=2.0, q=2.0, restarts=1, iterations=1, probes=1
+        )
+        with pytest.raises(ValueError, match=f"scan {what} must be an integer"):
+            scan_dimension(cfg, n_values, m_for_n=m_for_n)
+
+    def test_numpy_integers_are_dimensions(self):
+        cfg = SearchConfig(
+            functional="pisier", n=2, m=1, p=2.0, q=2.0, restarts=1, iterations=1, probes=1
+        )
+        certs = scan_dimension(cfg, np.arange(1, 3), m_for_n=lambda n: np.int64(n))
+        assert [(c.config.n, c.config.m) for c in certs] == [(1, 1), (2, 2)]
+        assert all(type(c.config.n) is int and type(c.config.m) is int for c in certs)
+
+
+class TestSameSeedPin:
+    """Same-seed certificates keep their bytes: per functional, one digest over
+    the `to_json()` of 10 searches, (n, m, q) in {(2, 1, 1), (3, 2, inf),
+    (4, 2, 3)} x seeds 0-2 with the auto plan, then (3, 1, 2) with a
+    300-sample Monte Carlo plan.  A one-ulp change to a side changes it."""
+
+    DIGESTS = {
+        "corollary2": "872aa7ffc4979a000bcf5804c910f5cbab4070a507998bbc8852522445ddadad",
+        "hn-remark": "72767b2a5f8a183a8cda04414e909044e821e4d0a7c557aaac4e4df59d4cf608",
+        "k-convexity": "69a17c802814b89999ff3b8abe3b73b0781895171b22cca40b96294705436c02",
+        "martingale-type": "45f72c4e7bd76bef2c23f2c13295d455620b5f30e0a116674710da375dd12c1d",
+        "pisier": "bfebf45c5df3f53fe260439feeacdb50396f3f3c5b125942580084d9fb85f1cb",
+        "rademacher-type": "55ff3d28fa9078e6e8c233b831cde66a7edd79787882ce41ba85aeebf0b7b2a3",
+        "stein": "d2da8769518a2b5865b4a912ed27341f0619e76021b4cf65dc29a431eb27b801",
+        "theorem1": "bd8f4c88d5625e6604f544b5fdf3fb29cfd4fbfd373c936dfe441b606bc75fe1",
+        "umd": "4a880a14894f0fb3d08d0517878356a8c8f2452311eed8622dbc792a93c64432",
+        "umd-minus": "88462f5f9821c07a9b33ce52d5199d7ff3d3f0b16f2d6faf7e563889a3a81166",
+        "umd-plus": "eb8e279e88b266f3ac9c1db9f03f62a9488b3ee1f86635f55ecf76e2254d66d1",
+    }
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    def test_certificates_keep_their_bytes(self, name):
+        p = 1.5 if name.endswith("-type") else 2.5
+        budget = dict(functional=name, p=p, restarts=3, iterations=30, probes=20)
+        configs = [
+            SearchConfig(n=n, m=m, q=q, seed=seed, **budget)
+            for (n, m, q) in ((2, 1, 1.0), (3, 2, math.inf), (4, 2, 3.0))
+            for seed in range(3)
+        ]
+        configs.append(
+            SearchConfig(
+                n=3, m=1, q=2.0, seed=0, plan_mode="monte-carlo", plan_samples=300, **budget
+            )
+        )
+        digest = hashlib.sha256()
+        for cfg in configs:
+            digest.update(maximize_ratio(cfg).to_json().encode())
+        assert digest.hexdigest() == self.DIGESTS[name]
+
+
+class TestPreparedObjective:
+    """An objective prepares its builder once: later calls build no weights,
+    sign rows, checks or side objects.  A sweep of more than one chunk (the
+    3,000-sample plan) decodes each chunk's sign rows as it reaches it, on
+    every call, and nothing else."""
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    @pytest.mark.parametrize(
+        "mode, samples", [("exact", 37), ("monte-carlo", 37), ("monte-carlo", 3000)],
+        ids=["exact", "monte-carlo", "three-chunks"],
+    )
+    def test_calls_after_the_first_prepare_nothing(self, name, mode, samples, monkeypatch):
+        import walshcube.norms as norms
+
+        p = 1.5 if name.endswith("-type") else 2.5
+        cfg = SearchConfig(
+            functional=name, n=3, m=2, p=p, q=3.0, plan_mode=mode, plan_samples=samples
+        )
+        objective = SearchObjective(cfg)
+        batch = np.random.default_rng(8).standard_normal((2, objective.dimension))
+        first = objective(batch), objective.gradient(batch)
+        made = []
+        for owner, attr in (
+            (np, "full"), (np, "tile"), (norms, "sign_matrix"), (norms, "_exact_signs"),
+            (norms, "_q_kernels"), (norms.PRange, "check"), (norms._Side, "__init__"),
+        ):
+            original = getattr(owner, attr)
+            monkeypatch.setattr(
+                owner, attr, lambda *a, _f=original, _n=attr, **k: made.append(_n) or _f(*a, **k)
+            )
+        again = objective(batch), objective.gradient(batch)
+        if samples > 1024:
+            made = [name for name in made if name != "sign_matrix"]
+        assert made == []
+        for a, b in zip(itertools.chain(*first), itertools.chain(*again)):
+            assert np.array_equal(a, b)
+
+    def test_a_re_check_never_prepares_the_builder(self):
+        cfg = SearchConfig(functional="umd", n=3, m=2, p=2.5, q=3.0, restarts=1, iterations=2)
+        cert = maximize_ratio(cfg)
+        objective = SearchObjective(cfg)
+        objective.sides(cert.witness_array().reshape(-1))
+        assert "_evaluate" not in vars(objective)
+        objective(cert.witness_array().reshape(1, -1))
+        assert "_evaluate" in vars(objective)
+
+
+class TestBatchRows:
+    CONFIG = SearchConfig(
+        functional="pisier", n=2, m=1, p=2.0, q=2.0, restarts=2, iterations=3, probes=3
+    )
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (0, "batch_rows must be >= 1, got 0"),
+            (-3, "batch_rows must be >= 1, got -3"),
+            (2.5, "batch_rows must be an integer, got 2.5"),
+            (2.0, "batch_rows must be an integer, got 2.0"),
+            (True, "batch_rows must be an integer, got True"),
+            ("4", "batch_rows must be an integer, got '4'"),
+        ],
+    )
+    def test_anything_but_a_positive_integer_is_refused_when_built(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            SearchObjective(self.CONFIG, rows)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rows", [1, 3, np.int64(2)])
+    def test_positive_integers_run_the_search(self, rows):
+        from walshcube.estimators import _certify
+
+        objective = SearchObjective(self.CONFIG, rows)
+        assert objective.batch_rows == rows and type(objective.batch_rows) is int
+        assert _certify(objective).to_json() == maximize_ratio(self.CONFIG).to_json()
+
 
 class TestSearchFailurePaths:
     def test_all_degenerate_probes_raise(self, monkeypatch):
@@ -747,12 +904,12 @@ class TestSearchFailurePaths:
         restart_batches = []
         original = est.SearchObjective.raw_sides
 
-        def poisoned(self, batch):
-            lhs, rhs = original(self, batch)
+        def poisoned(self, batch, with_gradient=False):
+            lhs, rhs = original(self, batch, with_gradient)
             if len(batch) in (3, 6):
                 restart_batches.append(len(batch))
                 if restart_batches == [3, 6]:
-                    lhs.value[2] = np.inf
+                    lhs[0][2] = np.inf
             return lhs, rhs
 
         monkeypatch.setattr(est.SearchObjective, "raw_sides", poisoned)

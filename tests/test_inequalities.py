@@ -386,6 +386,6 @@ class TestLibrarySidesAreBuilderValues:
                 witness = random_family(n, m, seed=10 * n + m)
             for q, plan in itertools.product((1.0, 1.5, 2.0, 3.0, math.inf), plans):
                 space = NormSpace(m, q)
-                built = _values(entry.build(entry.kind.raw(witness), n, 2.5, space, plan))
+                built = _values(entry.build(n, 2.5, space, plan)(entry.kind.raw(witness)))
                 library = tuple(side(witness, 2.5, space, plan) for side in self.LIBRARY_SIDES[name])
                 assert library == built, (n, m, q, plan.mode)

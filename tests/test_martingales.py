@@ -14,7 +14,7 @@ from walshcube.inequalities import pisier_lhs
 from walshcube.martingales import (
     FiniteFiltration,
     MartingaleSequence,
-    _Increments,
+    _dyadic_parts,
     make_dyadic_martingale,
     martingale_lp_norm,
     martingale_type_ratio,
@@ -313,10 +313,10 @@ class TestDyadicLevels:
         rng = np.random.default_rng(100 * n + m)
         for batch in self.BATCHES:
             f = rng.standard_normal(batch + (1 << n, m))
-            view = _Increments.dyadic(f, n)
+            diffs, increment = _dyadic_parts(f, n)
             copies = np.broadcast_to(f[..., None, :, :], batch + (n, 1 << n, m))
-            assert np.array_equal(view.diffs, _difference_each(copies, n))
-            assert np.array_equal(view.increment, f - _condition(f, n, 0))
+            assert np.array_equal(diffs, _difference_each(copies, n))
+            assert np.array_equal(increment, f - _condition(f, n, 0))
             stacked = np.stack([_condition(f, n, i) for i in range(n + 1)], axis=-3)
             assert np.array_equal(_dyadic_levels(f, n), stacked)
 
@@ -443,6 +443,20 @@ class TestHalvedUmdSweep:
             got = umd_maximum_gradient(diffs, 2.5, NormSpace(2, q), probs).value
             assert got == pytest.approx(umd_maximum_per_mask(diffs, 2.5, q, probs), rel=1e-12)
 
+    def test_the_patterns_are_swept_once_for_value_and_gradient(self, monkeypatch):
+        import walshcube.norms as norms
+
+        sweeps = []
+        run = norms._SignSweep.run
+        monkeypatch.setattr(
+            norms._SignSweep, "run", lambda *a, **k: sweeps.append(1) or run(*a, **k)
+        )
+        diffs = np.random.default_rng(52).standard_normal((2, 4, 3, 2))
+        side = umd_maximum_gradient(diffs, 2.5, NormSpace(2, 3.0), np.full(3, 1.0 / 3))
+        assert sweeps == [1]
+        value, gradient = side.value, side.gradient()
+        assert sweeps == [1] and value.shape == (2,) and gradient.shape == diffs.shape
+
     @pytest.mark.parametrize("q", [1.0, 3.0, math.inf])
     def test_pattern_is_the_first_maximum_of_a_full_ascending_sweep(self, q):
         # Skewed point masses break the symmetries of the uniform dyadic
@@ -461,9 +475,9 @@ class TestHalvedUmdSweep:
             ]
             best = int(np.argmax(values))
             assert best < 1 << (n - 1)
-            chosen = _largest_transform(diffs, 2.5, space, probs)
+            chosen = _largest_transform(n, 2.5, space, probs)(diffs)
             assert np.array_equal(chosen, signs_of_mask(best, n))
-            every = _largest_transform(diffs, 2.5, space, probs, np.arange(1 << n))
+            every = _largest_transform(n, 2.5, space, probs, np.arange(1 << n))(diffs)
             assert np.array_equal(every, chosen)
             reported = umd_ratio(M, 2.5, space, SignAssignment(n=n, bitmask=best))
             assert umd_ratio(M, 2.5, space) == reported

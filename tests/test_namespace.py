@@ -94,7 +94,7 @@ def test_every_private_top_level_name_is_referenced():
 def test_the_sign_sweep_rules_stay_in_norms():
     # Chunks, tiles and halved masks are decided in `norms` alone, where the
     # sweep's mean and maximum live; `verification` reads them to check tiles.
-    private = {"_pattern_norms", "_sign_masks", "_TILE_ENTRIES"}
+    private = {"_SignSweep", "_sign_masks", "_TILE_ENTRIES"}
     readers = [
         f"{module}:{node.lineno}"
         for module, tree in TREES.items()

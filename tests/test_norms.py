@@ -16,9 +16,9 @@ from walshcube.norms import (
     RademacherAveragePlan,
     _exact_signs,
     _largest_transform,
-    _pattern_norms,
     _sign_average,
     _sign_masks,
+    _SignSweep,
     lp_norm,
     lp_norm_gradient,
     rademacher_average,
@@ -86,7 +86,7 @@ class TestNormSpace:
         table[0, :4] = 0.0
         table[1, :4] = -2.0
         for q_table in (table, table * 0.1, -table):
-            norms_, derivative = norms._norms_with_derivative(q_table, math.inf)
+            norms_, derivative = norms._max_norms_with_derivative(q_table)
             expected = ell_inf_norms_and_argmax_derivative(q_table)
             assert np.array_equal(norms_.view(np.uint64), expected[0].view(np.uint64))
             assert np.array_equal(derivative.view(np.uint64), expected[1].view(np.uint64))
@@ -98,7 +98,7 @@ class TestNormSpace:
         nan_rows = rng.random((4, 10)) < 0.3
         table[nan_rows, rng.integers(0, m, nan_rows.sum())] = np.nan
         table[0, 0], nan_rows[0, 0] = np.nan, True  # a row of NaNs
-        norms_, derivative = norms._norms_with_derivative(table, math.inf)
+        norms_, derivative = norms._max_norms_with_derivative(table)
         expected = ell_inf_norms_and_argmax_derivative(table)[1]
         if m == 2:  # column 0 where it equals the maximum, else column 1; sign times 0 elsewhere
             first = np.abs(table[..., 0]) == norms_
@@ -228,17 +228,43 @@ class TestOneRuleEach:
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_wrong_vector_length_has_one_message(self, p):
-        f = random_function(2, 3)
-        space = NormSpace(2, 2.0)
-        calls = (
-            lambda: space.norms(f.values),
-            lambda: lp_norm(f, p, space),
-            lambda: signed_combination_average(f.values[None], 2.0, space, self.PLAN),
-        )
-        for call in calls:
+        # Prepared sides never check: each public function checks its witness.
+        from walshcube import inequalities as ineq, martingales as mart
+
+        f, family = random_function(2, 3), random_family(2, 3)
+        M = mart.make_dyadic_martingale(f)
+        space, plan = NormSpace(2, 2.0), self.PLAN
+        calls = {
+            "norms": lambda: space.norms(f.values),
+            "lp_norm": lambda: lp_norm(f, p, space),
+            "signed_combination_average": lambda: signed_combination_average(
+                f.values[None], 2.0, space, plan
+            ),
+            "pisier_lhs": lambda: ineq.pisier_lhs(f, 2.5, space),
+            "pisier_rhs": lambda: ineq.pisier_rhs(f, 2.5, space, plan),
+            "theorem1_lhs": lambda: ineq.theorem1_lhs(family, 2.5, space),
+            "theorem1_rhs": lambda: ineq.theorem1_rhs(family, 2.5, space, plan),
+            "corollary2_lhs": lambda: ineq.corollary2_lhs(family, 2.5, space),
+            "corollary2_rhs": lambda: ineq.corollary2_rhs(family, 2.5, space, plan),
+            "stein_lhs": lambda: ineq.stein_lhs(family, 2.5, space, plan),
+            "stein_rhs": lambda: ineq.stein_rhs(family, 2.5, space, plan),
+            "hn_remark_lhs": lambda: ineq.hn_remark_lhs(family, 2.5, space),
+            "hn_remark_rhs": lambda: ineq.hn_remark_rhs(family, 2.5, space, plan),
+            "k_convexity_ratio": lambda: ineq.k_convexity_ratio(f, 2.5, space),
+            "rademacher_type_ratio": lambda: ineq.rademacher_type_ratio(f.values, 1.5, space),
+            "umd_ratio": lambda: mart.umd_ratio(M, 2.5, space),
+            "umd_ratio signs": lambda: mart.umd_ratio(M, 2.5, space, mart.SignAssignment(2, 0b10)),
+            "umd_maximum_gradient": lambda: mart.umd_maximum_gradient(
+                M.differences(), 2.5, space, M.filtration.probabilities
+            ),
+            "umd_plus_ratio": lambda: mart.umd_plus_ratio(M, 2.5, space, plan),
+            "umd_minus_ratio": lambda: mart.umd_minus_ratio(M, 2.5, space, plan),
+            "martingale_type_ratio": lambda: mart.martingale_type_ratio(M, 1.5, space),
+        }
+        for name, call in calls.items():
             with pytest.raises(ValueError) as refused:
                 call()
-            assert str(refused.value) == "vectors of length 3 in ell_q^2"
+            assert str(refused.value) == "vectors of length 3 in ell_q^2", name
 
 
 class TestFunctionFamily:
@@ -344,10 +370,10 @@ class TestHalvedSignSweep:
             tables = rng.standard_normal((2, count, 4, 3))  # a batch of two rows
             weights = rng.uniform(0.5, 1.5, 4)
             weights /= weights.sum()
-            every = _sign_average(tables, 1.5, space, np.arange(1 << count), weights)
+            every = _sign_average(count, 1.5, space, np.arange(1 << count), weights)
             halved = signed_combination_average_gradient(tables, 1.5, space, EXACT, weights)
-            assert_allclose(halved.value, every.value, rtol=1e-12)
-            full = every.gradient()
+            value, full = every(tables, True)
+            assert_allclose(halved.value, value, rtol=1e-12)
             assert_allclose(halved.gradient(), full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
 
     def test_exact_masks_are_the_patterns_with_last_sign_plus(self):
@@ -356,8 +382,7 @@ class TestHalvedSignSweep:
             # last sign, stays clear.  The exact plan's masks are None.
             assert _sign_masks(count, EXACT) is None
             masks = np.arange(1 << (count - 1))
-            sweep = _pattern_norms(np.zeros((count, 1, 1)), 2.0, None, _unfinished)
-            blocks = [signs for signs, _, _ in sweep]
+            blocks = [signs for signs, _, _ in chunks(np.zeros((count, 1, 1)), 2.0, None)]
             expected = 1.0 - 2.0 * ((masks[:, None] >> np.arange(count)) & 1)
             assert np.array_equal(np.concatenate(blocks), expected)
             assert all(len(block) <= 1024 for block in blocks)
@@ -404,7 +429,7 @@ class TestExactSignTable:
             for _ in range(2):
                 built.clear()
                 signed_combination_average_gradient(tables, 2.5, space, EXACT).gradient()
-                _largest_transform(tables, 2.5, space, probs)
+                _largest_transform(count, 2.5, space, probs)(tables)
             assert built == []
         # Beyond one chunk of patterns the exact rows are built per chunk.
         signed_combination_average(rng.standard_normal((12, 2, 2)), 2.5, space, EXACT)
@@ -418,13 +443,13 @@ class TestExactSignTable:
             tables = rng.standard_normal((2, count, 4, 2))
             probs = np.full(4, 0.25)
             masks = np.arange(1 << (count - 1))
-            tabled = _sign_average(tables, 2.5, space, None, probs)
-            built = _sign_average(tables, 2.5, space, masks, probs)
-            assert np.array_equal(tabled.value, built.value)
-            assert np.array_equal(tabled.gradient(), built.gradient())
+            tabled = _sign_average(count, 2.5, space, None, probs)
+            built = _sign_average(count, 2.5, space, masks, probs)
+            assert np.array_equal(tabled(tables)[0], built(tables)[0])
+            assert np.array_equal(tabled(tables, True)[1], built(tables, True)[1])
             assert np.array_equal(
-                _largest_transform(tables, 2.5, space, probs),
-                _largest_transform(tables, 2.5, space, probs, masks),
+                _largest_transform(count, 2.5, space, probs)(tables),
+                _largest_transform(count, 2.5, space, probs, masks)(tables),
             )
 
 
@@ -456,6 +481,33 @@ class TestSweepMemory:
         # Every sign of one member gives |t|: the average is the L_2 norm of t.
         assert value == pytest.approx(np.sqrt(np.mean(tables**2)), rel=1e-12)
 
+    def test_only_one_chunk_sweeps_hold_their_sign_rows(self, monkeypatch):
+        # 1,024 samples fit one chunk, whose rows are decoded once; one sample
+        # more leaves each chunk's rows to each sweep, one chunk at a time.
+        space = NormSpace(1, 2.0)
+        masks = sample_sign_masks(5, 1024, 2)
+        held = _SignSweep(2, 1, space, masks)
+        assert np.array_equal(held.signs, norms.sign_matrix(2, masks))
+        assert _SignSweep(2, 1, space, sample_sign_masks(5, 1025, 2)).signs is None
+        decoded = []
+        sign_matrix = norms.sign_matrix
+
+        def recorded(count, masks):
+            decoded.append(len(masks))
+            return sign_matrix(count, masks)
+
+        monkeypatch.setattr(norms, "sign_matrix", recorded)
+        tables = np.random.default_rng(6).standard_normal((2, 1, 1))
+        masks = sample_sign_masks(5, 3000, 2)
+        sweep = _SignSweep(2, 1, space, masks)
+        for _ in range(2):
+            decoded.clear()
+            blocks = []
+            sweep.run(tables, _unfinished, lambda _, signs, *__: blocks.append(signs), None)
+            assert decoded == [1024, 1024, 952]
+            for signs, first in zip(blocks, range(0, 3000, 1024), strict=True):
+                assert np.array_equal(signs, sign_matrix(2, masks[first : first + 1024]))
+
     def test_the_gradient_sweep_frees_each_block_before_the_next(self):
         tables = np.random.default_rng(4).standard_normal((1, 1 << 20, 1))
         plan = RademacherAveragePlan(mode="monte-carlo", samples=8, seed=3)
@@ -481,20 +533,27 @@ def _unfinished(pointwise, derivative, start):
     return pointwise, derivative
 
 
+def chunks(tables, q, masks, with_derivative=False, tile=norms._TILE_ENTRIES):
+    """Every chunk of a sign sweep over `tables` as (signs, pointwise,
+    derivative), in order, its tiles left unfinished."""
+    *_, count, points, m = tables.shape
+    kept = []
+    sweep = _SignSweep(count, points, NormSpace(m, q), masks, tile)
+    sweep.run(tables, _unfinished, lambda _, *chunk: kept.append(chunk), None, with_derivative)
+    return kept
+
+
 def whole_chunk_sweeps(tables, p, q, masks, weights, probs):
     """The sign average's value, its gradient sweep's value and gradient, and
     the umd maximum's signs, finished a whole chunk at a time: each consumer's
     elementwise passes over the norms of one tile holding the whole table."""
     *lead, count, points, m = tables.shape
 
-    def chunks(with_derivative):
-        return _pattern_norms(tables, q, masks, _unfinished, with_derivative, tile=1 << 40)
-
     results = []
     for with_gradient in (False, True):
         total = np.zeros(lead)
         gradient = np.zeros((*lead, count, points * m))
-        for signs, pointwise, derivative in chunks(with_gradient):
+        for signs, pointwise, derivative in chunks(tables, q, masks, with_gradient, 1 << 40):
             raised = pointwise ** (p - 1.0)
             raised *= weights
             if with_gradient:
@@ -506,7 +565,7 @@ def whole_chunk_sweeps(tables, p, q, masks, weights, probs):
         gradient *= norms._root_factor(value, p, float(len(masks)))[..., None, None]
         results += [value, gradient.reshape(tables.shape)] if with_gradient else [value]
     best = best_signs = None
-    for signs, pointwise, _ in chunks(False):
+    for signs, pointwise, _ in chunks(tables, q, masks, False, 1 << 40):
         powered = pointwise**p @ probs
         top, k = powered.max(axis=-1), powered.argmax(axis=-1)
         if best is None:
@@ -545,13 +604,11 @@ class TestTileFinishing:
         else:
             masks = sample_sign_masks(31, samples, count)
         space = NormSpace(m, q)
-        side = _sign_average(tables, p, space, masks, weights, tile)
-        gradient = side.gradient()
+        side = _sign_average(count, p, space, masks, weights, tile)
         got = [
-            _sign_average(tables, p, space, masks, weights, tile).value,
-            side.value,
-            gradient,
-            _largest_transform(tables, p, space, probs, masks, tile),
+            side(tables)[0],
+            *side(tables, True),
+            _largest_transform(count, p, space, probs, masks, tile)(tables),
         ]
         expected = whole_chunk_sweeps(tables, p, q, masks, weights, probs)
         for a, b in zip(got, expected, strict=True):
@@ -563,15 +620,14 @@ class TestPointTiledSweep:
     points at a time, and every entry keeps the bits of one whole tile."""
 
     def sweeps(self, tile, tables, p, q, masks):
-        space = NormSpace(tables.shape[-1], q)
-        probs = np.full(tables.shape[-2], 1.0 / tables.shape[-2])
-        with_gradient = _sign_average(tables, p, space, masks, tile=tile)
-        gradient = with_gradient.gradient()
+        *_, count, points, m = tables.shape
+        space = NormSpace(m, q)
+        probs = np.full(points, 1.0 / points)
+        side = _sign_average(count, p, space, masks, probs, tile)
         return (
-            _sign_average(tables, p, space, masks, tile=tile).value,
-            with_gradient.value,
-            gradient,
-            _largest_transform(tables, p, space, probs, masks, tile),
+            side(tables)[0],
+            *side(tables, True),
+            _largest_transform(count, p, space, probs, masks, tile)(tables),
         )
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
@@ -613,7 +669,7 @@ class TestPointTiledSweep:
 
         monkeypatch.setattr(np, "matmul", recorded)
         tables = np.random.default_rng(5).standard_normal((*lead, 5, points, m))
-        [(_, pointwise, _)] = _pattern_norms(tables, 2.0, np.arange(16), _unfinished, tile=tile)
+        [(_, pointwise, _)] = chunks(tables, 2.0, np.arange(16), tile=tile)
         assert pointwise.shape == (*lead, 16, points)
         assert widths == [width] * (points // width)
         assert width == points or (width >= 2 and width & (width - 1) == 0)
