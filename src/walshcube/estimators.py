@@ -47,11 +47,11 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
-from operator import attrgetter, index
+from operator import attrgetter
 
 import numpy as np
 
-from .hypercube import HypercubeFunction, _check_dimension, _clipped, _echo, _is_number
+from .hypercube import HypercubeFunction, _check_dimension, _clipped, _echo, _integer, _is_number
 from .inequalities import (
     InequalityReport,
     _corollary2_build,
@@ -86,6 +86,7 @@ from .norms import (
     NormSpace,
     PRange,
     RademacherAveragePlan,
+    _at_witness,
     _values,
 )
 
@@ -308,20 +309,21 @@ _MARTINGALE = WitnessKind(
 class Functional:
     """One two-sided functional, defined once for every command.
 
-    `build(n, p, space, plan, probs=None)` is its definition, prepared once
-    per shape, exponents and plan: the prepared `evaluate(x, with_gradient)
-    -> ((lhs, gradient), (rhs, gradient))` gives both sides on raw witness
-    arrays x with leading batch axes, a value per row and its gradient with
-    respect to x when asked (see `inequalities`).  The search climbs it on
-    (B, *shape) batches.  `sides(x, n, p, space, plan) -> (lhs, rhs)` is
-    the certified value, for `eval`, certificates and re-checks, on one
-    validated raw witness x (or a view of increments, with whose point
-    measure the builder is prepared), once its vectors' length is checked
-    against `space`: the builder's values, or, when `pair`
-    is set, that pair's values.  Only pisier sets it, to
-    `pisier_lhs`/`pisier_rhs` on a `HypercubeFunction` of x (its builder's
-    left side, and its right side's public kernels): the benchmark's traced
-    run counts pisier's certified evaluations through them, as
+    `build(n, p, space, plan, weights=None)` is its definition, prepared
+    once per shape, exponents, plan and point measure: the prepared
+    `evaluate(x, with_gradient) -> ((lhs, gradient), (rhs, gradient))` gives
+    both sides on raw witness arrays x with leading batch axes, a value per
+    row and its gradient with respect to x when asked (see `inequalities`).
+    The search climbs it on (B, *shape) batches.  `sides(x, n, p, space,
+    plan) -> (lhs, rhs)` is the certified value, for `eval`, certificates
+    and re-checks, on one validated raw witness x (or a view of increments,
+    with whose point measure the builder is prepared): the builder's values
+    through `norms._at_witness`, which checks x's vector length, or, when
+    `pair` is set, that pair's values, whose `pisier_lhs` checks it.  Only
+    pisier sets it, to `pisier_lhs`/`pisier_rhs` on a `HypercubeFunction` of
+    x (its builder's left side, and its right side's public kernels): the
+    benchmark's traced run counts pisier's certified evaluations through
+    them, as
     `benchmarks/tests/test_benchmark.py::test_patching_reaches_every_import_site_and_is_undone`
     requires.  With `exact_signs` the sign averages enumerate every sign
     vector, whatever plan is asked for.
@@ -338,11 +340,10 @@ class Functional:
         return replace(plan, mode="exact") if self.exact_signs else plan
 
     def sides(self, x, n: int, p: float, space: NormSpace, plan) -> tuple[float, float]:
-        view = isinstance(x, _Increments)
-        space._check_length(x.increment if view else x)
         if self.pair is not None:
             return self.pair(x, n, p, space, plan)
-        return _values(self.build(n, p, space, plan, x.probs if view else None)(x))
+        weights = x.probs if isinstance(x, _Increments) else None
+        return _values(_at_witness(self.build, x, n, p, space, plan, weights))
 
 
 def _pisier_sides(table, n, p, space, plan):
@@ -751,17 +752,6 @@ def reevaluate_certificate(cert: RatioCertificate) -> InequalityReport:
         config.q,
         objective.plan,
     )
-
-
-def _integer(value, what: str) -> int:
-    """`value` as an int when it is an integer (numpy's too, a bool not);
-    anything else is a one-line input error naming `what`, never truncated."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {_echo(value)}")
 
 
 def scan_dimension(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, fields
+from operator import index
 
 import numpy as np
 
@@ -82,6 +83,17 @@ def _check_index(value: int, low: int, high: int, what: str) -> None:
 def _is_number(value, types=(int, float)) -> bool:
     """Whether `value` is one of `types` and not a bool, which is an int too."""
     return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int when it is an integer (numpy's too, a bool not);
+    anything else is a one-line input error naming `what`, never truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {_echo(value)}")
 
 
 def _json_int(data: dict, key: str, what: str) -> int:

@@ -4,14 +4,14 @@ Each cube functional is defined here once, by its raw builder (the
 `_*_build` functions at the end): both sides on raw witness arrays with
 leading batch axes, with their gradients, for the search in `estimators`
 and for the certified value.  Each builder pairs two named raw sides, each
-prepared once per shape, exponent, target and plan.  The library
-form sits beside them, as two sides (`*_lhs`, `*_rhs`) or as a ratio
-(`k_convexity_ratio`, `rademacher_type_ratio`), and each is the value of
-its builder's side on one witness.  `pisier_rhs` alone composes the two
-public kernels of its builder's side, `derivative_stack` and
-`signed_combination_average`, which the benchmark's tracer counts.  Every
-library function checks p against the same range constants as the
-functional table.  A witnessed ratio is a certified lower bound for the
+prepared once per shape, exponent, target, plan and point measure.  The
+library form sits beside them, as two sides (`*_lhs`, `*_rhs`) or as a
+ratio (`k_convexity_ratio`, `rademacher_type_ratio`), and each is the value
+of its builder's side on one witness, through `norms._at_witness`.
+`pisier_rhs` alone composes the two public kernels of its builder's side,
+`derivative_stack` and `signed_combination_average`, which the benchmark's
+tracer counts.  Every library function checks p once, against the same
+range constants as the functional table.  A witnessed ratio is a certified lower bound for the
 corresponding space constant; upper bounds are out of reach for any
 finite search and are never claimed.
 
@@ -38,6 +38,7 @@ from .norms import (
     FunctionFamily,
     NormSpace,
     RademacherAveragePlan,
+    _at_witness,
     _checked_ratio,
     _composed,
     _lp_side,
@@ -164,17 +165,10 @@ def pisier_envelope(n: int) -> float:
     return 2.0 * math.e * math.log(n)
 
 
-def _at(prepare, table: np.ndarray, n: int, p: float, space: NormSpace, plan):
-    """Raw side or builder `prepare`, prepared, at one witness `table`, once
-    its vectors are checked to lie in `space` (a prepared side never checks)."""
-    space._check_length(table)
-    return prepare(n, p, space, plan)(table)
-
-
 def pisier_lhs(f: HypercubeFunction, p: float, space: NormSpace) -> float:
     """|| f - mean f ||_{L_p}."""
     p = DEVIATION_P.check(p, "the deviation functional")
-    return float(_at(_deviation_norm, f.values, f.n, p, space, None)[0])
+    return float(_at_witness(_deviation_norm, f.values, f.n, p, space)[0])
 
 
 def pisier_rhs(
@@ -203,7 +197,7 @@ def pisier_report(
 def theorem1_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i (E_i f_i - E_{i-1} f_i) ||_{L_p} for the coordinate filtration."""
     p = OPEN_P.check(p, "the martingale-difference functional")
-    return float(_at(_difference_norm, family.stacked(), family.n, p, space, None)[0])
+    return float(_at_witness(_difference_norm, family.stacked(), family.n, p, space)[0])
 
 
 def theorem1_rhs(
@@ -211,13 +205,13 @@ def theorem1_rhs(
 ) -> float:
     """Sign-averaged norm of sum_i delta_i d_i f_i."""
     p = OPEN_P.check(p, "the martingale-difference functional")
-    return float(_at(_derivative_average, family.stacked(), family.n, p, space, plan)[0])
+    return float(_at_witness(_derivative_average, family.stacked(), family.n, p, space, plan)[0])
 
 
 def corollary2_lhs(family: FunctionFamily, p: float, space: NormSpace) -> float:
     """|| sum_i Delta^-1 d_i f_i ||_{L_p}."""
     p = OPEN_P.check(p, "the inverse-Laplacian functional")
-    return float(_at(_inverse_laplacian_norm, family.stacked(), family.n, p, space, None)[0])
+    return float(_at_witness(_inverse_laplacian_norm, family.stacked(), family.n, p, space)[0])
 
 
 def _inverse_laplacian_sum(stack, n: int, rows, multiplier) -> np.ndarray:
@@ -239,7 +233,7 @@ def stein_lhs(
 ) -> float:
     """Sign-averaged norm of sum_i delta_i E_i f_i over the coordinate filtration."""
     p = OPEN_P.check(p, "the conditional-expectation functional")
-    return float(_at(_condition_average, family.stacked(), family.n, p, space, plan)[0])
+    return float(_at_witness(_condition_average, family.stacked(), family.n, p, space, plan)[0])
 
 
 def stein_rhs(
@@ -300,7 +294,7 @@ def k_convexity_ratio(f: HypercubeFunction, r: float, space: NormSpace) -> float
     """|| Rad f ||_{L_r} / || f ||_{L_r}; witnessed values lower-bound the
     degree-one projection norm."""
     r = OPEN_P.check(r, "the degree-one projection ratio")
-    sides = _values(_at(_k_convexity_build, f.values, f.n, r, space, None))
+    sides = _values(_at_witness(_k_convexity_build, f.values, f.n, r, space))
     return _checked_ratio(*sides, "zero function has no projection ratio")
 
 
@@ -322,110 +316,108 @@ def rademacher_type_ratio(vectors: np.ndarray, s: float, space: NormSpace) -> fl
     s = TYPE_P.check(s, "the Rademacher type ratio")
     table = _vector_table(vectors)
     exact = RademacherAveragePlan(mode="exact")
-    sides = _values(_at(_rademacher_type_build, table, len(table), s, space, exact))
+    sides = _values(_at_witness(_rademacher_type_build, table, len(table), s, space, exact))
     return _checked_ratio(*sides, "all-zero vectors have no type ratio")
 
 
-# Raw sides, `side(n, p, space, plan) -> prepared side`, and raw builders,
-# `build(n, p, space, plan, probs=None) -> evaluate`, each prepared once per
-# shape, exponent, target space and plan.  `evaluate(x, with_gradient=False)
-# -> ((lhs, gradient), (rhs, gradient))` reads (..., *shape) witness arrays
-# with leading batch axes; a prepared side is `norms._lp_side`'s kind, and a
-# gradient is None unless asked for.  `probs` is a martingale view's point
-# measure (see `martingales`); the cube's raw arrays carry the uniform one.
-# The linear maps are self-adjoint, so each backward step applies the
-# forward map (or, from a stack to one table, its member-wise sum).
+# Raw sides, `side(n, p, space, plan, weights) -> prepared` as in `norms`, and
+# raw builders, `build(n, p, space, plan, weights=None) -> evaluate`, each
+# prepared once per shape, exponent, target space, plan and point measure.
+# `evaluate(x, with_gradient=False) -> ((lhs, gradient), (rhs, gradient))`
+# reads (..., *shape) witness arrays with leading batch axes, and a gradient
+# is None unless asked for.  A cube witness's point measure is the uniform
+# one, the builders' default.  The linear maps are self-adjoint, so each
+# backward step applies the forward map (or, from a stack to one table, its
+# member-wise sum).
 
 
-def _deviation_norm(n, p, space, plan):
+def _deviation_norm(n, p, space, plan, weights):
     centre = lambda f: f - _condition(f, n, 0)
-    return _composed(centre, _lp_side(p, space, _uniform(1 << n)), centre)
+    return _composed(centre, _lp_side(n, p, space, plan, weights), centre)
 
 
-def _pisier_average(n, p, space, plan):
+def _pisier_average(n, p, space, plan, weights):
     """Sign average of sum_i delta_i d_i f for one function f."""
     flips, rows = _member_flips(n)
-    average = _plan_average(n, p, space, plan, _uniform(1 << n))
+    average = _plan_average(n, p, space, plan, weights)
     return _composed(
         lambda f: _derivatives(f, flips), average, lambda g: _derivative_each(g, rows).sum(axis=-3)
     )
 
 
-def _difference_norm(n, p, space, plan):
+def _difference_norm(n, p, space, plan, weights):
     return _composed(
         lambda family: _difference_each(family, n).sum(axis=-3),
-        _lp_side(p, space, _uniform(1 << n)),
+        _lp_side(n, p, space, plan, weights),
         lambda g: _level_differences(_dyadic_levels(g, n)),
     )
 
 
-def _derivative_average(n, p, space, plan):
+def _derivative_average(n, p, space, plan, weights):
     """Sign average of sum_i delta_i d_i f_i: the right side of theorem1 and corollary2."""
     _, rows = _member_flips(n)
     each = lambda stack: _derivative_each(stack, rows)
-    return _composed(each, _plan_average(n, p, space, plan, _uniform(1 << n)), each)
+    return _composed(each, _plan_average(n, p, space, plan, weights), each)
 
 
-def _inverse_laplacian_norm(n, p, space, plan):
+def _inverse_laplacian_norm(n, p, space, plan, weights):
     flips, rows = _member_flips(n)
     multiplier = _laplacian_multiplier(n, -1.0)
     return _composed(
         lambda family: _inverse_laplacian_sum(family, n, rows, multiplier),
-        _lp_side(p, space, _uniform(1 << n)),
+        _lp_side(n, p, space, plan, weights),
         lambda g: _derivatives(_walsh_multiply(g, n, multiplier), flips),
     )
 
 
-def _condition_average(n, p, space, plan):
+def _condition_average(n, p, space, plan, weights):
     each = lambda stack: _condition_each(stack, n)
-    return _composed(each, _plan_average(n, p, space, plan, _uniform(1 << n)), each)
+    return _composed(each, _plan_average(n, p, space, plan, weights), each)
 
 
-def _member_average(n, p, space, plan):
-    return _plan_average(n, p, space, plan, _uniform(1 << n))
-
-
-def _projection_norm(n, r, space, plan):
+def _projection_norm(n, r, space, plan, weights):
     """|| Rad f ||_{L_r}."""
     multiplier = _degree_one_multiplier(n)
     project = lambda f: _walsh_multiply(f, n, multiplier)
-    return _composed(project, _lp_side(r, space, _uniform(1 << n)), project)
+    return _composed(project, _lp_side(n, r, space, plan, weights), project)
 
 
-def _function_norm(n, r, space, plan):
-    return _lp_side(r, space, _uniform(1 << n))
-
-
-def _type_average(n, s, space, plan):
+def _type_average(n, s, space, plan, weights):
     """The sign-averaged || sum_i delta_i x_i ||^s to the power 1/s, for
     (..., k, m) tables of vectors (n = k), each a table of one point."""
     return _composed(
         lambda vectors: vectors[..., None, :],
-        _plan_average(n, s, space, plan, _uniform(1)),
+        _plan_average(n, s, space, plan, weights),
         lambda g: g[..., 0, :],
     )
 
 
-def _norm_sum(n, s, space, plan):
-    """The ell_s sum of || x_i ||: an L_s norm with unit point weights."""
-    return _lp_side(s, space, np.ones(n))
+def _norm_sum(n, s, space, plan, weights):
+    """The ell_s sum of || x_i ||: one L_s sum over the n one-point tables."""
+    return _lp_side(n, s, space, plan, np.tile(weights, n))
 
 
 def _paired(lhs, rhs):
-    """The builder whose two sides are the raw sides `lhs` and `rhs`; a cube
-    witness carries the uniform measure, so `probs` is never given here."""
+    """The builder whose two sides are the raw sides `lhs` and `rhs`, under
+    the uniform measure on the cube's points unless `weights` gives one."""
 
-    def build(n, p, space, plan, probs=None):
-        left, right = lhs(n, p, space, plan), rhs(n, p, space, plan)
+    def build(n, p, space, plan, weights=None):
+        weights = _uniform(1 << n) if weights is None else weights
+        left, right = lhs(n, p, space, plan, weights), rhs(n, p, space, plan, weights)
         return lambda x, with_gradient=False: (left(x, with_gradient), right(x, with_gradient))
 
     return build
 
 
+def _rademacher_type_build(n, s, space, plan, weights=None):
+    """The type builder: each of the n vectors is a table of one point of
+    unit mass, whatever point measure it is given."""
+    return _paired(_type_average, _norm_sum)(n, s, space, plan, _uniform(1))
+
+
 _pisier_build = _paired(_deviation_norm, _pisier_average)
 _theorem1_build = _paired(_difference_norm, _derivative_average)
 _corollary2_build = _paired(_inverse_laplacian_norm, _derivative_average)
-_stein_build = _paired(_condition_average, _member_average)
-_hn_remark_build = _paired(_inverse_laplacian_norm, _member_average)
-_k_convexity_build = _paired(_projection_norm, _function_norm)  # (|| Rad f ||_{L_r}, || f ||_{L_r})
-_rademacher_type_build = _paired(_type_average, _norm_sum)
+_stein_build = _paired(_condition_average, _plan_average)
+_hn_remark_build = _paired(_inverse_laplacian_norm, _plan_average)
+_k_convexity_build = _paired(_projection_norm, _lp_side)  # (|| Rad f ||_{L_r}, || f ||_{L_r})

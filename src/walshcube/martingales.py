@@ -11,8 +11,9 @@ martingale-type) are defined here once, by raw builders that read one
 view of increments, `_Increments`: built from any `MartingaleSequence`
 for `eval` and the ratios below, or from raw functions, as their dyadic
 martingales, for the search and its certificates.  The ratios are the
-builders' values on one martingale.  The umd maximum is the `norms` sign
-sweep's max on the increments; no sign-pattern rule is stated here.
+builders' values on one martingale, through `norms._at_witness`.  The umd
+maximum is the `norms` sign sweep's max on the increments; no sign-pattern
+rule is stated here.
 """
 
 from __future__ import annotations
@@ -31,16 +32,17 @@ from .hypercube import (
 )
 from .norms import (
     OPEN_P,
+    SIDE_P,
     TYPE_P,
     NormSpace,
     RademacherAveragePlan,
+    _at_witness,
     _checked_ratio,
     _composed,
     _largest_transform,
     _lp_side,
     _lp_value,
     _plan_average,
-    _Side,
     _transform_norm,
     _uniform,
     _values,
@@ -324,13 +326,18 @@ class _Increments:
     def of(cls, M: MartingaleSequence) -> "_Increments":
         return cls(M.differences(), M.increment(), M.filtration.probabilities)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of M_n - M_0, (size, m), whose vectors the length check reads."""
+        return self.increment.shape
 
-# Raw builders, `build(n, p, space, plan, probs=None) -> evaluate` as in
+
+# Raw builders, `build(n, p, space, plan, weights=None) -> evaluate` as in
 # `inequalities`; x is an `_Increments` view, whose `probs` the builder is
 # prepared with, or raw (..., 2^n, m) functions (the search), read as their
-# dyadic martingales under the uniform measure.  Each side reads one part
-# of the martingale, the increments d_i (`_DIFFS`) or M_n - M_0
-# (`_INCREMENT`), and is prepared as `side(n, p, space, plan, probs)`.
+# dyadic martingales under the uniform measure, the default.  Each raw side,
+# `side(n, p, space, plan, weights)` as in `norms`, reads one part of the
+# martingale, the increments d_i (`_DIFFS`) or M_n - M_0 (`_INCREMENT`).
 
 _DIFFS, _INCREMENT = 0, 1
 
@@ -352,9 +359,9 @@ def _dyadic_parts(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _on_martingales(lhs, rhs):
     """The builder whose sides are `(part, side)` pairs: each side reads its part."""
 
-    def build(n, p, space, plan, probs=None):
-        probs = _uniform(1 << n) if probs is None else probs
-        sides = [(part, side(n, p, space, plan, probs)) for part, side in (lhs, rhs)]
+    def build(n, p, space, plan, weights=None):
+        weights = _uniform(1 << n) if weights is None else weights
+        sides = [(part, side(n, p, space, plan, weights)) for part, side in (lhs, rhs)]
 
         def evaluate(x, with_gradient=False):
             raw = not isinstance(x, _Increments)
@@ -372,43 +379,38 @@ def _on_martingales(lhs, rhs):
     return build
 
 
-def _increment_norm(n, p, space, plan, probs):
-    """|| M_n - M_0 ||_{L_p}."""
-    return _lp_side(p, space, probs)
-
-
-def _transform_average(n, p, space, plan, probs):
-    """The sign-averaged || sum_i delta_i d_i ||_{L_p}."""
-    return _plan_average(n, p, space, plan, probs)
-
-
-def _transform_maximum(n, p, space, plan, probs):
+def _transform_maximum(n, p, space, plan, weights):
     """max over delta of || sum_i delta_i d_i ||_{L_p}, differentiated through
     each row's first pattern reaching it, the pattern `umd_ratio` reports."""
-    largest, transform = _largest_transform(n, p, space, probs), _transform_norm(p, space, probs)
-    return lambda diffs, with_gradient=False: transform(diffs, largest(diffs), with_gradient)
+    return _transform_norm(p, space, weights, _largest_transform(n, p, space, weights))
 
 
-def _step_sum(n, s, space, plan, probs):
+def _fixed_transform(signs: np.ndarray):
+    """The raw side || sum_i delta_i d_i ||_{L_p} at the one pattern `signs`."""
+    return lambda n, p, space, plan, weights: _transform_norm(p, space, weights, lambda _: signs)
+
+
+def _step_sum(n, s, space, plan, weights):
     """(sum_i || d_i ||_{L_s}^s)^(1/s): one L_s sum over all (step, point) pairs."""
     return _composed(
         lambda diffs: diffs.reshape(*diffs.shape[:-3], -1, diffs.shape[-1]),
-        _lp_side(s, space, np.tile(probs, n)),
+        _lp_side(n, s, space, plan, np.tile(weights, n)),
         lambda g: g.reshape(*g.shape[:-2], n, -1, g.shape[-1]),
     )
 
 
-_umd_build = _on_martingales((_DIFFS, _transform_maximum), (_INCREMENT, _increment_norm))
-_umd_plus_build = _on_martingales((_DIFFS, _transform_average), (_INCREMENT, _increment_norm))
-_umd_minus_build = _on_martingales((_INCREMENT, _increment_norm), (_DIFFS, _transform_average))
-_martingale_type_build = _on_martingales((_INCREMENT, _increment_norm), (_DIFFS, _step_sum))
+_umd_build = _on_martingales((_DIFFS, _transform_maximum), (_INCREMENT, _lp_side))
+_umd_plus_build = _on_martingales((_DIFFS, _plan_average), (_INCREMENT, _lp_side))
+_umd_minus_build = _on_martingales((_INCREMENT, _lp_side), (_DIFFS, _plan_average))
+_martingale_type_build = _on_martingales((_INCREMENT, _lp_side), (_DIFFS, _step_sum))
 
 
-def _ratio_sides(build, M: MartingaleSequence, p, space, plan) -> tuple[float, float]:
-    """The values of builder `build`'s sides at martingale M."""
+def _ratio(build, M: MartingaleSequence, p, space, plan, degenerate: str) -> float:
+    """The ratio of builder `build`'s sides at martingale M, or
+    `DegenerateInputError(degenerate)`."""
     v = _Increments.of(M)
-    space._check_length(v.increment)
-    return _values(build(M.steps, p, space, plan, v.probs)(v))
+    sides = _values(_at_witness(build, v, M.steps, p, space, plan, v.probs))
+    return _checked_ratio(*sides, degenerate)
 
 
 def umd_ratio(
@@ -424,31 +426,27 @@ def umd_ratio(
     2^(n-1) whose last sign is +1 (delta and -delta give the same norm).
     """
     p = OPEN_P.check(p, "the martingale transform ratio")
-    if signs is None:
-        sides = _ratio_sides(_umd_build, M, p, space, None)
-    else:
+    build = _umd_build
+    if signs is not None:
         if signs.n != M.steps:
             raise ValueError(f"sign assignment on {signs.n} steps for a {M.steps}-step martingale")
-        v = _Increments.of(M)
-        space._check_length(v.increment)
-        lhs = _transform_norm(p, space, v.probs)(v.diffs, signs.signs())
-        sides = _values((lhs, _lp_side(p, space, v.probs)(v.increment)))
-    return _checked_ratio(*sides, "constant martingale has no transform ratio")
+        build = _on_martingales((_DIFFS, _fixed_transform(signs.signs())), (_INCREMENT, _lp_side))
+    return _ratio(build, M, p, space, None, "constant martingale has no transform ratio")
 
 
 def umd_maximum_gradient(
     diffs: np.ndarray, p: float, space: NormSpace, probs: np.ndarray
-) -> _Side:
-    """max over delta of || sum_i delta_i d_i ||_{L_p}, with its gradient in `diffs`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """max over delta of || sum_i delta_i d_i ||_{L_p} and its gradient in
+    `diffs`, as a `(value, gradient)` pair from one sweep.
 
-    `diffs` is (..., n, size, m) with leading batch axes.  Each row is
-    differentiated through the first pattern reaching its maximum, the
-    pattern `umd_ratio` reports.
+    `diffs` is (..., n, size, m) with leading batch axes, and p any finite
+    p > 0, checked before anything is swept.  Each row is differentiated
+    through the first pattern reaching its maximum, the pattern `umd_ratio`
+    reports.
     """
-    space._check_length(diffs)
-    largest = _largest_transform(diffs.shape[-3], p, space, probs)(diffs)
-    side = _transform_norm(p, space, probs)
-    return _Side(lambda with_gradient: side(diffs, largest, with_gradient))
+    p = SIDE_P.check(p, "the raw L_p norm")
+    return _at_witness(_transform_maximum, diffs, diffs.shape[-3], p, space, None, probs, True)
 
 
 def umd_plus_ratio(
@@ -456,8 +454,7 @@ def umd_plus_ratio(
 ) -> float:
     """Sign-averaged transform norm over the final increment norm."""
     p = OPEN_P.check(p, "the martingale transform ratio")
-    sides = _ratio_sides(_umd_plus_build, M, p, space, plan)
-    return _checked_ratio(*sides, "constant martingale has no transform ratio")
+    return _ratio(_umd_plus_build, M, p, space, plan, "constant martingale has no transform ratio")
 
 
 def umd_minus_ratio(
@@ -465,12 +462,11 @@ def umd_minus_ratio(
 ) -> float:
     """Final increment norm over the sign-averaged transform norm."""
     p = OPEN_P.check(p, "the martingale transform ratio")
-    sides = _ratio_sides(_umd_minus_build, M, p, space, plan)
-    return _checked_ratio(*sides, "sign-averaged transform norm is degenerate")
+    return _ratio(_umd_minus_build, M, p, space, plan, "sign-averaged transform norm is degenerate")
 
 
 def martingale_type_ratio(M: MartingaleSequence, s: float, space: NormSpace) -> float:
     """|| M_n - M_0 ||_{L_s} over the ell_s sum of increment norms."""
     s = TYPE_P.check(s, "the martingale type ratio")
-    sides = _ratio_sides(_martingale_type_build, M, s, space, None)
-    return _checked_ratio(*sides, "constant martingale has no type ratio")
+    degenerate = "constant martingale has no type ratio"
+    return _ratio(_martingale_type_build, M, s, space, None, degenerate)

@@ -7,13 +7,14 @@ the sign vectors of exact enumeration or of a deterministic counter-based
 Monte Carlo has two reductions: the mean (`rademacher_average`, the sign
 averages and their gradient) and the max (the umd maximum).  Chunks, tiles,
 halved masks, the exact patterns' sign table and per-tile finishing are
-decided here only.  The raw sides are prepared once per exponent, target
-space, plan and point measure (`_lp_side`, `_sign_average`,
-`_largest_transform`, `_transform_norm`), so that a call does only its
-arithmetic; the public gradient functions prepare one and apply it.  Every
-exponent is checked by a `PRange`, every witness's vector length by
-`NormSpace` where the witness enters, and every ell_q norm has the bits of
-one of `_q_kernels`' kernels.
+decided here only.  Every raw side, here and in `inequalities` and
+`martingales`, is prepared as `side(n, p, space, plan, weights)` (`_lp_side`
+and `_plan_average` are the two here), so that a call does only its
+arithmetic.  One entry, `_at_witness`, checks a witness's vector length,
+prepares a side or builder and applies it, for every public side, ratio and
+gradient function.  Every exponent is checked once, by a `PRange` at its
+public entry, and every ell_q norm has the bits of one of `_q_kernels`'
+kernels.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .hypercube import MAX_DIMENSION, HypercubeFunction, _check_declared, _echo, sign_matrix
+from .hypercube import (
+    MAX_DIMENSION,
+    HypercubeFunction,
+    _check_declared,
+    _echo,
+    _integer,
+    sign_matrix,
+)
 
 __all__ = [
     "DegenerateInputError",
@@ -89,7 +97,8 @@ class PRange:
 # functional table alike: [1, inf) for pisier's deviation functional, (1, 2]
 # for the type exponents, and (1, inf) for the rest.  Beneath them, an L_p
 # norm takes p in [1, inf] and a raw side any finite p > 0.  Every exponent,
-# NaN included, is checked by one of these ranges.
+# NaN included, is checked by one of these ranges, once, where it enters: a
+# prepared side checks none.
 DEVIATION_P = PRange(1.0, math.inf, low_closed=True)
 TYPE_P = PRange(1.0, 2.0, high_closed=True)
 OPEN_P = PRange(1.0, math.inf)
@@ -108,11 +117,13 @@ class NormSpace:
     q: float
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"target dimension m must be >= 1, got {self.m}")
+        m = _integer(self.m, "target dimension m")
+        if m < 1:
+            raise ValueError(f"target dimension m must be >= 1, got {m}")
         q = float(self.q)
         if not (q >= 1.0):
             raise ValueError(f"norm index q must satisfy q >= 1, got {q}")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "q", q)
 
     def norm(self, vector: np.ndarray) -> float:
@@ -182,10 +193,12 @@ class FunctionFamily:
         return _check_declared(data, family)
 
 
-def _check_seed(seed: int) -> None:
-    """An input error unless `seed` is a valid generator seed, >= 0."""
-    if seed < 0:
+def _check_seed(seed) -> int:
+    """`seed` as an int when it is a valid generator seed, an integer >= 0;
+    anything else is a one-line input error."""
+    if (seed := _integer(seed, "seed")) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -207,9 +220,10 @@ class RademacherAveragePlan:
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "monte-carlo"):
             raise ValueError(f"unknown plan mode {_echo(self.mode)}")
-        if self.samples < 1:
+        if (samples := _integer(self.samples, "sample count")) < 1:
             raise ValueError("sample count must be >= 1")
-        _check_seed(self.seed)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @classmethod
     def auto(cls, count: int, samples: int = DEFAULT_SAMPLES, seed: int = 0):
@@ -262,11 +276,11 @@ def lp_norm(f: HypercubeFunction, p: float, space: NormSpace) -> float:
 
 def _lp_value(table: np.ndarray, p: float, space: NormSpace, weights=None) -> float:
     """The L_p norm of a (points, m) table under point `weights` (uniform by
-    default): the value of `lp_norm_gradient` for finite p, the largest
-    pointwise norm for p = inf."""
-    if math.isinf(NORM_P.check(p, "the L_p norm")):
+    default): the raw L_p norm's value for finite p, the largest pointwise
+    norm for p = inf."""
+    if math.isinf(p := NORM_P.check(p, "the L_p norm")):
         return float(space.norms(table).max())
-    return float(lp_norm_gradient(table, p, space, weights).value)
+    return float(_at_witness(_lp_side, table, None, p, space, weights=weights)[0])
 
 
 def _uniform(points: int) -> np.ndarray:
@@ -274,29 +288,15 @@ def _uniform(points: int) -> np.ndarray:
     return np.full(points, 1.0 / points)
 
 
-class _Side:
-    """One side of a functional on a batch of raw arrays, as the public
-    gradient functions return it: its value per row and, when asked, its
-    gradient with respect to the batch, each computed at most once.
-
-    `side(with_gradient) -> (value, gradient or None)` computes it: a
-    prepared side (see `_lp_side`) applied to the arrays.
-    """
-
-    def __init__(self, side: Callable[[bool], tuple]) -> None:
-        self._side = side
-        self._value = self._gradient = None
-
-    @property
-    def value(self) -> np.ndarray:
-        if self._value is None:
-            self._value, _ = self._side(False)
-        return self._value
-
-    def gradient(self) -> np.ndarray:
-        if self._gradient is None:
-            self._value, self._gradient = self._side(True)
-        return self._gradient
+def _at_witness(prepare, x, n, p, space, plan=None, weights=None, with_gradient=False):
+    """Raw side or builder `prepare`, prepared as `prepare(n, p, space, plan,
+    weights)` and applied to one witness x, once x's vectors are checked to
+    lie in `space` (a prepared side never checks).  `weights`, x's point
+    measure, is uniform over its points (axis -2) unless given; the caller
+    has checked p against its own range."""
+    space._check_length(x)
+    weights = _uniform(x.shape[-2]) if weights is None else weights
+    return prepare(n, p, space, plan, weights)(x, with_gradient)
 
 
 def _composed(forward: Callable, side: Callable, backward: Callable) -> Callable:
@@ -310,14 +310,16 @@ def _composed(forward: Callable, side: Callable, backward: Callable) -> Callable
     return composed
 
 
-# Prepared sides.  Each is built once per functional, exponent, target space,
-# plan and point measure, with its exponent checked, its ell_q kernels chosen
-# and its weights and sign rows in hand, and is then called as
-# `side(x, with_gradient=False) -> (value, gradient or None)` on raw
+# Raw sides, `side(n, p, space, plan, weights) -> prepared`: n is the
+# witness's dimension or member count, p an exponent already checked, and
+# `weights` the witness's point measure.  Each is prepared once per
+# functional, exponent, target space, plan and point measure, with its ell_q
+# kernels chosen and its weights and sign rows in hand, and is then called
+# as `prepared(x, with_gradient=False) -> (value, gradient or None)` on raw
 # (..., *shape) arrays whose leading axes are a batch.  A call is the
 # arithmetic alone: it never checks that its vectors lie in R^m, so every
-# entry point that takes a witness (the public functions, `Functional.sides`)
-# checks its length first, and the search's batches have the config's shape.
+# entry point that takes a witness goes through `_at_witness`, and the
+# search's batches have the config's shape.
 # Every row of a batch gets the bits it gets alone:
 # per-row scalars go through `np.vecdot` (a row's dot product) and
 # `np.float_power` (the C library's power), as a scalar `@` and `**` do,
@@ -327,10 +329,9 @@ def _composed(forward: Callable, side: Callable, backward: Callable) -> Callable
 # search's batches get the same bits.
 
 
-def _lp_side(p: float, space: NormSpace, weights: np.ndarray) -> Callable:
+def _lp_side(n, p: float, space: NormSpace, plan, weights: np.ndarray) -> Callable:
     """(sum_k w_k ||t_k||_q^p)^(1/p) for raw (..., points, m) tables under point
-    `weights`, prepared: see `lp_norm_gradient`."""
-    p = SIDE_P.check(p, "the raw L_p norm")
+    `weights`, prepared (n and the plan are not read): see `lp_norm_gradient`."""
     absolute, with_derivative = _q_kernels(space.q)
     root, lower = 1.0 / p, p - 1.0
 
@@ -351,8 +352,9 @@ def _lp_side(p: float, space: NormSpace, weights: np.ndarray) -> Callable:
 
 def lp_norm_gradient(
     table: np.ndarray, p: float, space: NormSpace, weights: np.ndarray | None = None
-) -> _Side:
-    """(sum_k w_k ||t_k||_q^p)^(1/p) for raw (..., points, m) tables, with its gradient.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_k w_k ||t_k||_q^p)^(1/p) for raw (..., points, m) tables, and its
+    gradient, as a `(value, gradient)` pair from one pass.
 
     Leading axes are a batch: the value has their shape and the gradient
     the shape of `table`.  p is any finite p > 0.  The point weights default
@@ -361,9 +363,7 @@ def lp_norm_gradient(
     nothing.
     """
     p = SIDE_P.check(p, "the raw L_p norm")
-    space._check_length(table)
-    side = _lp_side(p, space, _uniform(table.shape[-2]) if weights is None else weights)
-    return _Side(lambda with_gradient: side(table, with_gradient))
+    return _at_witness(_lp_side, table, None, p, space, None, weights, True)
 
 
 def _root_factor(value: np.ndarray, p: float, divisor: float = 1.0) -> np.ndarray:
@@ -553,7 +553,8 @@ def signed_combination_average(
     unless `weights` gives probabilities.  Shared by the cube-side
     Rademacher averages and the martingale transform averages.
     """
-    return float(signed_combination_average_gradient(tables, p, space, plan, weights).value)
+    p = SIDE_P.check(p, "the sign average")
+    return float(_at_witness(_plan_average, tables, tables.shape[-3], p, space, plan, weights)[0])
 
 
 def signed_combination_average_gradient(
@@ -562,32 +563,27 @@ def signed_combination_average_gradient(
     space: NormSpace,
     plan: RademacherAveragePlan,
     weights: np.ndarray | None = None,
-) -> _Side:
-    """`signed_combination_average` for (..., count, points, m) tables, with its gradient.
+) -> tuple[np.ndarray, np.ndarray]:
+    """`signed_combination_average` for (..., count, points, m) tables and its
+    gradient, as a `(value, gradient)` pair.
 
-    Leading axes are a batch.  A value alone costs one pass over the sign
-    patterns; the gradient takes one pass for both, visiting the same
-    patterns in the same chunks, and the backward step of a chunk is
-    signs.T @ (pointwise cotangents).
+    Leading axes are a batch.  One pass over the sign patterns gives both,
+    visiting the patterns in the same chunks as a value alone, and the
+    backward step of a chunk is signs.T @ (pointwise cotangents).
     """
     p = SIDE_P.check(p, "the sign average")
-    space._check_length(tables)
-    *_, count, points, _ = tables.shape
-    weights = _uniform(points) if weights is None else weights
-    side = _plan_average(count, p, space, plan, weights)
-    return _Side(lambda with_gradient: side(tables, with_gradient))
+    return _at_witness(_plan_average, tables, tables.shape[-3], p, space, plan, weights, True)
 
 
-def _plan_average(count: int, p: float, space: NormSpace, plan, weights) -> Callable:
-    """The sign average of `count` members over the plan's patterns, prepared."""
-    return _sign_average(count, p, space, _sign_masks(count, plan), weights)
+def _plan_average(n: int, p: float, space: NormSpace, plan, weights) -> Callable:
+    """The sign average of n members over the plan's patterns, prepared."""
+    return _sign_average(n, p, space, _sign_masks(n, plan), weights)
 
 
 def _sign_average(count, p, space, masks, weights, tile=_TILE_ENTRIES) -> Callable:
     """The sign average of `count` members over the patterns `masks` (the
     plan's from `_sign_masks`, or any others for an oracle) under point
     `weights`, prepared: each tile finishes its terms and cotangents."""
-    p = SIDE_P.check(p, "the sign average")
     sweep = _SignSweep(count, len(weights), space, masks, tile)
     lower, root, patterns = p - 1.0, 1.0 / p, float(sweep.patterns)
 
@@ -660,13 +656,14 @@ def _largest_transform(count, p, space, weights, masks=None, tile=_TILE_ENTRIES)
     return largest
 
 
-def _transform_norm(p: float, space: NormSpace, weights: np.ndarray) -> Callable:
-    """|| sum_i delta_i t_i ||_{L_p} for (..., count, points, m) tables and
-    (..., count) signs, one pattern per batch row, prepared:
-    `side(tables, signs, with_gradient)`, its gradient in `tables`."""
-    norm = _lp_side(p, space, weights)
+def _transform_norm(p: float, space: NormSpace, weights: np.ndarray, pattern) -> Callable:
+    """|| sum_i delta_i t_i ||_{L_p} for (..., count, points, m) tables at the
+    (..., count) signs `pattern(tables)`, one pattern per batch row, prepared
+    as `_lp_side` is, its gradient in `tables`."""
+    norm = _lp_side(None, p, space, None, weights)
 
-    def side(tables, signs, with_gradient=False):
+    def side(tables, with_gradient=False):
+        signs = pattern(tables)
         *lead, count, points, m = tables.shape
         flat = tables.reshape(*lead, count, points * m)
         combination = (signs[..., None, :] @ flat).reshape(*lead, points, m)

@@ -370,19 +370,21 @@ def run_verification_suite(
         probs = np.full(8, 1.0 / 8)
         every = np.arange(1 << count)
         target = NormSpace(m, q)
-        halved = signed_combination_average_gradient(tables, 2.5, target, exact_plan)
+        halved, halved_gradient = signed_combination_average_gradient(
+            tables, 2.5, target, exact_plan
+        )
         full, full_gradient = _sign_average(count, 2.5, target, every, probs)(tables, True)
         maxima = [
-            _transform_norm(2.5, target, probs)(tables, signs)[0]
-            for signs in (
-                _largest_transform(count, 2.5, target, probs)(tables),
-                _largest_transform(count, 2.5, target, probs, every)(tables),
+            _transform_norm(2.5, target, probs, largest)(tables)[0]
+            for largest in (
+                _largest_transform(count, 2.5, target, probs),
+                _largest_transform(count, 2.5, target, probs, every),
             )
         ]
         note(
             "halved-vs-full-enumeration",
-            _relative_gap(halved.value, full),
-            _relative_gap(halved.gradient(), full_gradient),
+            _relative_gap(halved, full),
+            _relative_gap(halved_gradient, full_gradient),
             _relative_gap(*maxima),
         )
 

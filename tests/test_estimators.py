@@ -824,7 +824,7 @@ class TestPreparedObjective:
         made = []
         for owner, attr in (
             (np, "full"), (np, "tile"), (norms, "sign_matrix"), (norms, "_exact_signs"),
-            (norms, "_q_kernels"), (norms.PRange, "check"), (norms._Side, "__init__"),
+            (norms, "_q_kernels"), (norms.PRange, "check"),
         ):
             original = getattr(owner, attr)
             monkeypatch.setattr(
@@ -836,6 +836,21 @@ class TestPreparedObjective:
         assert made == []
         for a, b in zip(itertools.chain(*first), itertools.chain(*again)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_NAMES)
+    def test_preparing_the_builder_checks_no_exponent(self, name, monkeypatch):
+        # The config checked p; a prepared side checks none.
+        import walshcube.norms as norms
+
+        p = 1.5 if name.endswith("-type") else 2.5
+        objective = SearchObjective(SearchConfig(functional=name, n=3, m=2, p=p, q=3.0))
+        checks = []
+        check = norms.PRange.check
+        monkeypatch.setattr(
+            norms.PRange, "check", lambda *a, **k: checks.append(a[1]) or check(*a, **k)
+        )
+        assert callable(objective._evaluate)
+        assert checks == []
 
     def test_a_re_check_never_prepares_the_builder(self):
         cfg = SearchConfig(functional="umd", n=3, m=2, p=2.5, q=3.0, restarts=1, iterations=2)

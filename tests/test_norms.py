@@ -2,14 +2,16 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import walshcube.norms as norms
-from walshcube.hypercube import HypercubeFunction
-from walshcube.martingales import martingale_lp_norm
+from walshcube.cli import bench_rows
+from walshcube.hypercube import HypercubeFunction, _echo
+from walshcube.martingales import martingale_lp_norm, umd_maximum_gradient
 from walshcube.norms import (
     FunctionFamily,
     NormSpace,
@@ -26,6 +28,7 @@ from walshcube.norms import (
     signed_combination_average,
     signed_combination_average_gradient,
 )
+from walshcube.verification import run_verification_suite
 
 from _naive import (
     ell_inf_norms_and_argmax_derivative,
@@ -126,6 +129,35 @@ class TestNormSpace:
         assert space.norm(np.zeros(3)) == 0.0
 
 
+class TestIntegerCounts:
+    """A target dimension, sample count or seed is an integer, numpy's too;
+    a float or a bool is a one-line input error, never rounded."""
+
+    BUILDS = {
+        "NormSpace m": (lambda v: NormSpace(v, 2.0), "target dimension m"),
+        "plan samples": (
+            lambda v: RademacherAveragePlan(mode="monte-carlo", samples=v), "sample count"
+        ),
+        "plan seed": (lambda v: RademacherAveragePlan(seed=v), "seed"),
+        "verify seed": (lambda v: run_verification_suite(n=3, m=1, seed=v, rounds=1), "seed"),
+        "bench seed": (lambda v: bench_rows(2, 1, v, 10), "seed"),
+    }
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.True_, "2"], ids=repr)
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_non_integers_are_refused(self, name, value):
+        build, what = self.BUILDS[name]
+        with pytest.raises(ValueError) as refused:
+            build(value)
+        assert str(refused.value) == f"{what} must be an integer, got {_echo(value)}"
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        space = NormSpace(np.int64(2), 2.0)
+        plan = RademacherAveragePlan(mode="monte-carlo", samples=np.int32(3), seed=np.uint8(4))
+        assert (space.m, plan.samples, plan.seed) == (2, 3, 4)
+        assert {type(space.m), type(plan.samples), type(plan.seed)} == {int}
+
+
 class TestLpNorm:
     def test_constant_function(self):
         c = np.array([3.0, -4.0])
@@ -208,6 +240,12 @@ class TestOneRuleEach:
             ),
             AVERAGE,
         ),
+        "umd_maximum_gradient": (
+            lambda p: umd_maximum_gradient(
+                TestOneRuleEach.TABLES, p, TestOneRuleEach.SPACE, np.full(4, 0.25)
+            ),
+            RAW_NORM,
+        ),
     }
 
     @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf], ids=str)
@@ -220,6 +258,14 @@ class TestOneRuleEach:
         with pytest.raises(ValueError) as refused:
             call(p)
         assert str(refused.value) == f"{what} requires p in {domain}, got {p}"
+
+    def test_the_umd_maximum_checks_p_before_it_sweeps(self):
+        # A pattern cancels these increments: a sweep at p = -1 would divide by zero.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                umd_maximum_gradient(np.ones((2, 4, 2)), -1.0, self.SPACE, np.full(4, 0.25))
+        assert str(refused.value) == "the raw L_p norm requires p in (0, inf), got -1.0"
 
     def test_infinite_exponent_gives_the_largest_pointwise_norm(self):
         f = random_function(4, 3, seed=2)
@@ -371,10 +417,12 @@ class TestHalvedSignSweep:
             weights = rng.uniform(0.5, 1.5, 4)
             weights /= weights.sum()
             every = _sign_average(count, 1.5, space, np.arange(1 << count), weights)
-            halved = signed_combination_average_gradient(tables, 1.5, space, EXACT, weights)
+            halved, halved_gradient = signed_combination_average_gradient(
+                tables, 1.5, space, EXACT, weights
+            )
             value, full = every(tables, True)
-            assert_allclose(halved.value, value, rtol=1e-12)
-            assert_allclose(halved.gradient(), full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
+            assert_allclose(halved, value, rtol=1e-12)
+            assert_allclose(halved_gradient, full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
 
     def test_exact_masks_are_the_patterns_with_last_sign_plus(self):
         for count in range(1, 13):
@@ -398,8 +446,8 @@ class TestHalvedSignSweep:
         plan = RademacherAveragePlan(mode="monte-carlo", samples=samples, seed=11)
         side = signed_combination_average_gradient(tables, 2.5, NormSpace(m, q), plan)
         value, gradient = sign_average_per_mask(tables, 2.5, q, sample_sign_masks(11, samples, count))
-        assert side.value == pytest.approx(value, rel=1e-12)
-        assert_allclose(side.gradient(), gradient, rtol=1e-12, atol=1e-12 * np.abs(gradient).max())
+        assert side[0] == pytest.approx(value, rel=1e-12)
+        assert_allclose(side[1], gradient, rtol=1e-12, atol=1e-12 * np.abs(gradient).max())
 
 
 class TestExactSignTable:
@@ -428,7 +476,7 @@ class TestExactSignTable:
             probs = np.full(8, 1.0 / 8)
             for _ in range(2):
                 built.clear()
-                signed_combination_average_gradient(tables, 2.5, space, EXACT).gradient()
+                signed_combination_average_gradient(tables, 2.5, space, EXACT)
                 _largest_transform(count, 2.5, space, probs)(tables)
             assert built == []
         # Beyond one chunk of patterns the exact rows are built per chunk.
@@ -513,8 +561,7 @@ class TestSweepMemory:
         plan = RademacherAveragePlan(mode="monte-carlo", samples=8, seed=3)
         tracemalloc.start()
         try:
-            side = signed_combination_average_gradient(tables, 2.0, NormSpace(1, 2.0), plan)
-            gradient = side.gradient()
+            _, gradient = signed_combination_average_gradient(tables, 2.0, NormSpace(1, 2.0), plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
